@@ -200,11 +200,18 @@ class FitResult:
         return self.params["offset"] + self.params["amplitude"] * base
 
 
-def _project(theta, bounds):
-    out = np.array(theta, dtype=float)
-    for i, (lo, hi) in enumerate(bounds):
-        out[i] = min(max(out[i], lo), hi)
-    return out
+def _bounded_step(damped, grad, theta, lo, hi):
+    """Solve the damped normal equations, holding any parameter that sits on
+    a bound the solved step pushes against.  Merely projecting that step
+    would leave the other parameters' steps computed for a move that never
+    happens, and the iteration would not settle.
+    """
+    delta = np.linalg.solve(damped, grad)
+    free = ~(((theta <= lo) & (delta < 0)) | ((theta >= hi) & (delta > 0)))
+    if not free.all():
+        delta = np.zeros_like(theta)
+        delta[free] = np.linalg.solve(damped[np.ix_(free, free)], grad[free])
+    return delta
 
 
 def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float = 1e-6) -> FitResult:
@@ -212,10 +219,11 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
 
     Weights are 1/stderr^2 (unit weights when the curve carries no
     errors).  The model's field values are the starting point and must lie
-    inside its bounds.  An overall amplitude and offset are fitted along
-    with the physics parameters.  Convergence is declared when the
-    relative parameter change drops below `tol`; exhausted iterations or a
-    singular normal system leave `converged` False.
+    inside its bounds; a parameter on a bound that a step pushes against
+    is held there for that step.  An overall amplitude and offset are
+    fitted along with the physics parameters.  Convergence is declared
+    when the relative parameter change drops below `tol`; exhausted
+    iterations or a singular normal system leave `converged` False.
     """
     names = model.names + ("amplitude", "offset")
     n_phys = len(model.names)
@@ -225,10 +233,10 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
             f"need at least {5 * n_par} points to fit {n_par} parameters"
         )
     bounds = list(model.bounds) + [(1e-12, np.inf), (-np.inf, np.inf)]
-    theta0 = np.asarray(model.start(), dtype=float)
-    for value, (lo, hi) in zip(theta0, bounds):
-        if not (lo <= value <= hi):
-            raise ValueError("initial guess outside parameter bounds")
+    lo, hi = np.array(bounds).T
+    theta = np.concatenate([np.asarray(model.start(), dtype=float), [1.0, 0.0]])
+    if not np.all((lo <= theta) & (theta <= hi)):
+        raise ValueError("initial guess outside parameter bounds")
 
     tau = curve.tau
     y = curve.value
@@ -238,7 +246,6 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
         sigma = np.where(curve.stderr > 0, curve.stderr, np.inf)
         w = 1.0 / sigma**2
 
-    theta = np.concatenate([theta0, [1.0, 0.0]])
     # per-parameter scales for the relative-change stop rule; every
     # parameter here is either O(1) or large, so floor the scale at 1
     scales = np.maximum(np.abs(theta), 1.0)
@@ -265,11 +272,11 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
         for _ in range(30):
             damped = hess + damping * np.diag(np.maximum(np.diag(hess), 1e-300))
             try:
-                delta = np.linalg.solve(damped, grad)
+                delta = _bounded_step(damped, grad, theta, lo, hi)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            trial = _project(theta + delta, bounds)
+            trial = np.clip(theta + delta, lo, hi)
             r_trial = residual(trial)
             chi2_trial = float(np.sum(w * r_trial * r_trial))
             if np.isfinite(chi2_trial) and chi2_trial <= chi2:

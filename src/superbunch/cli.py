@@ -7,7 +7,9 @@ Subcommands:
   plot       emit a gnuplot script for a g2 curve (+ optional model)
 
 Exit codes: 0 success, 2 configuration problem, 3 malformed data file,
-4 the requested fit did not converge (artifacts are still written).
+4 the requested fit did not converge (artifacts are still written),
+5 one or more sweep points failed (the other points and summary.csv are
+still written).
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def _dispatch(args) -> int:
         rows = run_sweep(cfg, raw, out_dir=out_dir, threads=args.threads, fmt=args.fmt)
         failures = sum(1 for row in rows if row["status"] != "ok")
         print(f"{len(rows)} points, {failures} failed; summary in {out_dir}/summary.csv")
-        return 0
+        return 5 if failures else 0
 
     raise ConfigError(f"unknown command {args.command!r}")
 

@@ -116,13 +116,6 @@ def merge(a: CoincidenceHistogram, b: CoincidenceHistogram) -> CoincidenceHistog
     )
 
 
-def _check_sorted(arr: np.ndarray, name: str) -> None:
-    if arr.size == 0:
-        raise DataError(f"channel {name} contains no events")
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
-        raise ValueError(f"channel {name} timestamps are not sorted")
-
-
 def coincidence_histogram(
     stream,
     bin_s: float,
@@ -133,17 +126,17 @@ def coincidence_histogram(
 ) -> CoincidenceHistogram:
     """Histogram all D1 x D2 pairs with |t1 - t2| within the window.
 
-    `bin_s` must be at least the stream's timestamp resolution and the
-    window at least ten bins wide.  The window is rounded to a whole
-    number of bins.  `d1_range` restricts counting to a slice of the
-    first channel (used for partial histograms; see merge()).  `threads`
-    splits the first channel across workers; the result is bit-identical
-    for any thread count because partial counts are summed exactly.
+    `stream` is a PhotonStream, whose channels are sorted by construction;
+    an empty channel raises DataError.  `bin_s` must be at least the
+    stream's timestamp resolution and the window at least ten bins wide.
+    The window is rounded to a whole number of bins.  `d1_range` restricts
+    counting to a slice of the first channel (used for partial histograms;
+    see merge()).  `threads` splits the first channel across workers; the
+    result is bit-identical for any thread count because partial counts
+    are summed exactly.
     """
     d1 = np.ascontiguousarray(stream.d1, dtype=np.int64)
     d2 = np.ascontiguousarray(stream.d2, dtype=np.int64)
-    _check_sorted(d1, "D1")
-    _check_sorted(d2, "D2")
     dtau_ns = int(round(bin_s * 1e9))
     if dtau_ns < max(1, stream.resolution_ns):
         raise ValueError("bin width must not be below the timestamp resolution")

@@ -294,4 +294,9 @@ def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
             f"{path}: truncated record at byte {len(raw) - rem}"
         )
     rec = np.frombuffer(raw, dtype=_BINARY_DTYPE)
-    return rec["timestamp_ns"].astype(np.int64), rec["channel"]
+    ts = rec["timestamp_ns"]
+    wraps = ts > np.iinfo(np.int64).max
+    if wraps.any():
+        pos = int(np.argmax(wraps))
+        raise DataError(f"{path}: timestamp {int(ts[pos])} >= 2**63 at record {pos + 1}")
+    return ts.astype(np.int64), rec["channel"]

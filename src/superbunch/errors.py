@@ -1,8 +1,9 @@
 """Exceptions shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, malformed or degenerate input data with 3, and a failed fit of
-record with 4.
+with 2, malformed or degenerate input data with 3, a failed fit of record
+with 4, and a sweep with any failed point (ConfigError, DataError or
+ValueError raised by that point) with 5.
 """
 
 

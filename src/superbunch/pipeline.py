@@ -38,7 +38,7 @@ from .detection import (
     read_photon_stream,
     write_photon_stream,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .seeding import substream_seed
 from .signal import BandNoise, Constant, EomDrive, Sinusoid, sample_intensity, write_intensity_csv
 from .speckle import apply_speckle, generate_speckle_field
@@ -62,7 +62,7 @@ class RunResult:
     g2_zero: float
     g2_zero_err: float
     peak: PeakBackground
-    model: Optional[object] = None  # TheoryModel instance used as the fit start
+    model: Optional[analytic.TheoryModel] = None  # the fit's starting point
     fit: Optional[analytic.FitResult] = None
     paths: dict = dataclasses.field(default_factory=dict)
 
@@ -173,8 +173,7 @@ def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram, fmt: str) -> dict:
     }
 
 
-def _write_fit_report(path, model, fit: analytic.FitResult) -> None:
-    model_name = {v: k for k, v in _MODEL_CLASSES.items()}[type(model)]
+def _write_fit_report(path, model_name: str, model, fit: analytic.FitResult) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"model: {model_name}\n")
         fh.write(f"converged: {'yes' if fit.converged else 'no'}\n")
@@ -195,6 +194,49 @@ def _write_theory_csv(path, model, fit: analytic.FitResult, tau: np.ndarray) -> 
             fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
+def analyze_stream(
+    cfg: RunConfig, stream: PhotonStream, *, threads: int = 1, out_dir=None
+) -> RunResult:
+    """Correlate and fit a photon stream; write artifacts when `out_dir` is given.
+
+    Artifacts: histogram.csv, g2.csv, and when a fit model is configured
+    also theory.csv and fit.txt.  Simulated and recorded streams share
+    this one path, so a stream gives the same files from either source.
+    """
+    hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
+    curve = normalize_g2(hist)
+    zero, zero_err = g2_zero_estimate(hist)
+    peak = peak_background_ratio(hist)
+    model = initial_model(cfg)
+    fit = analytic.fit_g2(curve, model) if model is not None else None
+
+    paths: dict = {}
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        paths["histogram"] = os.path.join(out_dir, "histogram.csv")
+        write_histogram_csv(hist, paths["histogram"])
+        paths["g2"] = os.path.join(out_dir, "g2.csv")
+        write_g2_csv(curve, paths["g2"])
+        if fit is not None:
+            paths["theory"] = os.path.join(out_dir, "theory.csv")
+            _write_theory_csv(paths["theory"], model, fit, hist.bin_centers_s())
+            paths["fit"] = os.path.join(out_dir, "fit.txt")
+            _write_fit_report(paths["fit"], cfg.analysis_model, model, fit)
+
+    return RunResult(
+        config=cfg,
+        stream=stream,
+        histogram=hist,
+        curve=curve,
+        g2_zero=zero,
+        g2_zero_err=zero_err,
+        peak=peak,
+        model=model,
+        fit=fit,
+        paths=paths,
+    )
+
+
 def run_pipeline(
     cfg: RunConfig,
     *,
@@ -204,10 +246,10 @@ def run_pipeline(
 ) -> RunResult:
     """Run the full chain; write artifacts when `out_dir` is given.
 
-    Artifacts: photons.txt or photons.bin, histogram.csv, g2.csv,
-    manifest.json, and when a fit model is configured also theory.csv and
-    fit.txt.  With output.write_trace the source intensity traces go to
-    modulation.csv and speckle.csv (only sensible for short runs).
+    Artifacts: photons.txt or photons.bin and manifest.json, plus those
+    of analyze_stream.  With output.write_trace the source intensity
+    traces go to modulation.csv and speckle.csv (only sensible for short
+    runs).
     """
     fmt = fmt or cfg.output_format
     n = cfg.samples
@@ -243,44 +285,18 @@ def run_pipeline(
     )
     del joint
 
-    hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
-    curve = normalize_g2(hist)
-    zero, zero_err = g2_zero_estimate(hist)
-    peak = peak_background_ratio(hist)
-
-    model = initial_model(cfg)
-    fit = analytic.fit_g2(curve, model) if model is not None else None
-
-    result = RunResult(
-        config=cfg,
-        stream=stream,
-        histogram=hist,
-        curve=curve,
-        g2_zero=zero,
-        g2_zero_err=zero_err,
-        peak=peak,
-        model=model,
-        fit=fit,
-        paths=paths,
-    )
-
     if out_dir is not None:
         ext = "txt" if fmt == "text" else "bin"
         paths["photons"] = os.path.join(out_dir, f"photons.{ext}")
         write_photon_stream(stream, paths["photons"], fmt=fmt)
-        paths["histogram"] = os.path.join(out_dir, "histogram.csv")
-        write_histogram_csv(hist, paths["histogram"])
-        paths["g2"] = os.path.join(out_dir, "g2.csv")
-        write_g2_csv(curve, paths["g2"])
-        if fit is not None:
-            paths["theory"] = os.path.join(out_dir, "theory.csv")
-            _write_theory_csv(paths["theory"], model, fit, hist.bin_centers_s())
-            paths["fit"] = os.path.join(out_dir, "fit.txt")
-            _write_fit_report(paths["fit"], model, fit)
+
+    result = analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
+    if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         with open(paths["manifest"], "w", newline="") as fh:
-            json.dump(manifest_dict(cfg, hist, fmt), fh, indent=2, sort_keys=True)
+            json.dump(manifest_dict(cfg, result.histogram, fmt), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    result.paths.update(paths)
     return result
 
 
@@ -306,38 +322,7 @@ def run_analysis(
         resolution_ns=cfg.detection.resolution_ns,
         duration_s=duration_s,
     )
-    hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
-    curve = normalize_g2(hist)
-    zero, zero_err = g2_zero_estimate(hist)
-    peak = peak_background_ratio(hist)
-    model = initial_model(cfg)
-    fit = analytic.fit_g2(curve, model) if model is not None else None
-
-    paths: dict = {}
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        paths["histogram"] = os.path.join(out_dir, "histogram.csv")
-        write_histogram_csv(hist, paths["histogram"])
-        paths["g2"] = os.path.join(out_dir, "g2.csv")
-        write_g2_csv(curve, paths["g2"])
-        if fit is not None:
-            paths["theory"] = os.path.join(out_dir, "theory.csv")
-            _write_theory_csv(paths["theory"], model, fit, hist.bin_centers_s())
-            paths["fit"] = os.path.join(out_dir, "fit.txt")
-            _write_fit_report(paths["fit"], model, fit)
-
-    return RunResult(
-        config=cfg,
-        stream=stream,
-        histogram=hist,
-        curve=curve,
-        g2_zero=zero,
-        g2_zero_err=zero_err,
-        peak=peak,
-        model=model,
-        fit=fit,
-        paths=paths,
-    )
+    return analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
 
 
 def _csv_cell(value) -> str:
@@ -360,8 +345,9 @@ def run_sweep(
 
     Each point runs in out_dir/point_NNN with its own seed derived from
     the master seed, and a row is appended to out_dir/summary.csv.  A
-    point that fails is recorded in its row's status column and the sweep
-    continues.
+    point whose config or data is rejected (ConfigError, DataError,
+    ValueError) is recorded in its row's status column and the sweep
+    continues; any other exception is a bug and propagates.
     """
     if cfg.sweep is None:
         raise ConfigError("missing required section [sweep]")
@@ -390,7 +376,7 @@ def run_sweep(
                 cfg_i, seed=substream_seed(cfg.seed, "sweep", i), sweep=None
             )
             result = run_pipeline(cfg_i, threads=threads, out_dir=point_dir, fmt=fmt)
-        except Exception as exc:  # record the failure, keep sweeping
+        except (ConfigError, DataError, ValueError) as exc:
             message = str(exc).replace("\n", " ").replace(",", ";")
             row["status"] = f"error: {message}"
             rows.append(row)

@@ -174,6 +174,22 @@ def test_contrast_stays_in_unit_interval():
     assert fit.params["contrast"] <= 1.0
 
 
+@pytest.mark.parametrize("true_contrast", [1.05, 1.1])
+@pytest.mark.parametrize("start_contrast", [1.0, 0.5])
+def test_fit_converges_with_contrast_on_its_bound(true_contrast, start_contrast):
+    # data beyond contrast 1 pins the fit to the bound; the remaining
+    # parameters must still settle in a few steps
+    tau = (np.arange(500) + 0.5) * 0.5e-6
+    tau = np.concatenate([-tau[::-1], tau])
+    curve = _noisy_curve(SinusoidSpeckle, (true_contrast, W0, BW), tau, seed=3)
+    start = SinusoidSpeckle(contrast=start_contrast, mod_omega=W0, bandwidth=BW)
+    fit = fit_g2(curve, start)
+    assert fit.converged
+    assert fit.params["contrast"] == 1.0
+    assert fit.iterations <= 20
+    assert fit.params["mod_omega"] == pytest.approx(W0, rel=1e-3)
+
+
 def test_iteration_cap_reports_non_convergence():
     tau = (np.arange(300) + 0.5) * 1e-6
     tau = np.concatenate([-tau[::-1], tau])

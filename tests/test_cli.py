@@ -103,8 +103,8 @@ def test_analyze_reproduces_simulate(tmp_path, config_path):
         str(ana),
     ])
     assert code == 0
-    assert (ana / "g2.csv").read_bytes() == (out / "g2.csv").read_bytes()
-    assert (ana / "histogram.csv").read_bytes() == (out / "histogram.csv").read_bytes()
+    for name in ("g2.csv", "histogram.csv", "theory.csv", "fit.txt"):
+        assert (ana / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_analyze_without_config_uses_defaults(tmp_path, config_path):
@@ -133,6 +133,17 @@ def test_sweep_cli(tmp_path, config_path):
     assert len(lines) == 3
     assert (out / "point_000" / "g2.csv").exists()
     assert (out / "point_001" / "g2.csv").exists()
+
+
+def test_sweep_cli_failed_point_exit_code(tmp_path, config_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2, 2.0\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    assert "2 points, 1 failed" in capsys.readouterr().out
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert ",ok," in lines[1]
+    assert ",error:" in lines[2]
 
 
 def test_sweep_requires_section(config_path, tmp_path):

@@ -185,6 +185,17 @@ def test_truncated_binary_reports_offset(tmp_path):
         read_photon_stream(path)
 
 
+def test_binary_timestamp_beyond_int64_reports_record(tmp_path):
+    stream = PhotonStream(np.array([100, 300]), np.array([200]), 1, 1e-6)
+    path = tmp_path / "p.bin"
+    write_photon_stream(stream, path)
+    blob = bytearray(path.read_bytes())
+    blob[9:17] = (2**63).to_bytes(8, "little")  # second record's timestamp
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="record 2"):
+        read_photon_stream(path)
+
+
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(rate_hz=0.0)

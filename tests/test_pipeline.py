@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from superbunch import ConfigError, build_config, run_pipeline, run_sweep
+from superbunch import ConfigError, build_config, pipeline, run_pipeline, run_sweep
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
 from superbunch.pipeline import initial_model, manifest_dict
 
@@ -149,6 +149,18 @@ def test_sweep_runs_points_and_records_failures(tmp_path):
     assert summary[0].startswith("parameter,value,status,g2_zero,g2_zero_err,fit_g2_zero")
     assert len(summary) == 4
     assert ",error:" in summary[3]
+
+
+def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
+    raw = _raw(sweep={"parameter": "modulation.depth", "values": "0.3, 0.9"})
+    cfg = build_config(raw)
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a bad sweep point")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(cfg, raw, out_dir=tmp_path)
 
 
 def test_sweep_points_use_distinct_seeds(tmp_path):
