@@ -1,11 +1,11 @@
-"""Pure-numpy pair-counting kernel (fallback for the compiled extension).
+"""Numpy pair-counting kernel.
 
-Semantics must match superbunch._corr_cy exactly: for every ordered pair
-(t1 from d1[start:stop], t2 from d2) with 0 < |t1 - t2| <= half_bins*dtau
-the bin index is half_bins + q for t1 > t2 and half_bins - 1 - q for
-t1 < t2, where q = (|t1 - t2| - 1) // dtau.  All quantities are integer
-nanoseconds; exact zero lags fall on no bin (they cannot be mirrored
-symmetrically with an even bin count).
+For every ordered pair (t1 from d1[start:stop], t2 from d2) with
+0 < |t1 - t2| <= half_bins*dtau the bin index is half_bins + q for
+t1 > t2 and half_bins - 1 - q for t1 < t2, where
+q = (|t1 - t2| - 1) // dtau.  All quantities are integer nanoseconds;
+exact zero lags fall on no bin (they cannot be mirrored symmetrically
+with an even bin count).
 """
 
 import numpy as np

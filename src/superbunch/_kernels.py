@@ -1,26 +1,15 @@
-"""Selects the pair-counting implementation at import time.
+"""The pair-counting kernel the correlator calls.
 
-The compiled extension is preferred; the numpy fallback has identical
-semantics (bit-identical counts).  Set SUPERBUNCH_PURE_PYTHON=1 to force
-the fallback, e.g. for benchmarking one against the other.
+The numpy implementation in _corr_np is the only one; the correlator
+looks it up here at call time, so it can be wrapped from outside for
+timing.  COMPILED and FORCE_FALLBACK are constant False: no compiled
+kernel ships with the package, so there is none to select or bypass.
+Run reports record both.
 """
 
-import os
+from ._corr_np import pair_histogram
 
-FORCE_FALLBACK = os.environ.get("SUPERBUNCH_PURE_PYTHON", "") not in ("", "0")
-
-if FORCE_FALLBACK:
-    from ._corr_np import pair_histogram
-
-    COMPILED = False
-else:
-    try:
-        from ._corr_cy import pair_histogram  # type: ignore[no-redef]
-
-        COMPILED = True
-    except ImportError:
-        from ._corr_np import pair_histogram  # type: ignore[no-redef]
-
-        COMPILED = False
+COMPILED = False
+FORCE_FALLBACK = False
 
 __all__ = ["pair_histogram", "COMPILED", "FORCE_FALLBACK"]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._text import write_csv
 from .errors import DataError
 
 
@@ -246,14 +247,8 @@ def peak_background_ratio(hist: CoincidenceHistogram) -> PeakBackground:
 
 
 def write_g2_csv(curve: G2Curve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("tau_s,g2,stderr\n")
-        for t, v, e in zip(curve.tau, curve.value, curve.stderr):
-            fh.write(f"{float(t)!r},{float(v)!r},{float(e)!r}\n")
+    write_csv(path, ("tau_s", "g2", "stderr"), curve.tau, curve.value, curve.stderr)
 
 
 def write_histogram_csv(hist: CoincidenceHistogram, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("tau_s,counts\n")
-        for t, c in zip(hist.bin_centers_s(), hist.counts):
-            fh.write(f"{float(t)!r},{int(c)}\n")
+    write_csv(path, ("tau_s", "counts"), hist.bin_centers_s(), hist.counts)

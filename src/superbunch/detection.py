@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import write_csv
 from .errors import ConfigError, DataError, ResolutionError
 from .seeding import substream
 from .signal import IntensityTrace
@@ -213,8 +214,7 @@ def write_photon_stream(stream: PhotonStream, path, fmt: str | None = None) -> N
     kind = _format_for(path, fmt)
     ts, ch = _interleave(stream)
     if kind == "text":
-        with open(path, "w", newline="") as fh:
-            np.savetxt(fh, np.column_stack([ch, ts]), fmt="%d", delimiter=",")
+        write_csv(path, None, ch, ts)
     else:
         rec = np.empty(ts.size, dtype=_BINARY_DTYPE)
         rec["timestamp_ns"] = ts.astype(np.uint64)

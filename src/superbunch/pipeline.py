@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic
+from ._text import write_csv
 from ._version import __version__
 from .config import RunConfig, apply_override, build_config
 from .correlator import (
@@ -187,27 +188,30 @@ def _write_fit_report(path, model_name: str, model, fit: analytic.FitResult) -> 
 
 
 def _write_theory_csv(path, model, fit: analytic.FitResult, tau: np.ndarray) -> None:
-    values = fit.g2_model(type(model), tau)
-    with open(path, "w", newline="") as fh:
-        fh.write("tau_s,g2_theory\n")
-        for t, v in zip(tau, values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    write_csv(path, ("tau_s", "g2_theory"), tau, fit.g2_model(type(model), tau))
 
 
 def analyze_stream(
-    cfg: RunConfig, stream: PhotonStream, *, threads: int = 1, out_dir=None
+    cfg: RunConfig,
+    stream: PhotonStream,
+    model: Optional[analytic.TheoryModel],
+    *,
+    threads: int = 1,
+    out_dir=None,
 ) -> RunResult:
     """Correlate and fit a photon stream; write artifacts when `out_dir` is given.
 
-    Artifacts: histogram.csv, g2.csv, and when a fit model is configured
-    also theory.csv and fit.txt.  Simulated and recorded streams share
-    this one path, so a stream gives the same files from either source.
+    `model` is the fit's starting point, `initial_model(cfg)`, which the
+    callers build before any expensive work so that a bad [analysis]
+    section fails first; None skips the fit.  Artifacts: histogram.csv,
+    g2.csv, and when a fit model is given also theory.csv and fit.txt.
+    Simulated and recorded streams share this one path, so a stream gives
+    the same files from either source.
     """
     hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
     curve = normalize_g2(hist)
     zero, zero_err = g2_zero_estimate(hist)
     peak = peak_background_ratio(hist)
-    model = initial_model(cfg)
     fit = analytic.fit_g2(curve, model) if model is not None else None
 
     paths: dict = {}
@@ -255,6 +259,7 @@ def run_pipeline(
     n = cfg.samples
     if n < 2:
         raise ConfigError("[run] duration_s / dt_s must give at least two samples")
+    model = initial_model(cfg)
 
     trace = sample_intensity(
         cfg.modulation, 0.0, cfg.dt_s, n, substream_seed(cfg.seed, "modulation")
@@ -290,7 +295,7 @@ def run_pipeline(
         paths["photons"] = os.path.join(out_dir, f"photons.{ext}")
         write_photon_stream(stream, paths["photons"], fmt=fmt)
 
-    result = analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
+    result = analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
     if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         with open(paths["manifest"], "w", newline="") as fh:
@@ -316,13 +321,14 @@ def run_analysis(
     it the duration is taken as the last timestamp plus one resolution
     step, which biases g2 slightly low for short streams.
     """
+    model = initial_model(cfg)
     stream = read_photon_stream(
         stream_path,
         fmt=fmt,
         resolution_ns=cfg.detection.resolution_ns,
         duration_s=duration_s,
     )
-    return analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
+    return analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
 
 
 def _csv_cell(value) -> str:

@@ -19,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._spectral import bandlimited_complex_field, bandlimited_real_noise
+from ._text import write_csv
 from .correlator import G2Curve
 from .errors import ConfigError
 
@@ -193,12 +194,19 @@ class IntensityTrace:
         return self.t0 + np.arange(self.samples.size) * self.dt
 
 
+def require_oversampled(dt: float, timescale: float, what: str) -> None:
+    """Raise ConfigError unless dt puts ten samples in `timescale`.
+
+    A coarser grid aliases the correlation curve silently.  `what` names
+    the quantity that sets the timescale, for the error message.
+    """
+    limit = timescale / 10.0
+    if dt > limit * (1 + 1e-9):
+        raise ConfigError(f"dt={dt:g} too coarse for {what} (need dt <= {limit:g})")
+
+
 def _sample_band_noise(model: BandNoise, dt, n, rng) -> tuple[np.ndarray, tuple]:
-    if dt > 1.0 / (10.0 * model.cutoff_hz) * (1 + 1e-9):
-        raise ConfigError(
-            f"dt={dt:g} too coarse for cutoff {model.cutoff_hz:g} Hz "
-            f"(need dt <= {1.0 / (10.0 * model.cutoff_hz):g})"
-        )
+    require_oversampled(dt, 1.0 / model.cutoff_hz, f"cutoff {model.cutoff_hz:g} Hz")
     flags = ()
     if n * dt < 10.0 / model.cutoff_hz:
         flags = ("short-trace",)
@@ -216,10 +224,9 @@ def _sample_band_noise(model: BandNoise, dt, n, rng) -> tuple[np.ndarray, tuple]
 
 
 def _sample_eom(model: EomDrive, t0, dt, n, rng) -> np.ndarray:
-    if dt > 1.0 / (10.0 * model.frequency_hz) * (1 + 1e-9):
-        raise ConfigError(
-            f"dt={dt:g} too coarse for drive frequency {model.frequency_hz:g} Hz"
-        )
+    require_oversampled(
+        dt, 1.0 / model.frequency_hz, f"drive frequency {model.frequency_hz:g} Hz"
+    )
     if model.vpp == 0.0:
         v = np.zeros(n)
     elif model.waveform == "sinusoid":
@@ -249,12 +256,9 @@ def sample_intensity(
     if isinstance(model, Constant):
         samples = np.full(n, float(model.base_intensity))
     elif isinstance(model, Sinusoid):
-        # ten samples per period, or the drive aliases silently
-        if model.omega > 0 and dt > 2 * np.pi / (10.0 * model.omega) * (1 + 1e-9):
-            raise ConfigError(
-                f"dt={dt:g} too coarse for modulation at {model.omega:g} rad/s "
-                f"(need dt <= {2 * np.pi / (10.0 * model.omega):g})"
-            )
+        require_oversampled(
+            dt, 2 * np.pi / model.omega, f"modulation at {model.omega:g} rad/s"
+        )
         t = t0 + np.arange(n) * dt
         samples = model.base_intensity * (
             1.0 + model.depth * np.cos(model.omega * t + model.phase)
@@ -296,8 +300,4 @@ def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve
 
 def write_intensity_csv(trace: IntensityTrace, path) -> None:
     """Write a trace as CSV with header t_s,intensity."""
-    t = trace.times()
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,intensity\n")
-        for ti, xi in zip(t, trace.samples):
-            fh.write(f"{float(ti)!r},{float(xi)!r}\n")
+    write_csv(path, ("t_s", "intensity"), trace.times(), trace.samples)

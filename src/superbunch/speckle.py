@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spectral import bandlimited_complex_field
-from .errors import ConfigError
-from .signal import IntensityTrace
+from .signal import IntensityTrace, require_oversampled
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,9 @@ def generate_speckle_field(
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    if dt > 2 * np.pi / (10.0 * params.bandwidth) * (1 + 1e-9):
-        raise ConfigError(
-            f"dt={dt:g} too coarse for speckle bandwidth {params.bandwidth:g} rad/s "
-            f"(need dt <= {2 * np.pi / (10.0 * params.bandwidth):g})"
-        )
+    require_oversampled(
+        dt, 2 * np.pi / params.bandwidth, f"speckle bandwidth {params.bandwidth:g} rad/s"
+    )
     rng = np.random.default_rng(params.seed)
     # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
     field = bandlimited_complex_field(n, dt, params.bandwidth / (4 * np.pi), rng)

@@ -4,6 +4,7 @@ import pytest
 from superbunch import (
     CoincidenceHistogram,
     DataError,
+    G2Curve,
     PhotonStream,
     coincidence_histogram,
     g2_zero_estimate,
@@ -13,8 +14,6 @@ from superbunch import (
     write_g2_csv,
     write_histogram_csv,
 )
-from superbunch._kernels import pair_histogram
-from superbunch._corr_np import pair_histogram as pair_histogram_np
 
 
 def brute_force(d1, d2, dtau_ns, half_bins):
@@ -51,15 +50,6 @@ def test_matches_brute_force_random_streams():
         expected = brute_force(stream.d1, stream.d2, 100, 20)
         assert np.array_equal(hist.counts, expected), f"trial {trial}"
         assert hist.counts.sum() > 0
-
-
-def test_pure_python_kernel_agrees_with_active_kernel():
-    rng = np.random.default_rng(55)
-    d1 = np.sort(rng.integers(0, 100_000, 1500)).astype(np.int64)
-    d2 = np.sort(rng.integers(0, 100_000, 1400)).astype(np.int64)
-    a = pair_histogram(d1, d2, 250, 40)
-    b = pair_histogram_np(d1, d2, 250, 40)
-    assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
 def test_exact_window_edge_inclusive():
@@ -211,6 +201,30 @@ def test_csv_writers(tmp_path):
     assert np.array_equal(data[:, 1].astype(np.int64), counts)
     assert g2_path.read_text().splitlines()[0] == "tau_s,g2,stderr"
     assert hist_path.read_text().splitlines()[0] == "tau_s,counts"
+
+
+def test_csv_writers_golden_bytes(tmp_path):
+    # floats are written as their shortest round-trip repr, counts in decimal
+    curve = G2Curve(
+        tau=np.array([-2.5e-04, 1e-07]),
+        value=np.array([0.1 + 0.2, 2.0]),
+        stderr=np.array([1e-07, 0.0]),
+    )
+    write_g2_csv(curve, tmp_path / "g2.csv")
+    assert (tmp_path / "g2.csv").read_bytes() == (
+        b"tau_s,g2,stderr\n-0.00025,0.30000000000000004,1e-07\n1e-07,2.0,0.0\n"
+    )
+    hist = CoincidenceHistogram(
+        dtau_ns=100, half_bins=2, counts=np.array([3, 0, 12, 1]), n1=1, n2=1, duration_s=1.0
+    )
+    write_histogram_csv(hist, tmp_path / "hist.csv")
+    assert (tmp_path / "hist.csv").read_bytes() == (
+        b"tau_s,counts\n"
+        b"-1.5000000000000002e-07,3\n"
+        b"-5.0000000000000004e-08,0\n"
+        b"5.0000000000000004e-08,12\n"
+        b"1.5000000000000002e-07,1\n"
+    )
 
 
 def test_bin_centers():

@@ -136,6 +136,15 @@ def test_text_format_layout(tmp_path):
     assert path.read_text() == "1,100\n2,200\n1,300\n"
 
 
+def test_text_writer_chunk_boundaries(tmp_path, monkeypatch):
+    # rows are formatted in chunks; a boundary must not drop or double a line
+    monkeypatch.setattr("superbunch._text._CHUNK_ROWS", 2)
+    stream = PhotonStream(np.array([100, 300, 500]), np.array([200, 400]), 1, 1e-6)
+    path = tmp_path / "p.txt"
+    write_photon_stream(stream, path)
+    assert path.read_text() == "1,100\n2,200\n1,300\n2,400\n1,500\n"
+
+
 def test_binary_format_layout(tmp_path):
     stream = PhotonStream(np.array([100, 300]), np.array([200]), 1, 1e-6)
     path = tmp_path / "p.bin"

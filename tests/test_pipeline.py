@@ -110,6 +110,22 @@ def test_initial_model_requires_frequency_for_mismatched_modulation():
         initial_model(cfg)
 
 
+def test_bad_analysis_section_fails_before_simulation(tmp_path):
+    raw = _raw(analysis={"model": "sinusoid_speckle"})
+    raw["modulation"] = {"kind": "constant", "intensity": "1.0"}
+    cfg = build_config(raw)
+    with pytest.raises(ConfigError, match="init_frequency_hz"):
+        run_pipeline(cfg, out_dir=tmp_path)
+    assert list(tmp_path.glob("photons.*")) == []
+
+
+def test_bad_analysis_section_fails_before_reading(tmp_path):
+    raw = _raw(analysis={"model": "noise_speckle"})
+    raw["modulation"] = {"kind": "constant", "intensity": "1.0"}
+    with pytest.raises(ConfigError, match="init_cutoff_hz"):
+        pipeline.run_analysis(build_config(raw), tmp_path / "missing.txt")
+
+
 def test_initial_model_speckle_only():
     cfg = build_config(_raw(analysis={"model": "speckle"}))
     assert isinstance(initial_model(cfg), SpeckleOnly)

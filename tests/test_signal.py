@@ -14,6 +14,7 @@ from superbunch import (
     sample_intensity,
     write_intensity_csv,
 )
+from superbunch.speckle import SpeckleParams, generate_speckle_field
 
 
 def test_eom_transfer_reference_points():
@@ -112,6 +113,29 @@ def test_band_noise_quantization():
     assert np.allclose(np.round(tr.samples / step), tr.samples / step, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "synthesize, quantity, limit",
+    [
+        (lambda dt: sample_intensity(Sinusoid(1.0, 0.8, 2 * np.pi * 50e3, 0.0), 0.0, dt, 100, 0),
+         "modulation at 314159 rad/s", 2e-6),
+        (lambda dt: sample_intensity(BandNoise(1.0, 200.0), 0.0, dt, 1000, 0),
+         "cutoff 200 Hz", 5e-4),
+        (lambda dt: sample_intensity(EomDrive(vpp=8.0, frequency_hz=50e3), 0.0, dt, 100, 0),
+         "drive frequency 50000 Hz", 2e-6),
+        (lambda dt: generate_speckle_field(SpeckleParams(bandwidth=62831.853, seed=0), 0.0, dt, 100),
+         "speckle bandwidth 62831.9 rad/s", 1e-5),
+    ],
+    ids=["sinusoid", "band_noise", "eom", "speckle"],
+)
+def test_coarse_dt_names_quantity_and_limit(synthesize, quantity, limit):
+    # one rule for every sampled process: ten samples per shortest timescale
+    with pytest.raises(ConfigError) as err:
+        synthesize(limit * 1.01)
+    assert quantity in str(err.value)
+    assert f"need dt <= {limit:g}" in str(err.value)
+    synthesize(limit)  # exactly at the limit is allowed
+
+
 def test_band_noise_dt_guard_and_flag():
     with pytest.raises(ConfigError):
         sample_intensity(BandNoise(1.0, 200.0), 0.0, 1e-3, 1000, 0)
@@ -181,3 +205,11 @@ def test_intensity_csv(tmp_path):
     assert data.shape == (5, 2)
     assert np.allclose(data[:, 1], 1.5)
     assert np.allclose(data[:, 0], np.arange(5) * 1e-6)
+
+
+def test_intensity_csv_golden_bytes(tmp_path):
+    tr = IntensityTrace(t0=1e-07, dt=2.5e-04, samples=np.array([0.1 + 0.2, 0.0, 1e-07]), mean=1.0)
+    write_intensity_csv(tr, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"t_s,intensity\n1e-07,0.30000000000000004\n0.0002501,0.0\n0.0005001,1e-07\n"
+    )
