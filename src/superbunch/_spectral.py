@@ -47,3 +47,20 @@ def bandlimited_real_noise(
     if sd == 0.0:
         raise ValueError("degenerate noise realization")
     return v / sd
+
+
+def full_overlap_autocorrelation(samples: np.ndarray, dt: float, max_lag: float) -> np.ndarray:
+    """Complex <conj(x(t)) x(t + k dt)>_t over the full overlap, k = 0..max_lag/dt.
+
+    One zero-padded FFT; `max_lag` must span a sample and stay below half the record.
+    """
+    n = samples.size
+    k_max = int(np.floor(max_lag / dt + 1e-9))
+    if k_max < 1:
+        raise ValueError("max_lag shorter than one sample interval")
+    if max_lag >= n * dt / 2:
+        raise ValueError("max_lag must be below half the trace duration")
+    size = 1 << int(np.ceil(np.log2(n + k_max + 1)))
+    spec = np.fft.fft(samples, size)
+    raw = np.fft.ifft(np.abs(spec) ** 2, size)[: k_max + 1]
+    return raw / (n - np.arange(k_max + 1))

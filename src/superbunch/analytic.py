@@ -99,6 +99,7 @@ class SpeckleOnly:
 
     bandwidth: float
 
+    name = "speckle"
     names = ("bandwidth",)
     bounds = ((1e-12, np.inf),)
 
@@ -126,6 +127,7 @@ class SinusoidSpeckle:
     mod_omega: float
     bandwidth: float
 
+    name = "sinusoid_speckle"
     names = ("contrast", "mod_omega", "bandwidth")
     bounds = ((0.0, 1.0), (1e-12, np.inf), (1e-12, np.inf))
 
@@ -159,6 +161,7 @@ class NoiseSpeckle:
     cutoff_hz: float
     bandwidth: float
 
+    name = "noise_speckle"
     names = ("cutoff_hz", "bandwidth")
     bounds = ((1e-12, np.inf), (1e-12, np.inf))
 
@@ -182,6 +185,9 @@ class NoiseSpeckle:
 
 
 TheoryModel = Union[SpeckleOnly, SinusoidSpeckle, NoiseSpeckle]
+
+# [analysis] model name -> fit model class
+MODELS = {cls.name: cls for cls in (SpeckleOnly, SinusoidSpeckle, NoiseSpeckle)}
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from .config import build_config, load_config
 from .errors import ConfigError, DataError
 from .pipeline import run_analysis, run_pipeline, run_sweep
 
-_FULL = ("modulation",)
-
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", "-c", metavar="FILE", help="INI config file")
@@ -78,14 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, require):
+def _load(args, need_config: bool):
     if args.config is None:
-        if require:
+        if need_config:
             raise ConfigError(f"--config is required for {args.command}")
-        cfg = build_config({}, require=())
-        raw = {}
+        cfg, raw = build_config({}), {}
     else:
-        cfg, raw = load_config(args.config, require=require)
+        cfg, raw = load_config(args.config)
     if args.seed is not None:
         import dataclasses
 
@@ -161,7 +158,7 @@ def _dispatch(args) -> int:
         return _cmd_plot(args)
 
     if args.command == "simulate":
-        cfg, _ = _load(args, _FULL)
+        cfg, _ = _load(args, True)
         out_dir = args.out or cfg.out_dir
         result = run_pipeline(cfg, threads=args.threads, out_dir=out_dir, fmt=args.fmt)
         print(
@@ -177,7 +174,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "analyze":
-        cfg, _ = _load(args, ())
+        cfg, _ = _load(args, False)
         out_dir = args.out or cfg.out_dir
         result = run_analysis(
             cfg,
@@ -196,9 +193,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg, raw = _load(args, _FULL)
-        if cfg.sweep is None:
-            raise ConfigError("missing required section [sweep]")
+        cfg, raw = _load(args, True)
         out_dir = args.out or cfg.out_dir
         rows = run_sweep(cfg, raw, out_dir=out_dir, threads=args.threads, fmt=args.fmt)
         failures = sum(1 for row in rows if row["status"] != "ok")

@@ -1,8 +1,13 @@
 """Run configuration: a single INI-style file with named sections.
 
-Sections and keys are validated strictly: an unknown section or key, a
-missing required section, or an unparsable value raises ConfigError with
-the offending name.  See README for the full schema.
+Every key is declared once, with its parser and default: in `_SCHEMA`,
+and for the kind-specific keys of [modulation] in `_MODULATION`.  Every
+section is optional and a missing key takes its default; only [sweep]
+has required keys.  Without [modulation] the config builds with
+`modulation = None`, which analysis accepts and `run_pipeline` rejects.
+An unknown section or key, or an unparsable value, raises ConfigError
+naming the section, the key and the value.  Inline `;` and `#` comments
+are allowed.  See README for the schema.
 """
 
 from __future__ import annotations
@@ -13,36 +18,126 @@ from typing import Optional
 
 import numpy as np
 
+from . import analytic
 from .detection import DetectorConfig
 from .errors import ConfigError
 from .signal import BandNoise, Constant, EomDrive, ModulationModel, Sinusoid
 from .speckle import SpeckleParams
 
-_MODULATION_KEYS = {
-    "constant": {"kind", "intensity"},
-    "sinusoid": {"kind", "intensity", "depth", "frequency_hz", "phase_rad"},
-    "band_noise": {"kind", "intensity", "cutoff_hz", "clip_level", "quantization_bits"},
-    "eom": {"kind", "waveform", "vpp", "frequency_hz"},
+_REQUIRED = object()  # the default of a key that must be given
+_NOT_A = {float: "not a number", int: "not an integer"}
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _choice(*options):
+    def parse(text):
+        if text.strip() not in options:
+            raise ValueError(f"expected one of {sorted(options)}, got {text.strip()!r}")
+        return text.strip()
+
+    return parse
+
+
+def _or_none(parse):
+    """`parse`, except that the word `none` gives None."""
+    return lambda text: None if text.strip() == "none" else parse(text)
+
+
+def _clip_level(text: str):
+    if text.strip() == "realistic":
+        return "realistic"
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            f"expected a number, 'none' or 'realistic', got {text.strip()!r}"
+        ) from None
+
+
+def _band_noise(v: dict) -> BandNoise:
+    clip = v["clip_level"]
+    return BandNoise(
+        mean_intensity=v["intensity"],
+        cutoff_hz=v["cutoff_hz"],
+        clip_level=2.0 * v["intensity"] if clip == "realistic" else clip,
+        quantization_bits=v["quantization_bits"],
+    )
+
+
+# kind -> ({key: (parser, default)}, builder of the model from the parsed keys)
+_MODULATION = {
+    Constant.kind: (
+        {"intensity": (float, 1.0)},
+        lambda v: Constant(base_intensity=v["intensity"]),
+    ),
+    Sinusoid.kind: (
+        {
+            "intensity": (float, 1.0),
+            "depth": (float, 1.0),
+            "frequency_hz": (float, 50e3),
+            "phase_rad": (float, 0.0),
+        },
+        lambda v: Sinusoid(
+            base_intensity=v["intensity"],
+            depth=v["depth"],
+            omega=2 * np.pi * v["frequency_hz"],
+            phase=v["phase_rad"],
+        ),
+    ),
+    BandNoise.kind: (
+        {
+            "intensity": (float, 1.0),
+            "cutoff_hz": (float, 200.0),
+            "clip_level": (_or_none(_clip_level), None),
+            "quantization_bits": (_or_none(int), None),
+        },
+        _band_noise,
+    ),
+    EomDrive.kind: (
+        {
+            "vpp": (float, 8.0),
+            "frequency_hz": (float, 50e3),
+            "waveform": (_choice("sinusoid", "noise"), "sinusoid"),
+        },
+        lambda v: EomDrive(**v),
+    ),
 }
 
-_SECTION_KEYS = {
-    "run": {"seed", "duration_s", "dt_s"},
-    "modulation": None,  # depends on kind
-    "speckle": {"bandwidth_rad_s", "gain"},
-    "detection": {"rate_hz", "resolution_ns", "dark_rate_hz"},
-    "correlator": {"bin_s", "window_s"},
-    "analysis": {
-        "model",
-        "init_contrast",
-        "init_frequency_hz",
-        "init_bandwidth_rad_s",
-        "init_cutoff_hz",
+# section -> {key: (parser, default)}
+_SCHEMA = {
+    "run": {"seed": (int, 0), "duration_s": (float, 100.0), "dt_s": (float, 1e-5)},
+    # the keys that depend on the kind are declared in _MODULATION
+    "modulation": {"kind": (_choice(*_MODULATION), None)},
+    "speckle": {"bandwidth_rad_s": (float, 2 * np.pi * 10e3), "gain": (float, 1.0)},
+    "detection": {
+        "rate_hz": (float, 50e3),
+        "resolution_ns": (int, 1),
+        "dark_rate_hz": (float, 0.0),
     },
-    "output": {"directory", "format", "write_trace"},
-    "sweep": {"parameter", "values"},
+    # bin_s None: window_s / 500
+    "correlator": {"bin_s": (float, None), "window_s": (float, 5e-4)},
+    "analysis": {
+        "model": (_choice("none", *analytic.MODELS), "none"),
+        "init_contrast": (float, None),
+        "init_frequency_hz": (float, None),
+        "init_bandwidth_rad_s": (float, None),
+        "init_cutoff_hz": (float, None),
+    },
+    "output": {
+        "directory": (str.strip, "out"),
+        "format": (_choice("text", "binary"), "text"),
+        "write_trace": (_boolean, False),
+    },
+    "sweep": {"parameter": (str.strip, _REQUIRED), "values": (str.strip, _REQUIRED)},
 }
-
-_ANALYSIS_MODELS = ("none", "speckle", "sinusoid_speckle", "noise_speckle")
 
 
 @dataclass(frozen=True)
@@ -58,7 +153,7 @@ class RunConfig:
     seed: int
     duration_s: float
     dt_s: float
-    modulation: ModulationModel
+    modulation: Optional[ModulationModel]
     speckle: SpeckleParams
     detection: DetectorConfig
     bin_s: float
@@ -75,62 +170,47 @@ class RunConfig:
         return int(round(self.duration_s / self.dt_s))
 
 
-class _Section:
-    """Typed access to one raw section with ConfigError reporting."""
-
-    def __init__(self, name: str, data: dict):
-        self.name = name
-        self.data = data
-
-    def _fetch(self, key, default, required):
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"[{self.name}] missing required key '{key}'")
-            return None, default
-        return self.data[key], None
-
-    def floatval(self, key, default=None, required=False) -> float:
-        raw, dflt = self._fetch(key, default, required)
-        if raw is None:
-            return dflt
+def _parse(section: str, entries: dict, keys: dict) -> dict:
+    """Typed value of every declared key of one section, defaulted when absent."""
+    unknown = sorted(set(entries) - set(keys))
+    if unknown:
+        raise ConfigError(f"[{section}] unknown key '{unknown[0]}'")
+    values = {}
+    for key, (parse, default) in keys.items():
+        if key not in entries:
+            if default is _REQUIRED:
+                raise ConfigError(f"[{section}] missing required key '{key}'")
+            values[key] = default
+            continue
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: not a number: {raw!r}") from None
+            values[key] = parse(entries[key])
+        except ValueError as exc:
+            reason = f"{_NOT_A[parse]}: {entries[key]!r}" if parse in _NOT_A else exc
+            raise ConfigError(f"[{section}] {key}: {reason}") from None
+    return values
 
-    def intval(self, key, default=None, required=False) -> int:
-        raw, dflt = self._fetch(key, default, required)
-        if raw is None:
-            return dflt
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: not an integer: {raw!r}") from None
 
-    def strval(self, key, default=None, required=False, choices=None) -> str:
-        raw, dflt = self._fetch(key, default, required)
-        value = dflt if raw is None else raw.strip()
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"[{self.name}] {key}: expected one of {sorted(choices)}, got {value!r}"
-            )
-        return value
+def _build(section: str, build, *args, **kwargs):
+    """Call a model constructor; its ValueError becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
-    def boolval(self, key, default=False) -> bool:
-        raw, dflt = self._fetch(key, default, False)
-        if raw is None:
-            return dflt
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: not a boolean: {raw!r}")
+
+def _build_modulation(entries: dict) -> ModulationModel:
+    """The model of a [modulation] section; its kind decides the allowed keys."""
+    kind = _parse("modulation", {"kind": entries.get("kind", "")}, _SCHEMA["modulation"])["kind"]
+    keys, build = _MODULATION[kind]
+    rest = {key: text for key, text in entries.items() if key != "kind"}
+    return _build("modulation", build, _parse("modulation", rest, keys))
 
 
 def read_raw(path) -> dict:
     """Parse the INI file into {section: {key: raw string}}."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";", "#")
+    )
     parser.optionxform = str
     try:
         with open(path) as fh:
@@ -139,159 +219,72 @@ def read_raw(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raw = {}
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        raw[section] = dict(parser[section])
-    return raw
+    return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _check_keys(raw: dict) -> None:
-    for section, entries in raw.items():
-        allowed = _SECTION_KEYS[section]
-        if section == "modulation":
-            kind = entries.get("kind", "").strip()
-            if kind not in _MODULATION_KEYS:
-                raise ConfigError(
-                    f"[modulation] kind: expected one of "
-                    f"{sorted(_MODULATION_KEYS)}, got {kind!r}"
-                )
-            allowed = _MODULATION_KEYS[kind]
-        unknown = set(entries) - allowed
-        if unknown:
-            name = sorted(unknown)[0]
-            raise ConfigError(f"[{section}] unknown key '{name}'")
-
-
-def _build_modulation(sec: _Section) -> ModulationModel:
-    kind = sec.strval("kind", required=True)
-    try:
-        if kind == "constant":
-            return Constant(base_intensity=sec.floatval("intensity", 1.0))
-        if kind == "sinusoid":
-            return Sinusoid(
-                base_intensity=sec.floatval("intensity", 1.0),
-                depth=sec.floatval("depth", 1.0),
-                omega=2 * np.pi * sec.floatval("frequency_hz", 50e3),
-                phase=sec.floatval("phase_rad", 0.0),
-            )
-        if kind == "band_noise":
-            intensity = sec.floatval("intensity", 1.0)
-            clip_raw = sec.strval("clip_level", "none")
-            if clip_raw == "none":
-                clip = None
-            elif clip_raw == "realistic":
-                clip = 2.0 * intensity
-            else:
-                try:
-                    clip = float(clip_raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"[modulation] clip_level: expected a number, "
-                        f"'none' or 'realistic', got {clip_raw!r}"
-                    ) from None
-            bits_raw = sec.strval("quantization_bits", "none")
-            bits = None if bits_raw == "none" else int(bits_raw)
-            return BandNoise(
-                mean_intensity=intensity,
-                cutoff_hz=sec.floatval("cutoff_hz", 200.0),
-                clip_level=clip,
-                quantization_bits=bits,
-            )
-        if kind == "eom":
-            return EomDrive(
-                vpp=sec.floatval("vpp", 8.0),
-                frequency_hz=sec.floatval("frequency_hz", 50e3),
-                waveform=sec.strval("waveform", "sinusoid", choices={"sinusoid", "noise"}),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"[modulation] {exc}") from None
-    raise ConfigError(f"[modulation] kind: unknown kind {kind!r}")
-
-
-def build_config(raw: dict, require=("run", "modulation", "speckle", "detection", "correlator")) -> RunConfig:
+def build_config(raw: dict) -> RunConfig:
     """Validate a raw section dict and build a RunConfig."""
-    _check_keys(raw)
-    for name in require:
-        if name not in raw:
-            raise ConfigError(f"missing required section [{name}]")
+    for name in raw:
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section [{name}]")
 
     def section(name):
-        return _Section(name, raw.get(name, {}))
+        return _parse(name, raw.get(name, {}), _SCHEMA[name])
 
     run = section("run")
-    seed = run.intval("seed", 0)
-    duration_s = run.floatval("duration_s", 100.0)
-    dt_s = run.floatval("dt_s", 1e-5)
-    if duration_s <= 0 or dt_s <= 0:
+    if run["duration_s"] <= 0 or run["dt_s"] <= 0:
         raise ConfigError("[run] duration_s and dt_s must be positive")
-    if duration_s < 2 * dt_s:
+    if run["duration_s"] < 2 * run["dt_s"]:
         raise ConfigError("[run] duration_s must cover at least two samples")
 
-    if "modulation" in raw:
-        modulation = _build_modulation(section("modulation"))
-    else:
-        # no section and not required: analysis-only runs fall back to
-        # an unmodulated source
-        modulation = Constant(base_intensity=1.0)
+    modulation = _build_modulation(raw["modulation"]) if "modulation" in raw else None
 
     spk = section("speckle")
-    try:
-        speckle = SpeckleParams(
-            bandwidth=spk.floatval("bandwidth_rad_s", 2 * np.pi * 10e3),
-            gain=spk.floatval("gain", 1.0),
-            seed=0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[speckle] {exc}") from None
-
+    speckle = _build(
+        "speckle", SpeckleParams, bandwidth=spk["bandwidth_rad_s"], gain=spk["gain"], seed=0
+    )
     det = section("detection")
-    try:
-        detection = DetectorConfig(
-            rate_hz=det.floatval("rate_hz", 50e3),
-            resolution_s=det.intval("resolution_ns", 1) * 1e-9,
-            dark_rate_hz=det.floatval("dark_rate_hz", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[detection] {exc}") from None
+    detection = _build(
+        "detection",
+        DetectorConfig,
+        rate_hz=det["rate_hz"],
+        resolution_s=det["resolution_ns"] * 1e-9,
+        dark_rate_hz=det["dark_rate_hz"],
+    )
 
     corr = section("correlator")
-    window_s = corr.floatval("window_s", required="correlator" in require)
-    if window_s is None:
-        window_s = 5e-4
-    bin_s = corr.floatval("bin_s", window_s / 500.0)
+    window_s = corr["window_s"]
+    bin_s = window_s / 500.0 if corr["bin_s"] is None else corr["bin_s"]
     if bin_s <= 0 or window_s <= 0:
         raise ConfigError("[correlator] bin_s and window_s must be positive")
 
     ana = section("analysis")
-    model = ana.strval("model", "none", choices=set(_ANALYSIS_MODELS))
-    init = {}
-    for key in ("init_contrast", "init_frequency_hz", "init_bandwidth_rad_s", "init_cutoff_hz"):
-        if key in raw.get("analysis", {}):
-            init[key] = ana.floatval(key)
+    model = ana.pop("model")
+    init = {key: value for key, value in ana.items() if value is not None}
 
     out = section("output")
-    output_format = out.strval("format", "text", choices={"text", "binary"})
-    out_dir = out.strval("directory", "out")
-    write_trace = out.boolval("write_trace", False)
 
     sweep = None
     if "sweep" in raw:
         sw = section("sweep")
-        parameter = sw.strval("parameter", required=True)
-        values_raw = sw.strval("values", required=True)
-        values = tuple(v.strip() for v in values_raw.split(",") if v.strip())
-        if "." not in parameter or parameter.split(".", 1)[0] not in _SECTION_KEYS:
+        parameter = sw["parameter"]
+        values = tuple(v.strip() for v in sw["values"].split(",") if v.strip())
+        name, dot, key = parameter.partition(".")
+        if not dot or name not in _SCHEMA:
             raise ConfigError(f"[sweep] parameter: not a section.key path: {parameter!r}")
+        declared = dict(_SCHEMA[name])
+        if name == "modulation" and modulation is not None:
+            declared.update(_MODULATION[modulation.kind][0])
+        if key not in declared:
+            raise ConfigError(f"[sweep] parameter: no such key in [{name}]: {parameter!r}")
         if not values:
             raise ConfigError("[sweep] values: empty list")
         sweep = SweepSpec(parameter=parameter, values=values)
 
     return RunConfig(
-        seed=seed,
-        duration_s=duration_s,
-        dt_s=dt_s,
+        seed=run["seed"],
+        duration_s=run["duration_s"],
+        dt_s=run["dt_s"],
         modulation=modulation,
         speckle=speckle,
         detection=detection,
@@ -299,17 +292,17 @@ def build_config(raw: dict, require=("run", "modulation", "speckle", "detection"
         window_s=window_s,
         analysis_model=None if model == "none" else model,
         analysis_init=init,
-        output_format=output_format,
-        write_trace=write_trace,
-        out_dir=out_dir,
+        output_format=out["format"],
+        write_trace=out["write_trace"],
+        out_dir=out["directory"],
         sweep=sweep,
     )
 
 
-def load_config(path, require=("run", "modulation", "speckle", "detection", "correlator")):
+def load_config(path):
     """Read and validate a config file; returns (RunConfig, raw dict)."""
     raw = read_raw(path)
-    return build_config(raw, require=require), raw
+    return build_config(raw), raw
 
 
 def apply_override(raw: dict, parameter: str, value: str) -> dict:

@@ -196,12 +196,9 @@ def normalize_g2(hist: CoincidenceHistogram, symmetric: bool = False) -> G2Curve
 
 
 def g2_zero_estimate(hist: CoincidenceHistogram) -> tuple[float, float]:
-    """Zero-lag estimate from the two innermost bins (value, stderr)."""
-    c = int(hist.counts[hist.half_bins - 1] + hist.counts[hist.half_bins])
-    scale = hist.duration_s / (hist.n1 * hist.n2 * hist.bin_s) / 2.0
-    value = c * scale
-    stderr = value / np.sqrt(c) if c > 0 else scale
-    return float(value), float(stderr)
+    """Zero-lag estimate (value, stderr): the two innermost bins, pooled."""
+    curve = normalize_g2(hist, symmetric=True)
+    return float(curve.value[0]), float(curve.stderr[0])
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,9 @@ from .detection import (
 )
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
-from .signal import BandNoise, Constant, EomDrive, Sinusoid, sample_intensity, write_intensity_csv
+from .signal import BandNoise, EomDrive, Sinusoid, sample_intensity, write_intensity_csv
 from .speckle import apply_speckle, generate_speckle_field
 from .signal import IntensityTrace
-
-_MODEL_CLASSES = {
-    "speckle": analytic.SpeckleOnly,
-    "sinusoid_speckle": analytic.SinusoidSpeckle,
-    "noise_speckle": analytic.NoiseSpeckle,
-}
 
 
 @dataclass
@@ -74,15 +68,6 @@ class RunResult:
         return float(self.fit.g2_model(type(self.model), 0.0))
 
 
-def _modulation_kind(model) -> str:
-    return {
-        Constant: "constant",
-        Sinusoid: "sinusoid",
-        BandNoise: "band_noise",
-        EomDrive: "eom",
-    }[type(model)]
-
-
 def initial_model(cfg: RunConfig):
     """Build the theory model instance whose fields seed the fit.
 
@@ -93,12 +78,13 @@ def initial_model(cfg: RunConfig):
     name = cfg.analysis_model
     if name is None:
         return None
+    cls = analytic.MODELS.get(name)
     init = cfg.analysis_init
     bandwidth = init.get("init_bandwidth_rad_s", cfg.speckle.bandwidth)
     mod = cfg.modulation
-    if name == "speckle":
-        return analytic.SpeckleOnly(bandwidth=bandwidth)
-    if name == "sinusoid_speckle":
+    if cls is analytic.SpeckleOnly:
+        return cls(bandwidth=bandwidth)
+    if cls is analytic.SinusoidSpeckle:
         if "init_frequency_hz" in init:
             omega = 2 * np.pi * init["init_frequency_hz"]
         elif isinstance(mod, Sinusoid):
@@ -108,7 +94,7 @@ def initial_model(cfg: RunConfig):
         else:
             raise ConfigError(
                 "[analysis] init_frequency_hz is required for model "
-                "sinusoid_speckle when the modulation does not define one"
+                f"{name} when the modulation does not define one"
             )
         if "init_contrast" in init:
             contrast = init["init_contrast"]
@@ -119,10 +105,8 @@ def initial_model(cfg: RunConfig):
             contrast = min(1.0, max(1e-3, d2 / (2.0 - d2)))
         else:
             contrast = 0.5
-        return analytic.SinusoidSpeckle(
-            contrast=contrast, mod_omega=omega, bandwidth=bandwidth
-        )
-    if name == "noise_speckle":
+        return cls(contrast=contrast, mod_omega=omega, bandwidth=bandwidth)
+    if cls is analytic.NoiseSpeckle:
         if "init_cutoff_hz" in init:
             cutoff = init["init_cutoff_hz"]
         elif isinstance(mod, BandNoise):
@@ -132,15 +116,15 @@ def initial_model(cfg: RunConfig):
         else:
             raise ConfigError(
                 "[analysis] init_cutoff_hz is required for model "
-                "noise_speckle when the modulation does not define one"
+                f"{name} when the modulation does not define one"
             )
-        return analytic.NoiseSpeckle(cutoff_hz=cutoff, bandwidth=bandwidth)
+        return cls(cutoff_hz=cutoff, bandwidth=bandwidth)
     raise ConfigError(f"unknown analysis model {name!r}")
 
 
 def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram, fmt: str) -> dict:
     mod = dataclasses.asdict(cfg.modulation)
-    mod["kind"] = _modulation_kind(cfg.modulation)
+    mod["kind"] = cfg.modulation.kind
     return {
         "package": "superbunch",
         "version": __version__,
@@ -241,6 +225,12 @@ def analyze_stream(
     )
 
 
+def _require_modulation(cfg: RunConfig) -> None:
+    """Simulation needs [modulation]; analysis alone does not."""
+    if cfg.modulation is None:
+        raise ConfigError("missing required section [modulation]")
+
+
 def run_pipeline(
     cfg: RunConfig,
     *,
@@ -255,6 +245,7 @@ def run_pipeline(
     traces go to modulation.csv and speckle.csv (only sensible for short
     runs).
     """
+    _require_modulation(cfg)
     fmt = fmt or cfg.output_format
     n = cfg.samples
     if n < 2:
@@ -355,12 +346,13 @@ def run_sweep(
     ValueError) is recorded in its row's status column and the sweep
     continues; any other exception is a bug and propagates.
     """
+    _require_modulation(cfg)
     if cfg.sweep is None:
         raise ConfigError("missing required section [sweep]")
     sweep = cfg.sweep
     os.makedirs(out_dir, exist_ok=True)
 
-    model_cls = _MODEL_CLASSES.get(cfg.analysis_model)
+    model_cls = analytic.MODELS.get(cfg.analysis_model)
     param_names = list(model_cls.names) if model_cls is not None else []
     header = ["parameter", "value", "status", "g2_zero", "g2_zero_err"]
     if model_cls is not None:
@@ -377,7 +369,7 @@ def run_sweep(
         try:
             raw_i = apply_override(raw, sweep.parameter, value)
             raw_i.pop("sweep", None)
-            cfg_i = build_config(raw_i, require=("modulation",))
+            cfg_i = build_config(raw_i)
             cfg_i = dataclasses.replace(
                 cfg_i, seed=substream_seed(cfg.seed, "sweep", i), sweep=None
             )

@@ -8,7 +8,9 @@ of a band-limited circular complex Gaussian field so the modulation itself
 has thermal counting statistics).
 
 All traces are uniformly sampled.  Stochastic models are reproducible:
-the same seed always yields the same samples.
+the same seed always yields the same samples.  Each model class names
+its [modulation] kind in the class attribute `kind`, which is not a
+dataclass field.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._spectral import bandlimited_complex_field, bandlimited_real_noise
+from ._spectral import (
+    bandlimited_complex_field,
+    bandlimited_real_noise,
+    full_overlap_autocorrelation,
+)
 from ._text import write_csv
 from .correlator import G2Curve
 from .errors import ConfigError
@@ -68,6 +74,8 @@ class Constant:
 
     base_intensity: float = 1.0
 
+    kind = "constant"
+
     def __post_init__(self):
         if not self.base_intensity > 0:
             raise ValueError("base intensity must be positive")
@@ -85,6 +93,8 @@ class Sinusoid:
     depth: float = 1.0
     omega: float = 2 * np.pi * 50e3
     phase: float = 0.0
+
+    kind = "sinusoid"
 
     def __post_init__(self):
         if not self.base_intensity > 0:
@@ -115,6 +125,8 @@ class BandNoise:
     clip_level: Optional[float] = None
     quantization_bits: Optional[int] = None
 
+    kind = "band_noise"
+
     def __post_init__(self):
         if not self.mean_intensity > 0:
             raise ValueError("mean intensity must be positive")
@@ -140,6 +152,8 @@ class EomDrive:
     frequency_hz: float = 50e3
     waveform: str = "sinusoid"
     transfer: EomTransfer = field(default=DEFAULT_TRANSFER)
+
+    kind = "eom"
 
     def __post_init__(self):
         if self.vpp < 0:
@@ -282,19 +296,9 @@ def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve
     declared statistical error is zero: the curve is a deterministic
     functional of the trace.
     """
-    n = trace.n
-    k_max = int(np.floor(max_lag / trace.dt + 1e-9))
-    if k_max < 1:
-        raise ValueError("max_lag shorter than one sample interval")
-    if max_lag >= trace.duration / 2:
-        raise ValueError("max_lag must be below half the trace duration")
-    size = 1 << int(np.ceil(np.log2(n + k_max + 1)))
-    spec = np.fft.rfft(trace.samples, size)
-    raw = np.fft.irfft(spec * np.conj(spec), size)[: k_max + 1]
-    overlap = n - np.arange(k_max + 1)
-    mean = trace.samples.mean()
-    gamma = raw / overlap / mean**2
-    tau = np.arange(k_max + 1) * trace.dt
+    raw = full_overlap_autocorrelation(trace.samples, trace.dt, max_lag)
+    gamma = raw.real / trace.samples.mean() ** 2
+    tau = np.arange(gamma.size) * trace.dt
     return G2Curve(tau=tau, value=gamma, stderr=np.zeros_like(gamma))
 
 

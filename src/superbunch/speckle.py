@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import bandlimited_complex_field
+from ._spectral import bandlimited_complex_field, full_overlap_autocorrelation
 from .signal import IntensityTrace, require_oversampled
 
 
@@ -113,13 +113,5 @@ def field_autocorrelation(field: ComplexFieldTrace, max_lag: float) -> np.ndarra
     gamma is the normalized first-order correlation
     <E*(t) E(t+tau)> / <|E|^2>, estimated over the full overlap by FFT.
     """
-    n = field.n
-    k_max = int(np.floor(max_lag / field.dt + 1e-9))
-    if k_max < 1 or max_lag >= n * field.dt / 2:
-        raise ValueError("max_lag must cover at least one sample and below half the trace")
-    size = 1 << int(np.ceil(np.log2(n + k_max + 1)))
-    spec = np.fft.fft(field.samples, size)
-    raw = np.fft.ifft(np.abs(spec) ** 2, size)[: k_max + 1]
-    overlap = n - np.arange(k_max + 1)
-    gamma = raw / overlap / field.intensity().mean()
-    return np.abs(gamma) ** 2
+    raw = full_overlap_autocorrelation(field.samples, field.dt, max_lag)
+    return np.abs(raw / field.intensity().mean()) ** 2

@@ -54,6 +54,16 @@ def test_simulate_requires_config(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_missing_modulation_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nseed = 1\n\n[sweep]\nparameter = run.seed\nvalues = 1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "[modulation]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(CONFIG + "\nmystery = 1\n")
@@ -144,6 +154,15 @@ def test_sweep_cli_failed_point_exit_code(tmp_path, config_path, capsys):
     lines = (out / "summary.csv").read_text().splitlines()
     assert ",ok," in lines[1]
     assert ",error:" in lines[2]
+
+
+def test_sweep_undeclared_parameter_fails_before_any_point(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.dpeth\nvalues = 0.2, 1.0\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "modulation.dpeth" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_section(config_path, tmp_path):

@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from superbunch import ConfigError, load_config
-from superbunch.config import apply_override, build_config
+from superbunch import ConfigError, load_config, run_pipeline
+from superbunch.config import apply_override, build_config, read_raw
 from superbunch.signal import BandNoise, EomDrive, Sinusoid
 
 FULL = """
@@ -72,9 +75,7 @@ def test_full_config_parses(tmp_path):
 
 
 def test_defaults(tmp_path):
-    cfg, _ = load_config(
-        _write(tmp_path, "[modulation]\nkind = constant\n"), require=("modulation",)
-    )
+    cfg, _ = load_config(_write(tmp_path, "[modulation]\nkind = constant\n"))
     assert cfg.seed == 0
     assert cfg.duration_s == 100.0
     assert cfg.dt_s == 1e-5
@@ -107,8 +108,11 @@ def test_bad_number_names_key(tmp_path):
 
 
 def test_missing_required_section(tmp_path):
+    cfg, _ = load_config(_write(tmp_path, "[run]\nseed = 1\n"))
+    assert cfg.modulation is None  # analysis needs no modulation
     with pytest.raises(ConfigError, match="modulation"):
-        load_config(_write(tmp_path, "[run]\nseed = 1\n"))
+        run_pipeline(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file():
@@ -125,28 +129,17 @@ cutoff_hz = 200
 clip_level = {clip}
 quantization_bits = {bits}
 """
-    cfg, _ = load_config(
-        _write(tmp_path, base.format(clip="realistic", bits="8")), require=("modulation",)
-    )
+    cfg, _ = load_config(_write(tmp_path, base.format(clip="realistic", bits="8")))
     assert isinstance(cfg.modulation, BandNoise)
     assert cfg.modulation.clip_level == 4.0  # twice the mean
     assert cfg.modulation.quantization_bits == 8
-    cfg, _ = load_config(
-        _write(tmp_path, base.format(clip="none", bits="none"), "b.ini"),
-        require=("modulation",),
-    )
+    cfg, _ = load_config(_write(tmp_path, base.format(clip="none", bits="none"), "b.ini"))
     assert cfg.modulation.clip_level is None
     assert cfg.modulation.quantization_bits is None
-    cfg, _ = load_config(
-        _write(tmp_path, base.format(clip="3.5", bits="none"), "c.ini"),
-        require=("modulation",),
-    )
+    cfg, _ = load_config(_write(tmp_path, base.format(clip="3.5", bits="none"), "c.ini"))
     assert cfg.modulation.clip_level == 3.5
     with pytest.raises(ConfigError, match="clip_level"):
-        load_config(
-            _write(tmp_path, base.format(clip="sometimes", bits="none"), "d.ini"),
-            require=("modulation",),
-        )
+        load_config(_write(tmp_path, base.format(clip="sometimes", bits="none"), "d.ini"))
 
 
 def test_eom_modulation(tmp_path):
@@ -157,7 +150,7 @@ waveform = noise
 vpp = 7.5
 frequency_hz = 50e3
 """
-    cfg, _ = load_config(_write(tmp_path, text), require=("modulation",))
+    cfg, _ = load_config(_write(tmp_path, text))
     assert isinstance(cfg.modulation, EomDrive)
     assert cfg.modulation.vpp == 7.5
     assert cfg.modulation.waveform == "noise"
@@ -198,6 +191,32 @@ def test_bool_parsing(tmp_path):
 
 
 def test_empty_config_defaults():
-    cfg = build_config({}, require=())
+    cfg = build_config({})
     assert cfg.seed == 0
     assert cfg.window_s == 5e-4
+
+
+@pytest.mark.parametrize(
+    "parameter",
+    ["modulation.dpeth", "modulation.cutoff_hz", "run.sed", "analysis.init_depth"],
+)
+def test_sweep_parameter_must_name_a_declared_key(tmp_path, parameter):
+    text = FULL + f"\n[sweep]\nparameter = {parameter}\nvalues = 1, 2\n"
+    with pytest.raises(ConfigError, match=re.escape(parameter)):
+        load_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("parameter", ["modulation.kind", "run.seed"])
+def test_sweep_parameter_declared_keys_accepted(tmp_path, parameter):
+    text = FULL + f"\n[sweep]\nparameter = {parameter}\nvalues = 1\n"
+    cfg, _ = load_config(_write(tmp_path, text))
+    assert cfg.sweep.parameter == parameter
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    raw = apply_override(read_raw(_write(tmp_path, block)), "run.duration_s", "0.2")
+    result = run_pipeline(build_config(raw))
+    assert 2.5 < result.g2_zero < 3.5
+    assert result.fit is not None and result.fit.converged

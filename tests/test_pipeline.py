@@ -4,8 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from superbunch import ConfigError, build_config, pipeline, run_pipeline, run_sweep
+from superbunch import (
+    CoincidenceHistogram,
+    ConfigError,
+    analytic,
+    build_config,
+    pipeline,
+    run_pipeline,
+    run_sweep,
+)
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
+from superbunch.config import _MODULATION
 from superbunch.pipeline import initial_model, manifest_dict
 
 
@@ -131,6 +140,22 @@ def test_initial_model_speckle_only():
     assert isinstance(initial_model(cfg), SpeckleOnly)
     cfg2 = build_config(_raw())
     assert initial_model(cfg2) is None
+
+
+@pytest.mark.parametrize("kind", sorted(_MODULATION))
+def test_each_modulation_kind_builds_and_names_itself(kind):
+    cfg = build_config(_raw(modulation={"kind": kind}))
+    hist = CoincidenceHistogram(
+        dtau_ns=1000, half_bins=10, counts=np.ones(20), n1=1, n2=1, duration_s=1.0
+    )
+    assert manifest_dict(cfg, hist, "text")["modulation"]["kind"] == kind
+
+
+@pytest.mark.parametrize("name", sorted(analytic.MODELS))
+def test_each_fit_model_name_is_accepted(name):
+    cfg = build_config(_raw(modulation={"kind": "eom"}, analysis={"model": name}))
+    assert cfg.analysis_model == name
+    assert type(initial_model(cfg)) is analytic.MODELS[name]
 
 
 def test_manifest_dict_is_json_clean():
