@@ -153,6 +153,16 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _warn_unresolved(result) -> None:
+    if result.peak.background_unresolved:
+        print(
+            "warning: background unresolved: the correlation peak fills much of the "
+            "window, so peak/background underestimates the contrast (widen "
+            "[correlator] window_s)",
+            file=sys.stderr,
+        )
+
+
 def _dispatch(args) -> int:
     if args.command == "plot":
         return _cmd_plot(args)
@@ -166,6 +176,7 @@ def _dispatch(args) -> int:
             f"peak/background = {result.peak.ratio:.3f}  "
             f"events = {result.stream.d1.size + result.stream.d2.size}"
         )
+        _warn_unresolved(result)
         if result.fit is not None:
             state = "converged" if result.fit.converged else "did not converge"
             print(f"fit {state} after {result.fit.iterations} iterations")
@@ -188,6 +199,7 @@ def _dispatch(args) -> int:
             f"g2(0) = {result.g2_zero:.4f} +- {result.g2_zero_err:.4f}  "
             f"peak/background = {result.peak.ratio:.3f}"
         )
+        _warn_unresolved(result)
         if result.fit is not None and not result.fit.converged:
             return 4
         return 0

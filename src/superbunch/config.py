@@ -306,8 +306,17 @@ def load_config(path):
 
 
 def apply_override(raw: dict, parameter: str, value: str) -> dict:
-    """Return a copy of the raw config with one section.key replaced."""
+    """Return a copy of the raw config with one section.key replaced.
+
+    Replacing `modulation.kind` also drops the [modulation] keys the new
+    kind does not declare, so a sweep can compare kinds (a constant laser
+    against a modulated one); an unknown kind keeps them and fails to load.
+    """
     section, key = parameter.split(".", 1)
     out = {name: dict(entries) for name, entries in raw.items()}
-    out.setdefault(section, {})[key] = value
+    entries = out.setdefault(section, {})
+    entries[key] = value
+    if (section, key) == ("modulation", "kind") and value.strip() in _MODULATION:
+        declared = _MODULATION[value.strip()][0]
+        out[section] = {k: v for k, v in entries.items() if k == "kind" or k in declared}
     return out

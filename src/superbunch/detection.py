@@ -14,10 +14,19 @@ draws (only when the dark rate is nonzero).  The acceptance comparison is
 monotone in the intensity, so with a shared seed and a shared explicit
 `rate_ceiling_hz` the accepted events of a pointwise-smaller trace are a
 subset of those of a larger one.
+
+Memory does not grow with the candidate count.  Each uniform takes one
+64-bit output of the block's PCG64 generator, so the three runs of n
+candidate uniforms start at outputs 0, n and 2n after the Poisson draw.
+Three copies of the generator, jumped there with `advance`, are read
+`_CAND` candidates at a time and thinned as they go; the block generator
+then jumps 3n outputs to the dark-count draws.  The draws, and so the
+events, are exactly those of drawing each run whole.
 """
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +38,7 @@ from .seeding import substream
 from .signal import IntensityTrace
 
 _BLOCK = 1 << 20
+_CAND = 1 << 18
 
 # beam splitter ratio is fixed by the apparatus
 SPLIT = 0.5
@@ -93,6 +103,13 @@ def _quantize(t_s: np.ndarray, res_ns: int, t0_ns: int, end_ns: int) -> np.ndarr
     return np.clip(ticks, t0_ns, end_ns)
 
 
+def _jumped(rng: np.random.Generator, steps: int) -> np.random.Generator:
+    """A generator `steps` 64-bit outputs ahead of `rng`; `rng` is left as is."""
+    bit_generator = copy.deepcopy(rng.bit_generator)
+    bit_generator.advance(steps)
+    return np.random.Generator(bit_generator)
+
+
 def detect_photons(
     trace: IntensityTrace,
     cfg: DetectorConfig,
@@ -109,8 +126,10 @@ def detect_photons(
     module docstring).  Raises ResolutionError when the ceiling rate and
     timestamp resolution imply more than 0.1 expected events per tick.
     """
-    lam = (2.0 * cfg.rate_hz / trace.mean) * trace.samples
-    lam_top = float(lam.max())
+    # lambda = scale * samples is formed only where it is compared; rounding
+    # is monotone, so scale * max(samples) is exactly the largest lambda
+    scale = 2.0 * cfg.rate_hz / trace.mean
+    lam_top = scale * float(trace.samples.max())
     if rate_ceiling_hz is not None:
         if rate_ceiling_hz < lam_top:
             raise ValueError("rate ceiling below the peak instantaneous rate")
@@ -131,31 +150,44 @@ def detect_photons(
         i1 = min(n, i0 + _BLOCK)
         span = i1 - i0
         dur = span * trace.dt
-        block = lam[i0:i1]
-        ceiling = float(block.max()) if rate_ceiling_hz is None else float(rate_ceiling_hz)
+        block = trace.samples[i0:i1]
+        ceiling = scale * float(block.max()) if rate_ceiling_hz is None else float(rate_ceiling_hz)
         n_cand = int(rng.poisson(ceiling * dur)) if ceiling > 0 else 0
-        if n_cand == 0:
-            empty = np.empty(0, dtype=np.int64)
-            ts, ch1 = empty, empty.astype(bool)
-        else:
-            u_time = rng.random(n_cand)
-            u_accept = rng.random(n_cand)
-            u_chan = rng.random(n_cand)
-            idx = np.minimum((u_time * span).astype(np.intp), span - 1)
-            keep = u_accept * ceiling < block[idx]
+        # the time, acceptance and channel uniforms are three consecutive runs
+        # of n_cand draws of rng; read each from its own jumped copy, in chunks
+        u_gens = [_jumped(rng, k * n_cand) for k in range(3)]
+        rng.bit_generator.advance(3 * n_cand)
+        parts_ts, parts_ch1 = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
+        # the chunks share these buffers: allocating them afresh for each
+        # chunk made thinning slower than drawing whole runs
+        uniforms = np.empty((3, min(_CAND, n_cand)))
+        idx_buf = np.empty(uniforms.shape[1], dtype=np.intp)
+        lam_buf = np.empty(uniforms.shape[1])
+        for c0 in range(0, n_cand, _CAND):
+            m = min(_CAND, n_cand - c0)
+            u_time, u_accept, u_chan = uniforms[:, :m]
+            idx, lam = idx_buf[:m], lam_buf[:m]
+            for gen, out in zip(u_gens, (u_time, u_accept, u_chan)):
+                gen.random(out=out)
+            np.multiply(u_time, span, out=lam)
+            idx[:] = lam  # truncates, as astype does
+            np.minimum(idx, span - 1, out=idx)
+            np.take(block, idx, out=lam)
+            lam *= scale
+            u_accept *= ceiling
+            keep = u_accept < lam
             t_s = trace.t0 + (i0 + u_time[keep] * span) * trace.dt
-            ts = _quantize(t_s, res_ns, t0_ns, end_ns)
-            ch1 = u_chan[keep] < SPLIT
+            parts_ts.append(_quantize(t_s, res_ns, t0_ns, end_ns))
+            parts_ch1.append(u_chan[keep] < SPLIT)
         if cfg.dark_rate_hz > 0:
             t_start = trace.t0 + i0 * trace.dt
-            extra_ts, extra_ch = [ts], [ch1]
             for is_d1 in (True, False):
                 n_dark = int(rng.poisson(cfg.dark_rate_hz * dur))
                 t_d = t_start + rng.random(n_dark) * dur
-                extra_ts.append(_quantize(t_d, res_ns, t0_ns, end_ns))
-                extra_ch.append(np.full(n_dark, is_d1))
-            ts = np.concatenate(extra_ts)
-            ch1 = np.concatenate(extra_ch)
+                parts_ts.append(_quantize(t_d, res_ns, t0_ns, end_ns))
+                parts_ch1.append(np.full(n_dark, is_d1))
+        ts = np.concatenate(parts_ts)
+        ch1 = np.concatenate(parts_ch1)
         order = np.argsort(ts, kind="stable")
         ts, ch1 = ts[order], ch1[order]
         return ts[ch1], ts[~ch1]

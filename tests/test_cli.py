@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from superbunch import PhotonStream, write_photon_stream
 from superbunch.cli import main
 
 CONFIG = """
@@ -156,6 +157,21 @@ def test_sweep_cli_failed_point_exit_code(tmp_path, config_path, capsys):
     assert ",error:" in lines[2]
 
 
+def test_sweep_cli_modulation_kind(tmp_path):
+    # a constant laser against a modulated one: the sinusoid's keys must not
+    # reach the constant point
+    path = tmp_path / "sweep.ini"
+    text = CONFIG.replace("model = sinusoid_speckle", "model = speckle")
+    path.write_text(text + "\n[sweep]\nparameter = modulation.kind\nvalues = sinusoid, constant\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1].startswith("modulation.kind,sinusoid,ok,")
+    assert lines[2].startswith("modulation.kind,constant,ok,")
+    manifest = json.loads((out / "point_001" / "manifest.json").read_text())
+    assert "constant" in json.dumps(manifest)
+
+
 def test_sweep_undeclared_parameter_fails_before_any_point(tmp_path, capsys):
     path = tmp_path / "sweep.ini"
     path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.dpeth\nvalues = 0.2, 1.0\n")
@@ -211,3 +227,25 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys):
 
 def test_threads_validation(config_path, capsys):
     assert main(["simulate", "--config", str(config_path), "--threads", "0"]) == 2
+
+
+def _broad_peak_file(tmp_path, spread_ns):
+    # D2 echoes D1 with a uniform delay in +-spread_ns, over a sparse
+    # uncorrelated background
+    rng = np.random.default_rng(5)
+    d1 = np.sort(rng.integers(spread_ns, 10**11 - spread_ns, 20_000))
+    d2 = np.sort(d1 + rng.integers(-spread_ns, spread_ns + 1, d1.size))
+    path = tmp_path / "photons.bin"
+    write_photon_stream(PhotonStream(d1, d2, 1, 100.0), path)
+    return path
+
+
+@pytest.mark.parametrize("spread_ns,warned", [(300_000, True), (3_000, False)])
+def test_analyze_warns_when_background_unresolved(tmp_path, capsys, spread_ns, warned):
+    # the default window is 500 us: a 300 us wide peak leaves no plateau
+    path = _broad_peak_file(tmp_path, spread_ns)
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--duration-s", "100", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("warning: background unresolved" in err) == warned
+    assert sorted(p.name for p in out.iterdir()) == ["g2.csv", "histogram.csv"]

@@ -173,6 +173,19 @@ def test_sweep_section(tmp_path):
     assert raw["modulation"]["depth"] == "0.8"  # original untouched
 
 
+def test_kind_override_drops_keys_the_new_kind_does_not_declare(tmp_path):
+    raw = read_raw(_write(tmp_path, FULL))
+    out = apply_override(raw, "modulation.kind", " constant ")
+    assert out["modulation"] == {"kind": " constant ", "intensity": "1.5"}
+    assert build_config(out).modulation.kind == "constant"
+    assert "depth" in raw["modulation"]  # original untouched
+    # an unknown kind keeps every key and is rejected by name
+    bad = apply_override(raw, "modulation.kind", "laser")
+    assert bad["modulation"]["depth"] == "0.8"
+    with pytest.raises(ConfigError, match="laser"):
+        build_config(bad)
+
+
 def test_sweep_validation(tmp_path):
     with pytest.raises(ConfigError, match="parameter"):
         load_config(_write(tmp_path, FULL + "\n[sweep]\nparameter = nodots\nvalues = 1\n"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from superbunch import (
     write_g2_csv,
     write_histogram_csv,
 )
+from superbunch import _corr_np
 
 
 def brute_force(d1, d2, dtau_ns, half_bins):
@@ -237,3 +240,81 @@ def test_bin_centers():
         duration_s=1.0,
     )
     assert np.allclose(hist.bin_centers_s(), [-1.5e-6, -0.5e-6, 0.5e-6, 1.5e-6])
+
+
+# --- the pair kernel: edge cases of the bin formula, and chunking ---
+
+
+def _kernel_counts(stream, dtau_ns, half_bins, d1_range=None):
+    return coincidence_histogram(
+        stream, dtau_ns * 1e-9, dtau_ns * half_bins * 1e-9, d1_range=d1_range
+    ).counts
+
+
+def test_duplicates_and_zero_lags_match_brute_force():
+    # timestamps drawn from a few hundred values: many duplicates in each
+    # channel and many exact zero-lag pairs, which must land in no bin
+    rng = np.random.default_rng(41)
+    for trial in range(5):
+        d1 = np.sort(rng.integers(0, 300, 400))
+        d2 = np.sort(rng.integers(0, 300, 500))
+        stream = PhotonStream(d1, d2, 1, 1e-6)
+        assert np.intersect1d(d1, d2).size > 0
+        expected = brute_force(d1, d2, 3, 20)
+        assert np.array_equal(_kernel_counts(stream, 3, 20), expected), f"trial {trial}"
+
+
+def test_lags_at_bin_edges_match_brute_force():
+    # on a grid of multiples of dtau every lag is a bin edge, on both signs
+    rng = np.random.default_rng(43)
+    dtau = 7
+    d1 = np.sort(rng.integers(0, 400, 300)) * dtau
+    d2 = np.sort(rng.integers(0, 400, 300)) * dtau
+    stream = PhotonStream(d1, d2, 1, 1e-5)
+    counts = _kernel_counts(stream, dtau, 12)
+    assert np.array_equal(counts, brute_force(d1, d2, dtau, 12))
+    # a lag of exactly +-q*dtau closes bin q-1 on its side
+    one = PhotonStream(np.array([700]), np.array([700 - 2 * dtau, 700 + 2 * dtau]), 1, 1e-6)
+    counts = _kernel_counts(one, dtau, 12)
+    assert counts[12 + 1] == 1 and counts[12 - 2] == 1 and counts.sum() == 2
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 7, 64, 1000])
+def test_pair_budget_does_not_change_counts(monkeypatch, pairs):
+    rng = np.random.default_rng(47)
+    streams = [_random_stream(rng, span=20_000) for _ in range(4)]
+    # one D1 event with far more in-window partners than the budget
+    streams.append(PhotonStream(np.array([5000, 5000, 9000]), np.arange(0, 10_000, 3), 1, 1e-5))
+    expected = [_kernel_counts(s, 50, 40) for s in streams]
+    monkeypatch.setattr("superbunch._corr_np._PAIRS", pairs)
+    for s, want in zip(streams, expected):
+        assert np.array_equal(_kernel_counts(s, 50, 40), want)
+        assert np.array_equal(want, brute_force(s.d1, s.d2, 50, 40))
+
+
+def test_d1_range_slices_match_brute_force(monkeypatch):
+    monkeypatch.setattr("superbunch._corr_np._PAIRS", 5)
+    rng = np.random.default_rng(53)
+    stream = _random_stream(rng, n1=600, n2=600, span=30_000)
+    for _ in range(20):
+        i0, i1 = np.sort(rng.integers(0, 601, 2))
+        counts = _kernel_counts(stream, 20, 15, d1_range=(int(i0), int(i1)))
+        assert np.array_equal(counts, brute_force(stream.d1[i0:i1], stream.d2, 20, 15))
+
+
+def test_kernel_memory_is_bounded_by_the_pair_budget():
+    # about 1000 in-window partners per D1 event, millions of pairs in all
+    d2 = np.arange(0, 3000)
+    for n1 in (8000, 16000):
+        d1 = np.sort(np.random.default_rng(n1).integers(1000, 2000, n1))
+        tracemalloc.start()
+        try:
+            counts = _corr_np.pair_histogram(d1, d2, 10, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = int(counts.sum()) + n1  # plus the one zero-lag pair per event
+        assert pairs >= 1000 * n1
+        bound = 40 * _corr_np._PAIRS + 128 * n1
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB for {pairs} pairs"
+        assert 8 * pairs > 3 * bound  # whole-chunk temporaries would not fit

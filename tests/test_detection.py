@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from superbunch import (
     sample_intensity,
     write_photon_stream,
 )
+from superbunch import detection
 
 
 def _constant_trace(duration=10.0, dt=1e-5, level=1.0):
@@ -86,6 +90,87 @@ def test_monotone_coupling_with_shared_ceiling():
     assert set(a.d1).issubset(set(b.d1))
     assert set(a.d2).issubset(set(b.d2))
     assert b.d1.size + b.d2.size > a.d1.size + a.d2.size
+
+
+def _golden_trace():
+    # exact in binary: the digests below must not hinge on libm
+    k = np.arange(1_200_000)  # two detection blocks
+    samples = 1.0 + (k % 97) / 96.0
+    return IntensityTrace(0.0, 1e-6, samples, 1.5)
+
+
+def _stream_digest(stream):
+    h = hashlib.sha256()
+    h.update(stream.d1.astype("<i8").tobytes())
+    h.update(b"|")
+    h.update(stream.d2.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+_GOLDEN = {
+    "default_ceiling": (
+        dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={}),
+        "32e5c63df836e7159dbfd6b36649a628c5d4f117e6cf861bb6b0adaa8be64d1b",
+    ),
+    "explicit_ceiling": (
+        dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={"rate_ceiling_hz": 1e6}),
+        "173112cb857bb28bcfc49fde79713670922ea14a3ed1c27a776cdae50a086672",
+    ),
+    "dark_counts_two_threads": (
+        dict(cfg=DetectorConfig(rate_hz=1e5, dark_rate_hz=5e3), kwargs={"threads": 2}),
+        "892922236d6c3a03f04759f1e02cb16ca7c66e5d4c5dda4129d4172e9d990694",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_realizations_are_pinned(case):
+    # the random realization of a (trace, config, seed) is part of the
+    # reproducibility contract: any change to the draws shows up here
+    spec, digest = _GOLDEN[case]
+    stream = detect_photons(_golden_trace(), spec["cfg"], seed=11, **spec["kwargs"])
+    assert stream.d1.size > 0 and stream.d2.size > 0
+    assert _stream_digest(stream) == digest
+
+
+def _sparse_trace():
+    # two blocks with only a few thousand candidates each
+    k = np.arange(1_100_000)
+    return IntensityTrace(0.0, 1e-6, 1.0 + (k % 89) / 88.0, 1.5)
+
+
+@pytest.mark.parametrize("cand", [1, 5, 1000])
+def test_candidate_chunks_do_not_change_events(monkeypatch, cand):
+    cases = [
+        (DetectorConfig(rate_hz=1e3), {}),
+        (DetectorConfig(rate_hz=1e3), {"rate_ceiling_hz": 6e3}),
+        (DetectorConfig(rate_hz=1e3, dark_rate_hz=300.0), {"threads": 2}),
+    ]
+    trace = _sparse_trace()
+    expected = [detect_photons(trace, cfg, seed=7, **kw) for cfg, kw in cases]
+    monkeypatch.setattr("superbunch.detection._CAND", cand)
+    for (cfg, kw), want in zip(cases, expected):
+        got = detect_photons(trace, cfg, seed=7, **kw)
+        assert np.array_equal(got.d1, want.d1)
+        assert np.array_equal(got.d2, want.d2)
+
+
+def test_detection_memory_is_bounded_by_the_candidate_chunk():
+    # one block thinned from a ceiling far above the intensity: about
+    # 4 million candidates, of which about 1% are kept
+    trace = IntensityTrace(0.0, 1e-6, np.ones(1 << 20), 1.0)
+    cfg = DetectorConfig(rate_hz=2e4)
+    tracemalloc.start()
+    try:
+        stream = detect_photons(trace, cfg, seed=2, rate_ceiling_hz=4e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    events = stream.n1 + stream.n2
+    assert 3e4 < events < 5e4
+    bound = 80 * detection._CAND + 64 * events
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB"
+    assert 3 * 8 * 4e6 > 3 * bound  # whole-block candidate arrays would not fit
 
 
 def test_ceiling_below_peak_rejected():
