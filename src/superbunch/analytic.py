@@ -1,27 +1,38 @@
 """Closed-form correlation curves and weighted least-squares fitting.
 
-Every measured g2 curve of this source factors into a modulation part and
-a speckle part:
+The modulated laser and the rotating ground glass fluctuate independently,
+so every g2 curve of this source is a product of two factors,
 
-    speckle only        g2(tau) = 1 + sinc^2(bw * tau / 2)
-    sinusoid modulated  g2(tau) = (1 + 2 c cos^2(w0 tau / 2)) / (1 + c)
-                                  * (1 + sinc^2(bw * tau / 2))
-    noise modulated     g2(tau) = (1 + sinc^2(pi f0 tau))
-                                  * (1 + sinc^2(bw * tau / 2))
+    g2(tau) = g2_mod(tau) * g2_speckle(tau),
+    g2_speckle(tau) = 1 + sinc^2(bw * tau / 2),
 
-with sinc(x) = sin(x)/x.  `c` is the modulation contrast parameter: the
-sinusoid curve peaks at 2 + 2c/(1+c) and its background oscillates between
-1 and (1+2c)/(1+c) around a mean of 1.  The noise curve peaks at 4 over a
-background of 1.
+with sinc(x) = sin(x)/x and one modulation factor per fit model:
 
-Fitting uses damped Gauss-Newton steps on weighted residuals with analytic
-Jacobians; an overall amplitude and offset ride along as nuisance
-parameters.
+    speckle             g2_mod = 1
+    sinusoid_speckle    g2_mod = (1 + 2 c cos^2(w0 tau / 2)) / (1 + c)
+    noise_speckle       g2_mod = 1 + sinc^2(pi f0 tau)
+
+`c` is the modulation contrast parameter: the sinusoid curve peaks at
+2 + 2c/(1+c) and its background oscillates between 1 and (1+2c)/(1+c)
+around a mean of 1.  The noise curve peaks at 4 over a background of 1.
+
+Each factor is written once, as a function of (tau, *parameters) that
+returns its value and one derivative column per parameter.  A fit model
+is a frozen dataclass whose fields are its modulation factor's parameters
+followed by `bandwidth`; `_Product` turns the two factors into the curve
+and, by the product rule, its Jacobian.  A new modulation therefore
+slots in as one factor function plus one model class that names the
+factor, its `[analysis] model` name and its parameter bounds, listed in
+MODELS.
+
+Fitting uses damped Gauss-Newton steps on weighted residuals with these
+analytic Jacobians; an overall amplitude and offset ride along as
+nuisance parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -48,25 +59,126 @@ def _dsinc(x):
     return np.where(small, -x / 3.0 + x**3 / 30.0, exact)
 
 
-def _scalar_ok(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
+def _scalar_ok(out, tau):
+    return float(out) if np.ndim(tau) == 0 else out
+
+
+# factors: each returns its value and one derivative column per parameter
+
+
+def _unmodulated(tau):
+    """Constant intensity: the factor 1, with no parameters."""
+    return 1.0, ()
+
+
+def _sinusoid(tau, c, w0):
+    """Sinusoidal drive with contrast parameter c and angular frequency w0."""
+    cos_half = np.cos(w0 * tau / 2.0)
+    value = (1.0 + 2.0 * c * cos_half * cos_half) / (1.0 + c)
+    d_c = (2.0 * cos_half * cos_half - 1.0) / (1.0 + c) ** 2
+    d_w0 = -(c * tau * np.sin(w0 * tau)) / (1.0 + c)
+    return value, (d_c, d_w0)
+
+
+def _noise(tau, f0):
+    """Thermal-statistics noise over a flat band f0 wide."""
+    x = np.pi * f0 * tau
+    s = _sinc(x)
+    return 1.0 + s * s, (2.0 * s * _dsinc(x) * (np.pi * tau),)
+
+
+def _speckle(tau, bw, outer=1.0):
+    """The speckle factor, and the bandwidth derivative of `outer` times it.
+
+    `outer` is the modulation factor the speckle factor multiplies.  It
+    enters the product first, so the column rounds as the left-to-right
+    product outer * 2 s sinc'(x) * tau/2 that tests/test_analytic.py pins.
+    """
+    x = tau * bw / 2.0
+    s = _sinc(x)
+    return 1.0 + s * s, outer * 2.0 * s * _dsinc(x) * (tau / 2.0)
+
+
+class _Product:
+    """g2 = factor(tau, *fields before bandwidth) * speckle(tau, bandwidth)."""
+
+    names: tuple = ()  # the dataclass fields, in order; set by _fit_model
+    factor = staticmethod(_unmodulated)
+
+    def start(self):
+        return [getattr(self, k) for k in self.names]
+
+    @classmethod
+    def curve(cls, tau, theta):
+        tau_arr = np.asarray(tau, dtype=float)
+        *args, bw = theta
+        mod = cls.factor(tau_arr, *args)[0]
+        return _scalar_ok(mod * _speckle(tau_arr, bw)[0], tau)
+
+    @classmethod
+    def jacobian(cls, tau, theta):
+        *args, bw = theta
+        mod, d_mod = cls.factor(tau, *args)
+        spk, d_bw = _speckle(tau, bw, mod)
+        return np.column_stack([d * spk for d in d_mod] + [d_bw])
+
+
+def _fit_model(cls):
+    """Freeze a model class into a dataclass whose fields name its parameters."""
+    cls = dataclass(frozen=True)(cls)
+    cls.names = tuple(f.name for f in fields(cls))
+    return cls
+
+
+@_fit_model
+class SpeckleOnly(_Product):
+    """Free parameter: speckle bandwidth (rad/s)."""
+
+    bandwidth: float
+
+    name = "speckle"
+    bounds = ((1e-12, np.inf),)
+
+
+@_fit_model
+class SinusoidSpeckle(_Product):
+    """Free parameters: contrast, drive angular frequency, bandwidth."""
+
+    contrast: float
+    mod_omega: float
+    bandwidth: float
+
+    name = "sinusoid_speckle"
+    bounds = ((0.0, 1.0), (1e-12, np.inf), (1e-12, np.inf))
+    factor = staticmethod(_sinusoid)
+
+
+@_fit_model
+class NoiseSpeckle(_Product):
+    """Free parameters: noise cutoff (Hz) and bandwidth (rad/s)."""
+
+    cutoff_hz: float
+    bandwidth: float
+
+    name = "noise_speckle"
+    bounds = ((1e-12, np.inf), (1e-12, np.inf))
+    factor = staticmethod(_noise)
+
+
+TheoryModel = Union[SpeckleOnly, SinusoidSpeckle, NoiseSpeckle]
+
+# [analysis] model name -> fit model class
+MODELS = {cls.name: cls for cls in (SpeckleOnly, SinusoidSpeckle, NoiseSpeckle)}
 
 
 def g2_speckle(tau, bandwidth):
     """Unmodulated pseudothermal curve, peak 2 over background 1."""
-    s = _sinc(np.asarray(tau, dtype=float) * bandwidth / 2.0)
-    return _scalar_ok(1.0 + s * s, tau)
+    return SpeckleOnly.curve(tau, (bandwidth,))
 
 
 def g2_sinusoid(tau, contrast, mod_omega, bandwidth):
     """Sinusoidally modulated curve; `contrast` in [0, 1]."""
-    tau_arr = np.asarray(tau, dtype=float)
-    cos_half = np.cos(mod_omega * tau_arr / 2.0)
-    mod = (1.0 + 2.0 * contrast * cos_half * cos_half) / (1.0 + contrast)
-    s = _sinc(tau_arr * bandwidth / 2.0)
-    return _scalar_ok(mod * (1.0 + s * s), tau)
+    return SinusoidSpeckle.curve(tau, (contrast, mod_omega, bandwidth))
 
 
 def g2_zero_sinusoid(contrast):
@@ -76,118 +188,12 @@ def g2_zero_sinusoid(contrast):
 
 def gamma_noise(tau, cutoff_hz):
     """Autocorrelation of band-limited thermal-statistics noise modulation."""
-    s = _sinc(np.pi * cutoff_hz * np.asarray(tau, dtype=float))
-    return _scalar_ok(1.0 + s * s, tau)
+    return _scalar_ok(_noise(np.asarray(tau, dtype=float), cutoff_hz)[0], tau)
 
 
 def g2_noise(tau, cutoff_hz, bandwidth):
     """Noise modulation on speckle: peak 4 over background 1."""
-    tau_arr = np.asarray(tau, dtype=float)
-    sn = _sinc(np.pi * cutoff_hz * tau_arr)
-    ss = _sinc(tau_arr * bandwidth / 2.0)
-    return _scalar_ok((1.0 + sn * sn) * (1.0 + ss * ss), tau)
-
-
-# ---------------------------------------------------------------------------
-# fit models
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpeckleOnly:
-    """Free parameter: speckle bandwidth (rad/s)."""
-
-    bandwidth: float
-
-    name = "speckle"
-    names = ("bandwidth",)
-    bounds = ((1e-12, np.inf),)
-
-    def start(self):
-        return [self.bandwidth]
-
-    @staticmethod
-    def curve(tau, theta):
-        (bw,) = theta
-        return g2_speckle(tau, bw)
-
-    @staticmethod
-    def jacobian(tau, theta):
-        (bw,) = theta
-        x = tau * bw / 2.0
-        col = 2.0 * _sinc(x) * _dsinc(x) * (tau / 2.0)
-        return np.column_stack([col])
-
-
-@dataclass(frozen=True)
-class SinusoidSpeckle:
-    """Free parameters: contrast, drive angular frequency, bandwidth."""
-
-    contrast: float
-    mod_omega: float
-    bandwidth: float
-
-    name = "sinusoid_speckle"
-    names = ("contrast", "mod_omega", "bandwidth")
-    bounds = ((0.0, 1.0), (1e-12, np.inf), (1e-12, np.inf))
-
-    def start(self):
-        return [self.contrast, self.mod_omega, self.bandwidth]
-
-    @staticmethod
-    def curve(tau, theta):
-        c, w0, bw = theta
-        return g2_sinusoid(tau, c, w0, bw)
-
-    @staticmethod
-    def jacobian(tau, theta):
-        c, w0, bw = theta
-        cos_half = np.cos(w0 * tau / 2.0)
-        cos2 = cos_half * cos_half
-        mod = (1.0 + 2.0 * c * cos2) / (1.0 + c)
-        x = tau * bw / 2.0
-        s = _sinc(x)
-        spk = 1.0 + s * s
-        d_c = (2.0 * cos2 - 1.0) / (1.0 + c) ** 2 * spk
-        d_w0 = -(c * tau * np.sin(w0 * tau)) / (1.0 + c) * spk
-        d_bw = mod * 2.0 * s * _dsinc(x) * (tau / 2.0)
-        return np.column_stack([d_c, d_w0, d_bw])
-
-
-@dataclass(frozen=True)
-class NoiseSpeckle:
-    """Free parameters: noise cutoff (Hz) and bandwidth (rad/s)."""
-
-    cutoff_hz: float
-    bandwidth: float
-
-    name = "noise_speckle"
-    names = ("cutoff_hz", "bandwidth")
-    bounds = ((1e-12, np.inf), (1e-12, np.inf))
-
-    def start(self):
-        return [self.cutoff_hz, self.bandwidth]
-
-    @staticmethod
-    def curve(tau, theta):
-        f0, bw = theta
-        return g2_noise(tau, f0, bw)
-
-    @staticmethod
-    def jacobian(tau, theta):
-        f0, bw = theta
-        xn = np.pi * f0 * tau
-        xs = tau * bw / 2.0
-        sn, ss = _sinc(xn), _sinc(xs)
-        d_f0 = 2.0 * sn * _dsinc(xn) * (np.pi * tau) * (1.0 + ss * ss)
-        d_bw = (1.0 + sn * sn) * 2.0 * ss * _dsinc(xs) * (tau / 2.0)
-        return np.column_stack([d_f0, d_bw])
-
-
-TheoryModel = Union[SpeckleOnly, SinusoidSpeckle, NoiseSpeckle]
-
-# [analysis] model name -> fit model class
-MODELS = {cls.name: cls for cls in (SpeckleOnly, SinusoidSpeckle, NoiseSpeckle)}
+    return NoiseSpeckle.curve(tau, (cutoff_hz, bandwidth))
 
 
 @dataclass(frozen=True)
@@ -197,12 +203,12 @@ class FitResult:
     rss: float
     converged: bool
     iterations: int
+    model: type  # the fitted model class
 
-    def g2_model(self, model_cls, tau):
+    def g2_model(self, tau):
         """Evaluate the fitted physics curve (amplitude and offset applied)."""
-        names = model_cls.names
-        theta = [self.params[k] for k in names]
-        base = model_cls.curve(np.asarray(tau, dtype=float), theta)
+        theta = [self.params[k] for k in self.model.names]
+        base = self.model.curve(np.asarray(tau, dtype=float), theta)
         return self.params["offset"] + self.params["amplitude"] * base
 
 
@@ -229,7 +235,9 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
     is held there for that step.  An overall amplitude and offset are
     fitted along with the physics parameters.  Convergence is declared
     when the relative parameter change drops below `tol`; exhausted
-    iterations or a singular normal system leave `converged` False.
+    iterations leave `converged` False.  A parameter the final curve does
+    not depend on gets sigma inf; should the others' normal matrix still
+    be singular, every sigma is inf and `converged` is False.
     """
     names = model.names + ("amplitude", "offset")
     n_phys = len(model.names)
@@ -302,11 +310,15 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
     jac = jacobian(theta)
     jtw = jac.T * w
     hess = jtw @ jac
+    # a parameter the curve does not depend on where the fit ended (the
+    # drive frequency at contrast 0) has an all-zero row: only it is
+    # unidentified, so invert over the rest and give it alone sigma inf
+    known = np.diag(hess) > 0
+    sig = np.full(n_par, np.inf)
     try:
-        cov = np.linalg.inv(hess)
-        sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        cov = np.linalg.inv(hess[np.ix_(known, known)])
+        sig[known] = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
-        sig = np.full(n_par, np.inf)
         converged = False
     return FitResult(
         params=dict(zip(names, theta.tolist())),
@@ -314,4 +326,5 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
         rss=float(np.sum(r * r)),
         converged=converged,
         iterations=iterations,
+        model=type(model),
     )

@@ -153,7 +153,15 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _warn_unresolved(result) -> None:
+def _warn(result) -> None:
+    """Print the run's diagnostics to stderr; artifacts do not record them."""
+    if "short-trace" in result.flags:
+        print(
+            "warning: short trace: the run spans fewer than ten correlation times "
+            "of the noise modulation, so its statistics do not self-average "
+            "(lengthen [run] duration_s)",
+            file=sys.stderr,
+        )
     if result.peak.background_unresolved:
         print(
             "warning: background unresolved: the correlation peak fills much of the "
@@ -176,7 +184,7 @@ def _dispatch(args) -> int:
             f"peak/background = {result.peak.ratio:.3f}  "
             f"events = {result.stream.d1.size + result.stream.d2.size}"
         )
-        _warn_unresolved(result)
+        _warn(result)
         if result.fit is not None:
             state = "converged" if result.fit.converged else "did not converge"
             print(f"fit {state} after {result.fit.iterations} iterations")
@@ -199,7 +207,7 @@ def _dispatch(args) -> int:
             f"g2(0) = {result.g2_zero:.4f} +- {result.g2_zero_err:.4f}  "
             f"peak/background = {result.peak.ratio:.3f}"
         )
-        _warn_unresolved(result)
+        _warn(result)
         if result.fit is not None and not result.fit.converged:
             return 4
         return 0

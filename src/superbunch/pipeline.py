@@ -57,15 +57,15 @@ class RunResult:
     g2_zero: float
     g2_zero_err: float
     peak: PeakBackground
-    model: Optional[analytic.TheoryModel] = None  # the fit's starting point
     fit: Optional[analytic.FitResult] = None
     paths: dict = dataclasses.field(default_factory=dict)
+    flags: tuple = ()  # synthesis warnings of the simulated intensity trace
 
     @property
     def fit_g2_zero(self) -> Optional[float]:
         if self.fit is None:
             return None
-        return float(self.fit.g2_model(type(self.model), 0.0))
+        return float(self.fit.g2_model(0.0))
 
 
 def initial_model(cfg: RunConfig):
@@ -158,21 +158,16 @@ def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram, fmt: str) -> dict:
     }
 
 
-def _write_fit_report(path, model_name: str, model, fit: analytic.FitResult) -> None:
+def _write_fit_report(path, fit: analytic.FitResult) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"model: {model_name}\n")
+        fh.write(f"model: {fit.model.name}\n")
         fh.write(f"converged: {'yes' if fit.converged else 'no'}\n")
         fh.write(f"iterations: {fit.iterations}\n")
         fh.write(f"rss: {fit.rss!r}\n")
-        zero = fit.g2_model(type(model), 0.0)
-        fh.write(f"g2_zero_fit: {float(zero)!r}\n")
+        fh.write(f"g2_zero_fit: {float(fit.g2_model(0.0))!r}\n")
         fh.write("parameter,value,sigma\n")
-        for name in list(model.names) + ["amplitude", "offset"]:
+        for name in fit.params:
             fh.write(f"{name},{fit.params[name]!r},{fit.sigmas[name]!r}\n")
-
-
-def _write_theory_csv(path, model, fit: analytic.FitResult, tau: np.ndarray) -> None:
-    write_csv(path, ("tau_s", "g2_theory"), tau, fit.g2_model(type(model), tau))
 
 
 def analyze_stream(
@@ -207,9 +202,10 @@ def analyze_stream(
         write_g2_csv(curve, paths["g2"])
         if fit is not None:
             paths["theory"] = os.path.join(out_dir, "theory.csv")
-            _write_theory_csv(paths["theory"], model, fit, hist.bin_centers_s())
+            tau = hist.bin_centers_s()
+            write_csv(paths["theory"], ("tau_s", "g2_theory"), tau, fit.g2_model(tau))
             paths["fit"] = os.path.join(out_dir, "fit.txt")
-            _write_fit_report(paths["fit"], cfg.analysis_model, model, fit)
+            _write_fit_report(paths["fit"], fit)
 
     return RunResult(
         config=cfg,
@@ -219,7 +215,6 @@ def analyze_stream(
         g2_zero=zero,
         g2_zero_err=zero_err,
         peak=peak,
-        model=model,
         fit=fit,
         paths=paths,
     )
@@ -279,6 +274,7 @@ def run_pipeline(
     stream = detect_photons(
         joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads
     )
+    flags = joint.flags
     del joint
 
     if out_dir is not None:
@@ -287,6 +283,7 @@ def run_pipeline(
         write_photon_stream(stream, paths["photons"], fmt=fmt)
 
     result = analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
+    result.flags = flags
     if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         with open(paths["manifest"], "w", newline="") as fh:

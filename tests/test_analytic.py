@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,143 @@ def test_scalar_outputs():
     assert isinstance(gamma_noise(1e-6, 200.0), float)
     arr = g2_sinusoid(np.array([0.0, 1e-6]), 0.5, W0, BW)
     assert arr.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# golden closed forms and fits
+# ---------------------------------------------------------------------------
+
+# the sinc branch switches at |x| = 1e-4: the grid straddles it near zero
+GOLDEN_TAU = np.concatenate(
+    [np.linspace(-3e-4, 3e-4, 241), [0.0, 1e-12, -1e-12, 3.1e-9, 3.3e-9, -3.2e-9]]
+)
+GOLDEN_F0 = 2e4
+
+
+def _ref_sinc(x):
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+
+
+def _ref_dsinc(x):
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    exact = (np.cos(safe) - np.sin(safe) / safe) / safe
+    return np.where(small, -x / 3.0 + x**3 / 30.0, exact)
+
+
+def _reference_values(tau):
+    """The closed forms and Jacobians exactly as first written, operation
+    for operation, so the library can be held to them bit for bit on any
+    libm."""
+    ss = _ref_sinc(tau * BW / 2.0)
+    ds = _ref_dsinc(tau * BW / 2.0)
+    sn = _ref_sinc(np.pi * GOLDEN_F0 * tau)
+    dn = _ref_dsinc(np.pi * GOLDEN_F0 * tau)
+    cos_half = np.cos(W0 * tau / 2.0)
+    return {
+        "g2_speckle": 1.0 + ss * ss,
+        "g2_sinusoid": (1.0 + 2.0 * 0.7 * cos_half * cos_half) / (1.0 + 0.7) * (1.0 + ss * ss),
+        "gamma_noise": 1.0 + sn * sn,
+        "g2_noise": (1.0 + sn * sn) * (1.0 + ss * ss),
+        "speckle_jacobian": np.column_stack([2.0 * ss * ds * (tau / 2.0)]),
+        "noise_jacobian": np.column_stack(
+            [
+                2.0 * sn * dn * (np.pi * tau) * (1.0 + ss * ss),
+                (1.0 + sn * sn) * 2.0 * ss * ds * (tau / 2.0),
+            ]
+        ),
+    }
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_closed_forms_are_bit_identical_to_their_first_form():
+    tau = GOLDEN_TAU
+    got = {
+        "g2_speckle": g2_speckle(tau, BW),
+        "g2_sinusoid": g2_sinusoid(tau, 0.7, W0, BW),
+        "gamma_noise": gamma_noise(tau, GOLDEN_F0),
+        "g2_noise": g2_noise(tau, GOLDEN_F0, BW),
+        "speckle_jacobian": SpeckleOnly.jacobian(tau, np.array([BW])),
+        "noise_jacobian": NoiseSpeckle.jacobian(tau, np.array([GOLDEN_F0, BW])),
+    }
+    for name, ref in _reference_values(tau).items():
+        assert got[name].shape == ref.shape, name
+        assert _digest(got[name]) == _digest(ref), name
+
+
+# (model, true parameters, starting point, noise seed) -> iterations,
+# converged, {parameter: (value, sigma)} as first fitted
+_GOLDEN_FITS = {
+    "speckle": (
+        (SpeckleOnly, (BW,), SpeckleOnly(bandwidth=1.3 * BW), 5),
+        5,
+        True,
+        {
+            "bandwidth": (62891.30752399488, 118.19603936379114),
+            "amplitude": (1.0031995272781404, 0.0025896164868233163),
+            "offset": (-0.0034716574528473212, 0.0026928917556676077),
+        },
+    ),
+    "sinusoid_speckle": (
+        (
+            SinusoidSpeckle,
+            (0.8, W0, BW),
+            SinusoidSpeckle(contrast=0.5, mod_omega=1.02 * W0, bandwidth=1.2 * BW),
+            6,
+        ),
+        12,
+        True,
+        {
+            "contrast": (0.7995544384706109, 0.003291675784527138),
+            "mod_omega": (314155.897613777, 4.494081247366424),
+            "bandwidth": (62818.9946723618, 117.24780074686407),
+            "amplitude": (0.9994690735203113, 0.002192513395278296),
+            "offset": (0.00042637215225342927, 0.0022596784511360107),
+        },
+    ),
+    "noise_speckle": (
+        (NoiseSpeckle, (GOLDEN_F0, BW), NoiseSpeckle(cutoff_hz=2.6e4, bandwidth=0.7 * BW), 7),
+        6,
+        True,
+        {
+            "cutoff_hz": (20080.306485652418, 56.92451926987196),
+            "bandwidth": (62944.77341826235, 114.96378676667842),
+            "amplitude": (1.0015138520380193, 0.002280137934782498),
+            "offset": (-0.002453754419444314, 0.002351825635356302),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FITS))
+def test_fits_are_pinned(name):
+    (model_cls, theta, start, seed), iterations, converged, expect = _GOLDEN_FITS[name]
+    lag = (np.arange(400) + 0.5) * 1e-6
+    lag = np.concatenate([-lag[::-1], lag])
+    fit = fit_g2(_noisy_curve(model_cls, theta, lag, seed=seed), start)
+    assert fit.iterations == iterations
+    assert fit.converged is converged
+    assert set(fit.params) == set(expect)
+    for key, (value, sigma) in expect.items():
+        assert fit.params[key] == pytest.approx(value, rel=1e-12), key
+        assert fit.sigmas[key] == pytest.approx(sigma, rel=1e-12), key
+
+
+def test_unidentified_parameter_gets_its_own_infinite_sigma():
+    # a modulation in antiphase asks for a negative contrast: the fit ends
+    # on the bound 0, where mod_omega no longer changes the curve
+    tau = (np.arange(400) + 0.5) * 1e-6
+    tau = np.concatenate([-tau[::-1], tau])
+    clean = (1.0 - 0.2 * np.cos(W0 * tau)) * g2_speckle(tau, BW)
+    curve = G2Curve(tau=tau, value=clean, stderr=np.full(tau.size, 0.01))
+    fit = fit_g2(curve, SinusoidSpeckle(contrast=0.3, mod_omega=W0, bandwidth=BW))
+    assert fit.params["contrast"] == 0.0
+    assert fit.converged
+    assert fit.sigmas["mod_omega"] == np.inf
+    for key in ("contrast", "bandwidth", "amplitude", "offset"):
+        assert np.isfinite(fit.sigmas[key]) and fit.sigmas[key] > 0, key

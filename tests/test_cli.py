@@ -249,3 +249,55 @@ def test_analyze_warns_when_background_unresolved(tmp_path, capsys, spread_ns, w
     err = capsys.readouterr().err
     assert ("warning: background unresolved" in err) == warned
     assert sorted(p.name for p in out.iterdir()) == ["g2.csv", "histogram.csv"]
+
+
+def test_simulate_reports_unidentified_parameter_and_exits_zero(tmp_path, capsys):
+    # an unmodulated run ends the sinusoid fit on contrast 0, where the
+    # drive frequency drops out of the curve: only its sigma is unknown
+    path = tmp_path / "flat.ini"
+    path.write_text(
+        CONFIG.replace("seed = 3", "seed = 2")
+        .replace("depth = 0.9", "depth = 0")
+        .replace("bin_s = 1e-6", "bin_s = 0.5e-6")
+        .replace("window_s = 1e-4", "window_s = 2.5e-4")
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    fit = dict(line.split(",", 1) for line in (out / "fit.txt").read_text().splitlines()[6:])
+    assert fit["contrast"].startswith("0.0,")
+    assert fit["mod_omega"].endswith(",inf")
+    for name in ("contrast", "bandwidth", "amplitude", "offset"):
+        assert np.isfinite(float(fit[name].split(",")[1])), name
+    assert "converged: yes" in (out / "fit.txt").read_text()
+
+
+NOISE_CONFIG = """
+[run]
+seed = 4
+duration_s = {duration}
+dt_s = 1e-5
+
+[modulation]
+kind = band_noise
+cutoff_hz = 200
+
+[detection]
+rate_hz = 5e4
+"""
+
+
+@pytest.mark.parametrize("duration,warned", [(0.02, True), (0.1, False)])
+def test_simulate_warns_on_short_noise_trace(tmp_path, capsys, duration, warned):
+    # ten correlation times of a 200 Hz band take 0.05 s
+    path = tmp_path / "noise.ini"
+    path.write_text(NOISE_CONFIG.format(duration=duration))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("warning: short trace" in err) == warned
+    assert sorted(p.name for p in out.iterdir()) == [
+        "g2.csv",
+        "histogram.csv",
+        "manifest.json",
+        "photons.txt",
+    ]
