@@ -25,9 +25,12 @@ from .errors import ConfigError, DataError
 from .pipeline import run_analysis, run_pipeline, run_sweep
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _run_flags(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
     parser.add_argument("--config", "-c", metavar="FILE", help="INI config file")
-    parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    else:
+        parser.set_defaults(seed=None)
     parser.add_argument(
         "--out", "-o", metavar="DIR", default=None, help="output directory"
     )
@@ -51,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run the simulation pipeline")
-    _common_flags(p_sim)
+    _run_flags(p_sim)
 
     p_ana = sub.add_parser("analyze", help="correlate an existing timestamp file")
-    _common_flags(p_ana)
+    _run_flags(p_ana, seed=False)
     p_ana.add_argument("stream", help="photon timestamp file (.txt/.csv or .bin/.phot)")
     p_ana.add_argument(
         "--duration-s",
@@ -65,13 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sw = sub.add_parser("sweep", help="repeat simulate over [sweep] values")
-    _common_flags(p_sw)
+    _run_flags(p_sw)
 
     p_plot = sub.add_parser("plot", help="write a gnuplot script for a g2 CSV")
-    _common_flags(p_plot)
     p_plot.add_argument("data", help="g2 CSV (tau_s,g2[,stderr])")
     p_plot.add_argument(
         "--theory", default=None, metavar="FILE", help="model CSV (tau_s,g2_theory)"
+    )
+    p_plot.add_argument(
+        "--out", "-o", metavar="DIR", default=None, help="output directory (default .)"
     )
     return parser
 
@@ -153,22 +158,10 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _warn(result) -> None:
-    """Print the run's diagnostics to stderr; artifacts do not record them."""
-    if "short-trace" in result.flags:
-        print(
-            "warning: short trace: the run spans fewer than ten correlation times "
-            "of the noise modulation, so its statistics do not self-average "
-            "(lengthen [run] duration_s)",
-            file=sys.stderr,
-        )
-    if result.peak.background_unresolved:
-        print(
-            "warning: background unresolved: the correlation peak fills much of the "
-            "window, so peak/background underestimates the contrast (widen "
-            "[correlator] window_s)",
-            file=sys.stderr,
-        )
+def _warn(warnings, prefix: str = "") -> None:
+    """Print a run's diagnostics to stderr; artifacts do not record them."""
+    for message in warnings:
+        print(f"warning: {prefix}{message}", file=sys.stderr)
 
 
 def _dispatch(args) -> int:
@@ -184,7 +177,7 @@ def _dispatch(args) -> int:
             f"peak/background = {result.peak.ratio:.3f}  "
             f"events = {result.stream.d1.size + result.stream.d2.size}"
         )
-        _warn(result)
+        _warn(result.warnings)
         if result.fit is not None:
             state = "converged" if result.fit.converged else "did not converge"
             print(f"fit {state} after {result.fit.iterations} iterations")
@@ -207,7 +200,7 @@ def _dispatch(args) -> int:
             f"g2(0) = {result.g2_zero:.4f} +- {result.g2_zero_err:.4f}  "
             f"peak/background = {result.peak.ratio:.3f}"
         )
-        _warn(result)
+        _warn(result.warnings)
         if result.fit is not None and not result.fit.converged:
             return 4
         return 0
@@ -216,6 +209,8 @@ def _dispatch(args) -> int:
         cfg, raw = _load(args, True)
         out_dir = args.out or cfg.out_dir
         rows = run_sweep(cfg, raw, out_dir=out_dir, threads=args.threads, fmt=args.fmt)
+        for i, row in enumerate(rows):
+            _warn(row["warnings"], f"point_{i:03d}: ")
         failures = sum(1 for row in rows if row["status"] != "ok")
         print(f"{len(rows)} points, {failures} failed; summary in {out_dir}/summary.csv")
         return 5 if failures else 0

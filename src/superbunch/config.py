@@ -1,13 +1,14 @@
 """Run configuration: a single INI-style file with named sections.
 
 Every key is declared once, with its parser and default: in `_SCHEMA`,
-and for the kind-specific keys of [modulation] in `_MODULATION`.  Every
-section is optional and a missing key takes its default; only [sweep]
-has required keys.  Without [modulation] the config builds with
-`modulation = None`, which analysis accepts and `run_pipeline` rejects.
-An unknown section or key, or an unparsable value, raises ConfigError
-naming the section, the key and the value.  Inline `;` and `#` comments
-are allowed.  See README for the schema.
+for the kind-specific keys of [modulation] in `_MODULATION`, and for the
+`init_*` keys of [analysis] in `INIT`, which also names the fit
+parameter each one starts.  Every section is optional and a missing key
+takes its default; only [sweep] has required keys.  Without [modulation]
+the config builds with `modulation = None`, which analysis accepts and
+`run_pipeline` rejects.  An unknown section or key, or an unparsable
+value, raises ConfigError naming the section, the key and the value.
+Inline `;` and `#` comments are allowed.  See README for the schema.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ _MODULATION = {
     ),
 }
 
+# [analysis] init_* key -> (the fit parameter it starts, factor from the key's unit)
+INIT = {
+    "init_contrast": ("contrast", 1.0),
+    "init_frequency_hz": ("mod_omega", 2 * np.pi),
+    "init_bandwidth_rad_s": ("bandwidth", 1.0),
+    "init_cutoff_hz": ("cutoff_hz", 1.0),
+}
+
 # section -> {key: (parser, default)}
 _SCHEMA = {
     "run": {"seed": (int, 0), "duration_s": (float, 100.0), "dt_s": (float, 1e-5)},
@@ -126,10 +135,7 @@ _SCHEMA = {
     "correlator": {"bin_s": (float, None), "window_s": (float, 5e-4)},
     "analysis": {
         "model": (_choice("none", *analytic.MODELS), "none"),
-        "init_contrast": (float, None),
-        "init_frequency_hz": (float, None),
-        "init_bandwidth_rad_s": (float, None),
-        "init_cutoff_hz": (float, None),
+        **{key: (float, None) for key in INIT},
     },
     "output": {
         "directory": (str.strip, "out"),

@@ -16,12 +16,10 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import analytic
 from ._text import write_csv
 from ._version import __version__
-from .config import RunConfig, apply_override, build_config
+from .config import INIT, RunConfig, apply_override, build_config
 from .correlator import (
     CoincidenceHistogram,
     G2Curve,
@@ -41,9 +39,19 @@ from .detection import (
 )
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
-from .signal import BandNoise, EomDrive, Sinusoid, sample_intensity, write_intensity_csv
+from .signal import IntensityTrace, sample_intensity, write_intensity_csv
 from .speckle import apply_speckle, generate_speckle_field
-from .signal import IntensityTrace
+
+
+# diagnostic -> the warning it gives; artifacts do not record these
+WARNINGS = {
+    "short-trace": "short trace: the run spans fewer than ten correlation times "
+    "of the noise modulation, so its statistics do not self-average "
+    "(lengthen [run] duration_s)",
+    "background-unresolved": "background unresolved: the correlation peak fills much "
+    "of the window, so peak/background underestimates the contrast (widen "
+    "[correlator] window_s)",
+}
 
 
 @dataclass
@@ -59,7 +67,7 @@ class RunResult:
     peak: PeakBackground
     fit: Optional[analytic.FitResult] = None
     paths: dict = dataclasses.field(default_factory=dict)
-    flags: tuple = ()  # synthesis warnings of the simulated intensity trace
+    warnings: tuple = ()  # messages of WARNINGS, for the user and not the artifacts
 
     @property
     def fit_g2_zero(self) -> Optional[float]:
@@ -72,54 +80,26 @@ def initial_model(cfg: RunConfig):
     """Build the theory model instance whose fields seed the fit.
 
     Starting values come from `init_*` keys in [analysis] when given and
-    otherwise from the configured physics, which is the natural guess when
-    analysing a stream produced by the same config.
+    otherwise from the configured physics (`fit_start()` of the
+    modulation), which is the natural guess when analysing a stream
+    produced by the same config.
     """
-    name = cfg.analysis_model
-    if name is None:
+    if cfg.analysis_model is None:
         return None
-    cls = analytic.MODELS.get(name)
-    init = cfg.analysis_init
-    bandwidth = init.get("init_bandwidth_rad_s", cfg.speckle.bandwidth)
-    mod = cfg.modulation
-    if cls is analytic.SpeckleOnly:
-        return cls(bandwidth=bandwidth)
-    if cls is analytic.SinusoidSpeckle:
-        if "init_frequency_hz" in init:
-            omega = 2 * np.pi * init["init_frequency_hz"]
-        elif isinstance(mod, Sinusoid):
-            omega = mod.omega
-        elif isinstance(mod, EomDrive):
-            omega = 2 * np.pi * mod.frequency_hz
-        else:
+    cls = analytic.MODELS[cfg.analysis_model]
+    start = {"contrast": 0.5, "bandwidth": cfg.speckle.bandwidth}
+    if cfg.modulation is not None:
+        start.update(cfg.modulation.fit_start())
+    for key, value in cfg.analysis_init.items():
+        name, scale = INIT[key]
+        start[name] = scale * value
+    for key, (name, _) in INIT.items():
+        if name in cls.names and name not in start:
             raise ConfigError(
-                "[analysis] init_frequency_hz is required for model "
-                f"{name} when the modulation does not define one"
+                f"[analysis] {key} is required for model {cls.name} "
+                "when the modulation does not define one"
             )
-        if "init_contrast" in init:
-            contrast = init["init_contrast"]
-        elif isinstance(mod, Sinusoid):
-            # a depth-d sinusoid gives g2(0) = 2 + d^2, i.e. an effective
-            # correlation parameter d^2 / (2 - d^2)
-            d2 = mod.depth * mod.depth
-            contrast = min(1.0, max(1e-3, d2 / (2.0 - d2)))
-        else:
-            contrast = 0.5
-        return cls(contrast=contrast, mod_omega=omega, bandwidth=bandwidth)
-    if cls is analytic.NoiseSpeckle:
-        if "init_cutoff_hz" in init:
-            cutoff = init["init_cutoff_hz"]
-        elif isinstance(mod, BandNoise):
-            cutoff = mod.cutoff_hz
-        elif isinstance(mod, EomDrive):
-            cutoff = mod.frequency_hz
-        else:
-            raise ConfigError(
-                "[analysis] init_cutoff_hz is required for model "
-                f"{name} when the modulation does not define one"
-            )
-        return cls(cutoff_hz=cutoff, bandwidth=bandwidth)
-    raise ConfigError(f"unknown analysis model {name!r}")
+    return cls(**{name: start[name] for name in cls.names})
 
 
 def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram, fmt: str) -> dict:
@@ -217,6 +197,7 @@ def analyze_stream(
         peak=peak,
         fit=fit,
         paths=paths,
+        warnings=(WARNINGS["background-unresolved"],) if peak.background_unresolved else (),
     )
 
 
@@ -283,7 +264,7 @@ def run_pipeline(
         write_photon_stream(stream, paths["photons"], fmt=fmt)
 
     result = analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
-    result.flags = flags
+    result.warnings = tuple(WARNINGS[flag] for flag in flags) + result.warnings
     if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         with open(paths["manifest"], "w", newline="") as fh:
@@ -341,7 +322,10 @@ def run_sweep(
     the master seed, and a row is appended to out_dir/summary.csv.  A
     point whose config or data is rejected (ConfigError, DataError,
     ValueError) is recorded in its row's status column and the sweep
-    continues; any other exception is a bug and propagates.
+    continues; any other exception is a bug and propagates.  The fit
+    columns are those of the points' own fits, in order of first
+    appearance, so `analysis.model` can be swept too.  Each row's
+    `warnings` holds its run's RunResult.warnings; summary.csv omits them.
     """
     _require_modulation(cfg)
     if cfg.sweep is None:
@@ -349,19 +333,10 @@ def run_sweep(
     sweep = cfg.sweep
     os.makedirs(out_dir, exist_ok=True)
 
-    model_cls = analytic.MODELS.get(cfg.analysis_model)
-    param_names = list(model_cls.names) if model_cls is not None else []
     header = ["parameter", "value", "status", "g2_zero", "g2_zero_err"]
-    if model_cls is not None:
-        header += ["fit_g2_zero", "fit_converged"]
-        for name in param_names:
-            header += [name, f"{name}_err"]
-
     rows = []
     for i, value in enumerate(sweep.values):
-        row = {key: None for key in header}
-        row["parameter"] = sweep.parameter
-        row["value"] = value
+        row = {"parameter": sweep.parameter, "value": value, "warnings": ()}
         point_dir = os.path.join(out_dir, f"point_{i:03d}")
         try:
             raw_i = apply_override(raw, sweep.parameter, value)
@@ -379,13 +354,21 @@ def run_sweep(
         row["status"] = "ok"
         row["g2_zero"] = result.g2_zero
         row["g2_zero_err"] = result.g2_zero_err
+        row["warnings"] = result.warnings
         if result.fit is not None:
-            row["fit_g2_zero"] = result.fit_g2_zero
-            row["fit_converged"] = "yes" if result.fit.converged else "no"
-            for name in param_names:
-                row[name] = result.fit.params[name]
-                row[f"{name}_err"] = result.fit.sigmas[name]
+            fit = {
+                "fit_g2_zero": result.fit_g2_zero,
+                "fit_converged": "yes" if result.fit.converged else "no",
+            }
+            for name in result.fit.model.names:
+                fit[name] = result.fit.params[name]
+                fit[f"{name}_err"] = result.fit.sigmas[name]
+            row.update(fit)
+            header += [key for key in fit if key not in header]
         rows.append(row)
+    for row in rows:
+        for key in header:
+            row.setdefault(key, None)
 
     summary = os.path.join(out_dir, "summary.csv")
     with open(summary, "w", newline="") as fh:

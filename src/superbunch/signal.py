@@ -8,9 +8,14 @@ of a band-limited circular complex Gaussian field so the modulation itself
 has thermal counting statistics).
 
 All traces are uniformly sampled.  Stochastic models are reproducible:
-the same seed always yields the same samples.  Each model class names
-its [modulation] kind in the class attribute `kind`, which is not a
-dataclass field.
+the same seed always yields the same samples.
+
+A modulation kind is one frozen dataclass, plus the entry in
+`config._MODULATION` that declares its [modulation] keys.  The class
+names its kind in the class attribute `kind` (not a dataclass field),
+synthesizes itself in `sample(t0, dt, n, rng) -> (samples, flags)`, and
+names in `fit_start()` the fit parameters its physics implies a start
+for (see `analytic.MODELS`).
 """
 
 from __future__ import annotations
@@ -28,6 +33,17 @@ from ._spectral import (
 from ._text import write_csv
 from .correlator import G2Curve
 from .errors import ConfigError
+
+
+def require_oversampled(dt: float, timescale: float, what: str) -> None:
+    """Raise ConfigError unless dt puts ten samples in `timescale`.
+
+    A coarser grid aliases the correlation curve silently.  `what` names
+    the quantity that sets the timescale, for the error message.
+    """
+    limit = timescale / 10.0
+    if dt > limit * (1 + 1e-9):
+        raise ConfigError(f"dt={dt:g} too coarse for {what} (need dt <= {limit:g})")
 
 
 @dataclass(frozen=True)
@@ -80,6 +96,12 @@ class Constant:
         if not self.base_intensity > 0:
             raise ValueError("base intensity must be positive")
 
+    def sample(self, t0, dt, n, rng):
+        return np.full(n, float(self.base_intensity)), ()
+
+    def fit_start(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -105,6 +127,20 @@ class Sinusoid:
             raise ValueError("drive frequency must be positive")
         if not np.isfinite(self.phase):
             raise ValueError("phase must be finite")
+
+    def sample(self, t0, dt, n, rng):
+        require_oversampled(
+            dt, 2 * np.pi / self.omega, f"modulation at {self.omega:g} rad/s"
+        )
+        t = t0 + np.arange(n) * dt
+        samples = self.base_intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase))
+        return samples, ()
+
+    def fit_start(self) -> dict:
+        # a depth-d sinusoid gives g2(0) = 2 + d^2, i.e. an effective
+        # correlation parameter d^2 / (2 - d^2)
+        d2 = self.depth * self.depth
+        return {"contrast": min(1.0, max(1e-3, d2 / (2.0 - d2))), "mod_omega": self.omega}
 
 
 @dataclass(frozen=True)
@@ -137,6 +173,24 @@ class BandNoise:
         if self.quantization_bits is not None and self.quantization_bits < 1:
             raise ValueError("quantization needs at least 1 bit")
 
+    def sample(self, t0, dt, n, rng):
+        require_oversampled(dt, 1.0 / self.cutoff_hz, f"cutoff {self.cutoff_hz:g} Hz")
+        flags = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
+        a = bandlimited_complex_field(n, dt, self.cutoff_hz / 2.0, rng)
+        samples = np.abs(a) ** 2
+        samples *= self.mean_intensity / samples.mean()
+        if self.clip_level is not None:
+            np.minimum(samples, self.clip_level, out=samples)
+        if self.quantization_bits is not None:
+            top = samples.max()
+            if top > 0:
+                step = top / (2**self.quantization_bits - 1)
+                samples = np.rint(samples / step) * step
+        return samples, flags
+
+    def fit_start(self) -> dict:
+        return {"cutoff_hz": self.cutoff_hz}
+
 
 @dataclass(frozen=True)
 class EomDrive:
@@ -162,6 +216,23 @@ class EomDrive:
             raise ValueError("drive frequency must be positive")
         if self.waveform not in ("sinusoid", "noise"):
             raise ValueError(f"unknown drive waveform {self.waveform!r}")
+
+    def sample(self, t0, dt, n, rng):
+        require_oversampled(
+            dt, 1.0 / self.frequency_hz, f"drive frequency {self.frequency_hz:g} Hz"
+        )
+        if self.vpp == 0.0:
+            v = np.zeros(n)
+        elif self.waveform == "sinusoid":
+            t = t0 + np.arange(n) * dt
+            v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
+        else:
+            v = bandlimited_real_noise(n, dt, self.frequency_hz, rng) * (self.vpp / 6.0)
+            np.clip(v, -0.5 * self.vpp, 0.5 * self.vpp, out=v)
+        return eom_transfer(v, self.transfer), ()
+
+    def fit_start(self) -> dict:
+        return {"mod_omega": 2 * np.pi * self.frequency_hz, "cutoff_hz": self.frequency_hz}
 
 
 ModulationModel = Union[Constant, Sinusoid, BandNoise, EomDrive]
@@ -208,50 +279,6 @@ class IntensityTrace:
         return self.t0 + np.arange(self.samples.size) * self.dt
 
 
-def require_oversampled(dt: float, timescale: float, what: str) -> None:
-    """Raise ConfigError unless dt puts ten samples in `timescale`.
-
-    A coarser grid aliases the correlation curve silently.  `what` names
-    the quantity that sets the timescale, for the error message.
-    """
-    limit = timescale / 10.0
-    if dt > limit * (1 + 1e-9):
-        raise ConfigError(f"dt={dt:g} too coarse for {what} (need dt <= {limit:g})")
-
-
-def _sample_band_noise(model: BandNoise, dt, n, rng) -> tuple[np.ndarray, tuple]:
-    require_oversampled(dt, 1.0 / model.cutoff_hz, f"cutoff {model.cutoff_hz:g} Hz")
-    flags = ()
-    if n * dt < 10.0 / model.cutoff_hz:
-        flags = ("short-trace",)
-    a = bandlimited_complex_field(n, dt, model.cutoff_hz / 2.0, rng)
-    samples = np.abs(a) ** 2
-    samples *= model.mean_intensity / samples.mean()
-    if model.clip_level is not None:
-        np.minimum(samples, model.clip_level, out=samples)
-    if model.quantization_bits is not None:
-        top = samples.max()
-        if top > 0:
-            step = top / (2**model.quantization_bits - 1)
-            samples = np.rint(samples / step) * step
-    return samples, flags
-
-
-def _sample_eom(model: EomDrive, t0, dt, n, rng) -> np.ndarray:
-    require_oversampled(
-        dt, 1.0 / model.frequency_hz, f"drive frequency {model.frequency_hz:g} Hz"
-    )
-    if model.vpp == 0.0:
-        v = np.zeros(n)
-    elif model.waveform == "sinusoid":
-        t = t0 + np.arange(n) * dt
-        v = 0.5 * model.vpp * np.sin(2 * np.pi * model.frequency_hz * t)
-    else:
-        v = bandlimited_real_noise(n, dt, model.frequency_hz, rng) * (model.vpp / 6.0)
-        np.clip(v, -0.5 * model.vpp, 0.5 * model.vpp, out=v)
-    return eom_transfer(v, model.transfer)
-
-
 def sample_intensity(
     model: ModulationModel, t0: float, dt: float, n: int, seed
 ) -> IntensityTrace:
@@ -265,24 +292,7 @@ def sample_intensity(
         raise ValueError("need at least one sample")
     if not dt > 0:
         raise ValueError("sample spacing must be positive")
-    rng = np.random.default_rng(seed)
-    flags = ()
-    if isinstance(model, Constant):
-        samples = np.full(n, float(model.base_intensity))
-    elif isinstance(model, Sinusoid):
-        require_oversampled(
-            dt, 2 * np.pi / model.omega, f"modulation at {model.omega:g} rad/s"
-        )
-        t = t0 + np.arange(n) * dt
-        samples = model.base_intensity * (
-            1.0 + model.depth * np.cos(model.omega * t + model.phase)
-        )
-    elif isinstance(model, BandNoise):
-        samples, flags = _sample_band_noise(model, dt, n, rng)
-    elif isinstance(model, EomDrive):
-        samples = _sample_eom(model, t0, dt, n, rng)
-    else:
-        raise TypeError(f"unknown modulation model {type(model).__name__}")
+    samples, flags = model.sample(t0, dt, n, np.random.default_rng(seed))
     return IntensityTrace(
         t0=t0, dt=dt, samples=samples, mean=float(samples.mean()), flags=flags
     )

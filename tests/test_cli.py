@@ -301,3 +301,52 @@ def test_simulate_warns_on_short_noise_trace(tmp_path, capsys, duration, warned)
         "manifest.json",
         "photons.txt",
     ]
+
+
+def test_sweep_cli_analysis_model(tmp_path, capsys):
+    # each point fits its own model: the fit columns are the union of the
+    # points' parameters, blank where a point's model has no such parameter
+    path = tmp_path / "sweep.ini"
+    path.write_text(
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.2")
+        + "\n[sweep]\nparameter = analysis.model\nvalues = sinusoid_speckle, speckle, none\n"
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    assert [row[1] for row in rows] == ["sinusoid_speckle", "speckle", "none"]
+    assert all(row[2] == "ok" and len(row) == len(header) for row in rows)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert cells[0]["contrast"] and cells[0]["bandwidth"]
+    assert cells[1]["contrast"] == "" and cells[1]["bandwidth"]
+    assert cells[2]["bandwidth"] == "" and cells[2]["fit_g2_zero"] == ""
+
+
+def test_sweep_cli_warns_for_each_point(tmp_path, capsys):
+    path = tmp_path / "noise.ini"
+    path.write_text(
+        NOISE_CONFIG.format(duration=0.02) + "\n[sweep]\nparameter = run.seed\nvalues = 1, 2\n"
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: point_000: short trace:" in err
+    assert "warning: point_001: short trace:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot", "g2.csv", "--config", "run.ini"],
+        ["plot", "g2.csv", "--seed", "1"],
+        ["plot", "g2.csv", "--threads", "2"],
+        ["plot", "g2.csv", "--format", "text"],
+        ["analyze", "photons.txt", "--seed", "1"],
+    ],
+    ids=["plot-config", "plot-seed", "plot-threads", "plot-format", "analyze-seed"],
+)
+def test_flags_without_effect_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

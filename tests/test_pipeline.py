@@ -14,7 +14,7 @@ from superbunch import (
     run_sweep,
 )
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
-from superbunch.config import _MODULATION
+from superbunch.config import _MODULATION, INIT
 from superbunch.pipeline import initial_model, manifest_dict
 
 
@@ -221,3 +221,89 @@ def test_sweep_requires_sweep_section(tmp_path):
     cfg = build_config(_raw())
     with pytest.raises(ConfigError):
         run_sweep(cfg, _raw(), out_dir=tmp_path)
+
+
+# The fit start of every modulation kind x fit model: the fields of
+# initial_model(cfg), or its ConfigError message.  With all four init_* keys
+# given, the kind no longer matters.
+_PIN_KINDS = {
+    "constant": {"intensity": "2.0"},
+    "sinusoid": {"depth": "0.8", "frequency_hz": "40e3"},
+    "band_noise": {"cutoff_hz": "300"},
+    "eom": {"frequency_hz": "30e3", "waveform": "noise"},
+}
+_PIN_INITS = {
+    "init_contrast": "0.3",
+    "init_frequency_hz": "45e3",
+    "init_bandwidth_rad_s": "5000",
+    "init_cutoff_hz": "250",
+}
+_NEEDS = "[analysis] {} is required for model {} when the modulation does not define one"
+_NEED_FREQUENCY = _NEEDS.format("init_frequency_hz", "sinusoid_speckle")
+_NEED_CUTOFF = _NEEDS.format("init_cutoff_hz", "noise_speckle")
+_PIN_STARTS = {
+    ("constant", "speckle"): {"bandwidth": 62831.853},
+    ("constant", "sinusoid_speckle"): _NEED_FREQUENCY,
+    ("constant", "noise_speckle"): _NEED_CUTOFF,
+    ("sinusoid", "speckle"): {"bandwidth": 62831.853},
+    ("sinusoid", "sinusoid_speckle"): {
+        "contrast": 0.4705882352941178,
+        "mod_omega": 251327.41228718346,
+        "bandwidth": 62831.853,
+    },
+    ("sinusoid", "noise_speckle"): _NEED_CUTOFF,
+    ("band_noise", "speckle"): {"bandwidth": 62831.853},
+    ("band_noise", "sinusoid_speckle"): _NEED_FREQUENCY,
+    ("band_noise", "noise_speckle"): {"cutoff_hz": 300.0, "bandwidth": 62831.853},
+    ("eom", "speckle"): {"bandwidth": 62831.853},
+    ("eom", "sinusoid_speckle"): {
+        "contrast": 0.5,
+        "mod_omega": 188495.5592153876,
+        "bandwidth": 62831.853,
+    },
+    ("eom", "noise_speckle"): {"cutoff_hz": 30000.0, "bandwidth": 62831.853},
+}
+_PIN_STARTS_WITH_INITS = {
+    "speckle": {"bandwidth": 5000.0},
+    "sinusoid_speckle": {"contrast": 0.3, "mod_omega": 282743.3388230814, "bandwidth": 5000.0},
+    "noise_speckle": {"cutoff_hz": 250.0, "bandwidth": 5000.0},
+}
+
+
+@pytest.mark.parametrize("with_inits", [False, True], ids=["physics", "inits"])
+@pytest.mark.parametrize("model", ["none", *sorted(analytic.MODELS)])
+@pytest.mark.parametrize("kind", sorted(_MODULATION))
+def test_initial_model_pinned_for_every_kind_and_model(kind, model, with_inits):
+    analysis = {"model": model, **(_PIN_INITS if with_inits else {})}
+    cfg = build_config(
+        {
+            "modulation": {"kind": kind, **_PIN_KINDS[kind]},
+            "speckle": {"bandwidth_rad_s": "62831.853"},
+            "analysis": analysis,
+        }
+    )
+    if model == "none":
+        assert initial_model(cfg) is None
+        return
+    want = _PIN_STARTS_WITH_INITS[model] if with_inits else _PIN_STARTS[kind, model]
+    if isinstance(want, str):
+        with pytest.raises(ConfigError) as err:
+            initial_model(cfg)
+        assert str(err.value) == want
+        return
+    start = initial_model(cfg)
+    assert type(start) is analytic.MODELS[model]
+    assert dataclasses.asdict(start) == want
+
+
+_FIT_PARAMETERS = {name for cls in analytic.MODELS.values() for name in cls.names}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODULATION))
+def test_fit_start_names_fit_parameters(kind):
+    cfg = build_config(_raw(modulation={"kind": kind}))
+    assert set(cfg.modulation.fit_start()) <= _FIT_PARAMETERS
+
+
+def test_each_init_key_starts_a_fit_parameter():
+    assert {name for name, _ in INIT.values()} <= _FIT_PARAMETERS
