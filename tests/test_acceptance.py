@@ -7,6 +7,7 @@ Monte Carlo budgets are sized so every tolerance sits several standard
 errors away from the measured value at the frozen seed.
 """
 
+import functools
 import itertools
 import json
 import time
@@ -200,9 +201,16 @@ def test_06_frequency_invariance():
     _report(6, ok, f"{pts}; max pairwise |diff|/combined sigma = {zmax:.2f} (want <=2)")
 
 
-def test_07_factorization():
-    # 1.0 s spans 1e4 coherence times of the 2*pi*10 kHz speckle
-    seed, dt, n, bin_s, window_s = 1700, 1e-6, 1_000_000, 4e-6, 2e-4
+# Gate of criterion 7, from first principles for 100 bins of z values that
+# are standard normal on correct physics: the chi-square upper 0.999 point
+# with 100 degrees of freedom, and the two-sided Bonferroni bound on the
+# largest |z| at family-wise 1e-3 (per-bin tail 1e-5).
+_CHI2_999_100 = 149.45
+_ZMAX_BONFERRONI = 4.417
+
+
+@functools.lru_cache(maxsize=None)
+def _factorization_run(seed, dt, n, bin_s, window_s):
     det = DetectorConfig(rate_hz=1e4)
     mod = Sinusoid(base_intensity=1.0, depth=0.8, omega=2 * np.pi * 25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
@@ -221,7 +229,19 @@ def test_07_factorization():
         detect_photons(joint, det, substream_seed(seed, "detect-joint")), bin_s, window_s))
     curve_s = normalize_g2(coincidence_histogram(
         detect_photons(speckle_only, det, substream_seed(seed, "detect-speckle")), bin_s, window_s))
+    return curve_j, curve_s
 
+
+def _factorization_z(depth, seed=1700, dt=1e-6, n=1_000_000, bin_s=4e-6, window_s=2e-4):
+    """z per bin of g2_joint - Gamma*g2_speckle, Gamma from a depth-`depth` drive.
+
+    The joint run is always modulated at depth 0.8; any other `depth` is a
+    deliberately wrong prediction.
+    """
+    # 1.0 s spans 1e4 coherence times of the 2*pi*10 kHz speckle
+    curve_j, curve_s = _factorization_run(seed, dt, n, bin_s, window_s)
+    mod = Sinusoid(base_intensity=1.0, depth=depth, omega=2 * np.pi * 25e3)
+    trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
     # modulation autocorrelation predicted per histogram bin: timestamps
     # are uniform within a sample, so a lattice lag spreads over
     # neighboring bins as a unit triangle; integrating it over a bin of
@@ -237,11 +257,27 @@ def test_07_factorization():
 
     diff = curve_j.value - gamma * curve_s.value
     sigma = np.hypot(curve_j.stderr, gamma * curve_s.stderr)
-    zmax = float(np.max(np.abs(diff) / sigma))
-    ok = zmax < 3.0
+    return diff / sigma
+
+
+def _factorization_gate(z):
+    chi2 = float(np.sum(z * z))
+    zmax = float(np.max(np.abs(z)))
+    return chi2 < _CHI2_999_100 and zmax < _ZMAX_BONFERRONI, chi2, zmax
+
+
+def test_07_factorization():
+    z = _factorization_z(0.8)
+    ok, chi2, zmax = _factorization_gate(z)
     _report(7, ok,
-            f"max |g2_joint - Gamma*g2_speckle|/sigma = {zmax:.2f} over {diff.size} bins "
-            f"(want <3)")
+            f"max |g2_joint - Gamma*g2_speckle|/sigma = {zmax:.2f} over {z.size} bins "
+            f"(want <{_ZMAX_BONFERRONI}), sum z^2 = {chi2:.1f} (want <{_CHI2_999_100})")
+
+
+def test_07_gate_rejects_a_wrong_gamma():
+    # negative control: Gamma from a depth-0.6 drive against the depth-0.8 run
+    ok, chi2, zmax = _factorization_gate(_factorization_z(0.6))
+    assert not ok, f"wrong Gamma passed: sum z^2 = {chi2:.1f}, max |z| = {zmax:.2f}"
 
 
 def _brute_force(d1, d2, dtau_ns, half_bins):
