@@ -1,32 +1,39 @@
 """Photon detection: inhomogeneous Poisson sampling and timestamp files.
 
-Photons are generated by thinning: a homogeneous candidate process at a
-ceiling rate is accepted with probability lambda(t)/ceiling, where
-lambda(t) = 2 * rate * I(t) / <I> is the total rate into the beam
-splitter; each accepted photon lands on detector D1 or D2 with an
-independent fair coin.  The trace is processed in fixed blocks of samples
-and every block owns a derived RNG substream, so the result is identical
-no matter how many workers process the blocks.
+The total rate into the beam splitter is lambda_i = 2 * rate * I_i / <I>,
+piecewise constant on the trace's dt grid, so the photon count of sample
+i is exactly Poisson(mu_i) with mu_i = lambda_i * dt, and its photons
+fall uniformly inside the sample (Lewis & Shedler 1979).  The 50:50
+beam splitter sends each photon to detector D1 or D2 with a fair coin.
 
-Within one block the draw order is fixed: candidate count (Poisson), then
-candidate times, acceptance uniforms, channel uniforms, then dark-count
-draws (only when the dark rate is nonzero).  The acceptance comparison is
-monotone in the intensity, so with a shared seed and a shared explicit
-`rate_ceiling_hz` the accepted events of a pointwise-smaller trace are a
-subset of those of a larger one.
+The trace is processed in blocks of `_BLOCK` samples; block b owns the
+generator `substream(seed, "detect", b)`, and the photons of global
+sample i hang off a hash of i alone, so the result does not depend on
+how many workers process the blocks.  Within a block the draws are:
 
-Memory does not grow with the candidate count.  Each uniform takes one
-64-bit output of the block's PCG64 generator, so the three runs of n
-candidate uniforms start at outputs 0, n and 2n after the Poisson draw.
-Three copies of the generator, jumped there with `advance`, are read
-`_CAND` candidates at a time and thinned as they go; the block generator
-then jumps 3n outputs to the dark-count draws.  The draws, and so the
-events, are exactly those of drawing each run whole.
+1. one uniform u_i per sample, in sample order, read `_CHUNK` samples at
+   a time (each uniform is one 64-bit output, so the chunking does not
+   change the values); the count is the inverse-CDF Poisson k_i, the
+   smallest k with u_i < F(k; mu_i);
+2. when the dark rate is nonzero, for D1 and then D2: a Poisson dark
+   count for the block, then one uniform time per dark count.
+
+Photon j (0 <= j < k_i) of global sample i takes the 64-bit word
+w = mix(key ^ (mix(i) + j)), with `mix` the splitmix64 finalizer and
+key = substream_seed(seed, "detect-offsets") mod 2**64.  Its time is
+t0 + (i + (w >> 11) * 2**-53) * dt, and it goes to D1 iff w & 1 == 0.
+
+For a fixed u_i the count is non-decreasing in mu_i, and the photons of
+a sample are the first k_i of a fixed per-sample sequence.  So under a
+shared seed the events of a pointwise-dimmer trace (same declared mean)
+are a per-sample prefix, hence a subset, of those of a brighter one.
+`rate_ceiling_hz` does not enter the draws; it only bounds the rate that
+the pile-up check sees.
 """
 
 from __future__ import annotations
 
-import copy
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,14 +41,11 @@ import numpy as np
 
 from ._text import write_csv
 from .errors import ConfigError, DataError, ResolutionError
-from .seeding import substream
+from .seeding import substream, substream_seed
 from .signal import IntensityTrace
 
 _BLOCK = 1 << 20
-_CAND = 1 << 18
-
-# beam splitter ratio is fixed by the apparatus
-SPLIT = 0.5
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,51 @@ def _quantize(t_s: np.ndarray, res_ns: int, t0_ns: int, end_ns: int) -> np.ndarr
     return np.clip(ticks, t0_ns, end_ns)
 
 
-def _jumped(rng: np.random.Generator, steps: int) -> np.random.Generator:
-    """A generator `steps` 64-bit outputs ahead of `rng`; `rng` is left as is."""
-    bit_generator = copy.deepcopy(rng.bit_generator)
-    bit_generator.advance(steps)
-    return np.random.Generator(bit_generator)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z) -> np.ndarray:
+    """splitmix64 finalizer, elementwise over a uint64 array.
+
+    Works on a 1-D array copy: uint64 array arithmetic wraps silently,
+    where numpy scalars would warn on overflow.
+    """
+    z = np.array(z, dtype=np.uint64, ndmin=1)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _poisson_levels(u: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+    """Inverse-CDF Poisson draws, as levels of the counts.
+
+    The count of element i is k_i, the smallest k with u_i < F(k; mu_i);
+    level j lists, ascending, the i with k_i > j, so photon j of every
+    sample in it exists.  Only the elements still at or above the CDF are
+    walked on.  Past the mode the walk stops once a term no longer changes
+    the CDF, so a u within rounding of 1 cannot run on.  The terms are
+    formed as exp(j log mu - mu - log j!), so a large mu whose exp(-mu)
+    underflows still climbs to its mode.  The count is non-decreasing in
+    mu for a fixed u, except where u lies within rounding of 1: there the
+    CDF's own rounding decides where the walk ends.
+    """
+    cdf = np.exp(-mu)
+    idx = np.flatnonzero(u >= cdf)
+    u, mu, cdf = u.take(idx), mu.take(idx), cdf.take(idx)
+    log_mu = np.log(mu)
+    levels = []
+    j = 0
+    while idx.size:
+        levels.append(idx)
+        j += 1
+        nxt = cdf + np.exp(j * log_mu - mu - math.lgamma(j + 1))
+        go = np.flatnonzero((u >= nxt) & ((nxt != cdf) | (j <= mu)))
+        idx, u, mu, log_mu, cdf = (a.take(go) for a in (idx, u, mu, log_mu, nxt))
+    return levels
 
 
 def detect_photons(
@@ -118,16 +162,13 @@ def detect_photons(
     rate_ceiling_hz: float | None = None,
     threads: int = 1,
 ) -> PhotonStream:
-    """Sample photon timestamps from an intensity trace.
+    """Sample photon timestamps from an intensity trace (see module docstring).
 
-    `rate_ceiling_hz` fixes the thinning ceiling for the total (pre-split)
-    rate; by default each block uses its own maximum.  Supplying the same
-    ceiling and seed across runs couples their candidate processes (see
-    module docstring).  Raises ResolutionError when the ceiling rate and
+    `rate_ceiling_hz`, when given, must be at least the peak total
+    (pre-split) rate and replaces it in the pile-up check; it does not
+    change the draws.  Raises ResolutionError when that rate and the
     timestamp resolution imply more than 0.1 expected events per tick.
     """
-    # lambda = scale * samples is formed only where it is compared; rounding
-    # is monotone, so scale * max(samples) is exactly the largest lambda
     scale = 2.0 * cfg.rate_hz / trace.mean
     lam_top = scale * float(trace.samples.max())
     if rate_ceiling_hz is not None:
@@ -143,43 +184,30 @@ def detect_photons(
     t0_ns = round(trace.t0 * 1e9)
     end_ns = t0_ns + round(trace.duration * 1e9)
     nblocks = (n + _BLOCK - 1) // _BLOCK
+    mu_scale = scale * trace.dt
+    key = np.uint64(substream_seed(seed, "detect-offsets") % (1 << 64))
 
     def run_block(b: int) -> tuple[np.ndarray, np.ndarray]:
         rng = substream(seed, "detect", b)
         i0 = b * _BLOCK
         i1 = min(n, i0 + _BLOCK)
-        span = i1 - i0
-        dur = span * trace.dt
-        block = trace.samples[i0:i1]
-        ceiling = scale * float(block.max()) if rate_ceiling_hz is None else float(rate_ceiling_hz)
-        n_cand = int(rng.poisson(ceiling * dur)) if ceiling > 0 else 0
-        # the time, acceptance and channel uniforms are three consecutive runs
-        # of n_cand draws of rng; read each from its own jumped copy, in chunks
-        u_gens = [_jumped(rng, k * n_cand) for k in range(3)]
-        rng.bit_generator.advance(3 * n_cand)
         parts_ts, parts_ch1 = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
-        # the chunks share these buffers: allocating them afresh for each
-        # chunk made thinning slower than drawing whole runs
-        uniforms = np.empty((3, min(_CAND, n_cand)))
-        idx_buf = np.empty(uniforms.shape[1], dtype=np.intp)
-        lam_buf = np.empty(uniforms.shape[1])
-        for c0 in range(0, n_cand, _CAND):
-            m = min(_CAND, n_cand - c0)
-            u_time, u_accept, u_chan = uniforms[:, :m]
-            idx, lam = idx_buf[:m], lam_buf[:m]
-            for gen, out in zip(u_gens, (u_time, u_accept, u_chan)):
-                gen.random(out=out)
-            np.multiply(u_time, span, out=lam)
-            idx[:] = lam  # truncates, as astype does
-            np.minimum(idx, span - 1, out=idx)
-            np.take(block, idx, out=lam)
-            lam *= scale
-            u_accept *= ceiling
-            keep = u_accept < lam
-            t_s = trace.t0 + (i0 + u_time[keep] * span) * trace.dt
+        u = np.empty(min(_CHUNK, i1 - i0))
+        for c0 in range(i0, i1, _CHUNK):
+            m = min(_CHUNK, i1 - c0)
+            rng.random(out=u[:m])
+            levels = _poisson_levels(u[:m], trace.samples[c0:c0 + m] * mu_scale)
+            if not levels:
+                continue
+            # photon j of sample i, for every i in level j
+            i = np.concatenate(levels) + c0
+            j = np.repeat(np.arange(len(levels), dtype=np.uint64), [a.size for a in levels])
+            w = _mix(key ^ (_mix(i) + j))
+            t_s = trace.t0 + (i + (w >> np.uint64(11)) * 2.0**-53) * trace.dt
             parts_ts.append(_quantize(t_s, res_ns, t0_ns, end_ns))
-            parts_ch1.append(u_chan[keep] < SPLIT)
+            parts_ch1.append((w & np.uint64(1)) == 0)
         if cfg.dark_rate_hz > 0:
+            dur = (i1 - i0) * trace.dt
             t_start = trace.t0 + i0 * trace.dt
             for is_d1 in (True, False):
                 n_dark = int(rng.poisson(cfg.dark_rate_hz * dur))
@@ -199,8 +227,10 @@ def detect_photons(
             parts = list(pool.map(run_block, range(nblocks)))
     d1 = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
     d2 = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
+    # both ends are whole nanoseconds, so this is the decimal duration
+    # (samples * dt need not be: 200000 * 1e-6 = 0.19999999999999998)
     return PhotonStream(
-        d1=d1, d2=d2, resolution_ns=res_ns, duration_s=trace.duration, t0_ns=t0_ns
+        d1=d1, d2=d2, resolution_ns=res_ns, duration_s=(end_ns - t0_ns) / 1e9, t0_ns=t0_ns
     )
 
 

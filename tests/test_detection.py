@@ -1,5 +1,7 @@
 import hashlib
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,8 +94,24 @@ def test_monotone_coupling_with_shared_ceiling():
     assert b.d1.size + b.d2.size > a.d1.size + a.d2.size
 
 
+def test_monotone_coupling_without_a_ceiling():
+    # the ceiling no longer shapes the draws: the dimmer trace's events
+    # are still a subset of the brighter one's, block peaks and all
+    rng = np.random.default_rng(8)
+    bright = rng.random(1_500_000) + 0.5
+    t_bright = IntensityTrace(0.0, 1e-5, bright, 1.0)
+    t_dim = IntensityTrace(0.0, 1e-5, 0.4 * bright, 1.0)
+    cfg = DetectorConfig(rate_hz=1e3, resolution_s=1e-9)
+    a = detect_photons(t_dim, cfg, seed=9)
+    b = detect_photons(t_bright, cfg, seed=9, threads=2)
+    assert np.all(np.isin(a.d1, b.d1)) and np.all(np.isin(a.d2, b.d2))
+    assert b.d1.size + b.d2.size > a.d1.size + a.d2.size
+
+
 def _golden_trace():
-    # exact in binary: the digests below must not hinge on libm
+    # exact in binary: the digests below must not hinge on libm (the
+    # counts use exp and log, but only a uniform within rounding of a CDF
+    # step could tell two implementations apart)
     k = np.arange(1_200_000)  # two detection blocks
     samples = 1.0 + (k % 97) / 96.0
     return IntensityTrace(0.0, 1e-6, samples, 1.5)
@@ -110,15 +128,16 @@ def _stream_digest(stream):
 _GOLDEN = {
     "default_ceiling": (
         dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={}),
-        "32e5c63df836e7159dbfd6b36649a628c5d4f117e6cf861bb6b0adaa8be64d1b",
+        "5e6c56d89f7fbfc4eaa66af2c3d5eadc6826ce1ee2a87a8bb542b0a5e56bbfd6",
     ),
+    # a ceiling does not enter the draws: same events as without one
     "explicit_ceiling": (
         dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={"rate_ceiling_hz": 1e6}),
-        "173112cb857bb28bcfc49fde79713670922ea14a3ed1c27a776cdae50a086672",
+        "5e6c56d89f7fbfc4eaa66af2c3d5eadc6826ce1ee2a87a8bb542b0a5e56bbfd6",
     ),
     "dark_counts_two_threads": (
         dict(cfg=DetectorConfig(rate_hz=1e5, dark_rate_hz=5e3), kwargs={"threads": 2}),
-        "892922236d6c3a03f04759f1e02cb16ca7c66e5d4c5dda4129d4172e9d990694",
+        "8c7a146cbb1f8750171d52960ef5e4ab1d068f2d404e7193c5fa6dc102c5b0a3",
     ),
 }
 
@@ -133,31 +152,34 @@ def test_realizations_are_pinned(case):
     assert _stream_digest(stream) == digest
 
 
-def _sparse_trace():
-    # two blocks with only a few thousand candidates each
-    k = np.arange(1_100_000)
-    return IntensityTrace(0.0, 1e-6, 1.0 + (k % 89) / 88.0, 1.5)
+def _short_trace():
+    # a few thousand samples at up to two photons per sample on average
+    k = np.arange(5_000)
+    return IntensityTrace(0.0, 1e-3, 1.0 + (k % 89) / 88.0, 1.5)
 
 
-@pytest.mark.parametrize("cand", [1, 5, 1000])
-def test_candidate_chunks_do_not_change_events(monkeypatch, cand):
+@pytest.mark.parametrize("chunk", [1, 5, 1000])
+def test_sample_chunks_do_not_change_events(monkeypatch, chunk):
+    # blocks of 2048 samples keep the trace several blocks long, with a
+    # partial last block, while a chunk of one sample stays affordable
+    monkeypatch.setattr("superbunch.detection._BLOCK", 2048)
     cases = [
-        (DetectorConfig(rate_hz=1e3), {}),
-        (DetectorConfig(rate_hz=1e3), {"rate_ceiling_hz": 6e3}),
-        (DetectorConfig(rate_hz=1e3, dark_rate_hz=300.0), {"threads": 2}),
+        (DetectorConfig(rate_hz=500.0), {}),
+        (DetectorConfig(rate_hz=500.0), {"rate_ceiling_hz": 3e3}),
+        (DetectorConfig(rate_hz=500.0, dark_rate_hz=300.0), {"threads": 2}),
     ]
-    trace = _sparse_trace()
+    trace = _short_trace()
     expected = [detect_photons(trace, cfg, seed=7, **kw) for cfg, kw in cases]
-    monkeypatch.setattr("superbunch.detection._CAND", cand)
+    monkeypatch.setattr("superbunch.detection._CHUNK", chunk)
     for (cfg, kw), want in zip(cases, expected):
         got = detect_photons(trace, cfg, seed=7, **kw)
+        assert want.n1 > 1000 and want.n2 > 1000
         assert np.array_equal(got.d1, want.d1)
         assert np.array_equal(got.d2, want.d2)
 
 
-def test_detection_memory_is_bounded_by_the_candidate_chunk():
-    # one block thinned from a ceiling far above the intensity: about
-    # 4 million candidates, of which about 1% are kept
+def test_detection_memory_is_bounded_by_the_sample_chunk():
+    # one block of 2**20 samples at about 0.04 expected photons each
     trace = IntensityTrace(0.0, 1e-6, np.ones(1 << 20), 1.0)
     cfg = DetectorConfig(rate_hz=2e4)
     tracemalloc.start()
@@ -168,9 +190,100 @@ def test_detection_memory_is_bounded_by_the_candidate_chunk():
         tracemalloc.stop()
     events = stream.n1 + stream.n2
     assert 3e4 < events < 5e4
-    bound = 80 * detection._CAND + 64 * events
+    bound = 80 * detection._CHUNK + 64 * events
     assert peak < bound, f"peak {peak / 1e6:.1f} MB"
-    assert 3 * 8 * 4e6 > 3 * bound  # whole-block candidate arrays would not fit
+    # holding a whole block's uniforms, mu and CDF would not fit
+    assert 3 * 8 * detection._BLOCK > bound
+
+
+def _counts(u, mu):
+    levels = detection._poisson_levels(u, mu)
+    for lo, hi in zip(levels, levels[1:]):
+        assert np.all(np.isin(hi, lo))  # each level is within the one below
+    return np.bincount(np.concatenate([[]] + levels).astype(int), minlength=u.size)
+
+
+def _poisson_cdf(k, mu):
+    return sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(k + 1))
+
+
+def test_poisson_counts_small_cases():
+    mu = np.full(5, 1.0)
+    # F(0..3; 1) = 0.3679, 0.7358, 0.9197, 0.9810
+    u = np.array([0.0, 0.3, 0.5, 0.8, 0.95])
+    assert _counts(u, mu).tolist() == [0, 0, 1, 2, 3]
+    assert _counts(u, np.zeros(5)).tolist() == [0] * 5
+    # against the textbook CDF, away from its steps
+    rng = np.random.default_rng(0)
+    for m in (0.01, 0.5, 3.0, 20.0):
+        u = rng.random(2000)
+        want = []
+        for x in u:
+            k = 0
+            while x >= _poisson_cdf(k, m):
+                k += 1
+            want.append(k)
+        got = _counts(u, np.full(u.size, m))
+        near_step = np.array([abs(x - _poisson_cdf(k, m)) < 1e-12 for x, k in zip(u, want)])
+        assert np.array_equal(got[~near_step], np.array(want)[~near_step])
+
+
+def test_poisson_counts_are_monotone_in_mu():
+    mu = np.linspace(0.0, 30.0, 3001)
+    u = np.random.default_rng(1).random(500).tolist() + [0.0, 0.5, 1 - 1e-9]
+    for x in u:
+        k = _counts(np.full(mu.size, x), mu)
+        assert np.all(np.diff(k) >= 0), x
+
+
+def test_poisson_counts_terminate_near_one_and_past_underflow():
+    u = np.array([1 - 2.0**-53])
+    k = int(_counts(u, np.array([100.0]))[0])
+    assert 150 < k < 300
+    # exp(-800) underflows to 0; the walk must still reach the median
+    k = int(_counts(np.array([0.5]), np.array([800.0]))[0])
+    assert abs(k - 800) <= 1
+
+
+def test_mix_is_splitmix64():
+    def reference(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    # the first output of splitmix64 seeded with 0
+    assert int(detection._mix(0x9E3779B97F4A7C15)[0]) == 0xE220A8397B1DCDAF
+    z = [0, 1, 2, 2**63, 2**64 - 1, 0x0123456789ABCDEF]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = detection._mix(np.array(z, dtype=np.uint64))
+    assert [int(x) for x in got] == [reference(x) for x in z]
+
+
+def test_per_sample_counts_are_poisson():
+    # constant trace at mu = 2 photons per 1 ms sample; holds for any
+    # exact sampler of the piecewise-constant rate, thinning included
+    n, dt = 20_000, 1e-3
+    trace = IntensityTrace(0.0, dt, np.ones(n), 1.0)
+    stream = detect_photons(trace, DetectorConfig(rate_hz=1e3), seed=12)
+    ts = np.concatenate([stream.d1, stream.d2])
+    counts = np.bincount(np.bincount(ts // 1_000_000, minlength=n), minlength=9)
+    observed = np.append(counts[:8], counts[8:].sum())
+    pmf = np.array([math.exp(-2.0) * 2.0**j / math.factorial(j) for j in range(8)])
+    expected = n * np.append(pmf, 1 - pmf.sum())
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < 27.88  # chi-square upper 0.999 point, 9 dof
+
+
+def test_offsets_are_uniform_within_a_sample():
+    n, dt = 20_000, 1e-3
+    trace = IntensityTrace(0.0, dt, np.ones(n), 1.0)
+    stream = detect_photons(trace, DetectorConfig(rate_hz=1e3), seed=13)
+    frac = np.concatenate([stream.d1, stream.d2]) % 1_000_000 / 1e6
+    observed = np.bincount((frac * 20).astype(int), minlength=20)
+    expected = frac.size / 20
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < 43.82  # chi-square upper 0.999 point, 19 dof
 
 
 def test_ceiling_below_peak_rejected():
