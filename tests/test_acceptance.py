@@ -207,10 +207,13 @@ def test_06_frequency_invariance():
 # largest |z| at family-wise 1e-3 (per-bin tail 1e-5).
 _CHI2_999_100 = 149.45
 _ZMAX_BONFERRONI = 4.417
+# 1.0 s spans 1e4 coherence times of the 2*pi*10 kHz speckle
+_DT7, _N7, _BIN7, _WINDOW7 = 1e-6, 1_000_000, 4e-6, 2e-4
 
 
 @functools.lru_cache(maxsize=None)
-def _factorization_run(seed, dt, n, bin_s, window_s):
+def _factorization_run(seed):
+    dt, n, bin_s, window_s = _DT7, _N7, _BIN7, _WINDOW7
     det = DetectorConfig(rate_hz=1e4)
     mod = Sinusoid(base_intensity=1.0, depth=0.8, omega=2 * np.pi * 25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
@@ -232,14 +235,14 @@ def _factorization_run(seed, dt, n, bin_s, window_s):
     return curve_j, curve_s
 
 
-def _factorization_z(depth, seed=1700, dt=1e-6, n=1_000_000, bin_s=4e-6, window_s=2e-4):
+def _factorization_z(depth, seed=1700):
     """z per bin of g2_joint - Gamma*g2_speckle, Gamma from a depth-`depth` drive.
 
     The joint run is always modulated at depth 0.8; any other `depth` is a
     deliberately wrong prediction.
     """
-    # 1.0 s spans 1e4 coherence times of the 2*pi*10 kHz speckle
-    curve_j, curve_s = _factorization_run(seed, dt, n, bin_s, window_s)
+    dt, n, bin_s, window_s = _DT7, _N7, _BIN7, _WINDOW7
+    curve_j, curve_s = _factorization_run(seed)
     mod = Sinusoid(base_intensity=1.0, depth=depth, omega=2 * np.pi * 25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
     # modulation autocorrelation predicted per histogram bin: timestamps

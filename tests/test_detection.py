@@ -153,7 +153,7 @@ def test_realizations_are_pinned(case):
 
 
 def _short_trace():
-    # a few thousand samples at up to two photons per sample on average
+    # a few thousand samples at about one photon each
     k = np.arange(5_000)
     return IntensityTrace(0.0, 1e-3, 1.0 + (k % 89) / 88.0, 1.5)
 
@@ -179,7 +179,8 @@ def test_sample_chunks_do_not_change_events(monkeypatch, chunk):
 
 
 def test_detection_memory_is_bounded_by_the_sample_chunk():
-    # one block of 2**20 samples at about 0.04 expected photons each
+    # one block of 2**20 samples at about 0.04 expected photons each; a
+    # ceiling far above the intensity no longer draws extra candidates
     trace = IntensityTrace(0.0, 1e-6, np.ones(1 << 20), 1.0)
     cfg = DetectorConfig(rate_hz=2e4)
     tracemalloc.start()
