@@ -56,20 +56,13 @@ from .signal import (
     sample_intensity,
     write_intensity_csv,
 )
-from .speckle import (
-    ComplexFieldTrace,
-    SpeckleParams,
-    apply_speckle,
-    field_autocorrelation,
-    generate_speckle_field,
-)
+from .speckle import SpeckleParams, apply_speckle, generate_speckle_field
 
 __all__ = [
     "__version__",
     "COMPILED",
     "BandNoise",
     "CoincidenceHistogram",
-    "ComplexFieldTrace",
     "ConfigError",
     "Constant",
     "DataError",
@@ -95,7 +88,6 @@ __all__ = [
     "coincidence_histogram",
     "detect_photons",
     "eom_transfer",
-    "field_autocorrelation",
     "fit_g2",
     "g2_noise",
     "g2_sinusoid",

@@ -6,6 +6,11 @@ for every FFT mode inside the band and transforming back.  The normalized
 field autocorrelation of a flat band of total width B (Hz) is
 sinc(pi*B*tau), so the intensity |a(t)|^2 has autocorrelation
 1 + sinc^2(pi*B*tau) by the Gaussian moment theorem.
+
+That intensity is thermal light, and the package uses it twice: as the
+rotating ground-glass speckle and as the noise modulation.  Both draw it
+from `bandlimited_intensity`, so for equal band, mean and generator state
+the two are the same samples.
 """
 
 import numpy as np
@@ -35,6 +40,15 @@ def bandlimited_complex_field(
     coef[mask] = (re + 1j * im) / np.sqrt(2.0)
     # ifft scales by 1/n; each of the m modes carries unit power
     return np.fft.ifft(coef) * (n / np.sqrt(m))
+
+
+def bandlimited_intensity(
+    n: int, dt: float, half_band_hz: float, mean: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Thermal intensity |a|^2 of `bandlimited_complex_field`, empirical mean `mean`."""
+    samples = np.abs(bandlimited_complex_field(n, dt, half_band_hz, rng)) ** 2
+    samples *= mean / samples.mean()
+    return samples
 
 
 def bandlimited_real_noise(

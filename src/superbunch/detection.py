@@ -27,8 +27,6 @@ For a fixed u_i the count is non-decreasing in mu_i, and the photons of
 a sample are the first k_i of a fixed per-sample sequence.  So under a
 shared seed the events of a pointwise-dimmer trace (same declared mean)
 are a per-sample prefix, hence a subset, of those of a brighter one.
-`rate_ceiling_hz` does not enter the draws; it only bounds the rate that
-the pile-up check sees.
 """
 
 from __future__ import annotations
@@ -78,7 +76,6 @@ class PhotonStream:
     d2: np.ndarray
     resolution_ns: int
     duration_s: float
-    t0_ns: int = 0
 
     def __post_init__(self):
         for name in ("d1", "d2"):
@@ -159,22 +156,15 @@ def detect_photons(
     cfg: DetectorConfig,
     seed: int,
     *,
-    rate_ceiling_hz: float | None = None,
     threads: int = 1,
 ) -> PhotonStream:
     """Sample photon timestamps from an intensity trace (see module docstring).
 
-    `rate_ceiling_hz`, when given, must be at least the peak total
-    (pre-split) rate and replaces it in the pile-up check; it does not
-    change the draws.  Raises ResolutionError when that rate and the
+    Raises ResolutionError when the peak total (pre-split) rate and the
     timestamp resolution imply more than 0.1 expected events per tick.
     """
     scale = 2.0 * cfg.rate_hz / trace.mean
     lam_top = scale * float(trace.samples.max())
-    if rate_ceiling_hz is not None:
-        if rate_ceiling_hz < lam_top:
-            raise ValueError("rate ceiling below the peak instantaneous rate")
-        lam_top = float(rate_ceiling_hz)
     if lam_top * cfg.resolution_s > 0.1:
         raise ResolutionError(
             f"peak rate {lam_top:g} Hz exceeds 0.1 events per {cfg.resolution_s:g} s tick"
@@ -229,9 +219,7 @@ def detect_photons(
     d2 = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
     # both ends are whole nanoseconds, so this is the decimal duration
     # (samples * dt need not be: 200000 * 1e-6 = 0.19999999999999998)
-    return PhotonStream(
-        d1=d1, d2=d2, resolution_ns=res_ns, duration_s=(end_ns - t0_ns) / 1e9, t0_ns=t0_ns
-    )
+    return PhotonStream(d1=d1, d2=d2, resolution_ns=res_ns, duration_s=(end_ns - t0_ns) / 1e9)
 
 
 # ---------------------------------------------------------------------------

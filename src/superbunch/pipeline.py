@@ -39,7 +39,7 @@ from .detection import (
 )
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
-from .signal import IntensityTrace, sample_intensity, write_intensity_csv
+from .signal import sample_intensity, write_intensity_csv
 from .speckle import apply_speckle, generate_speckle_field
 
 
@@ -232,8 +232,8 @@ def run_pipeline(
         cfg.modulation, 0.0, cfg.dt_s, n, substream_seed(cfg.seed, "modulation")
     )
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
-    field = generate_speckle_field(params, 0.0, cfg.dt_s, n)
-    joint = apply_speckle(trace, field)
+    speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n)
+    joint = apply_speckle(trace, speckle)
 
     paths: dict = {}
     if out_dir is not None:
@@ -241,16 +241,9 @@ def run_pipeline(
         if cfg.write_trace:
             paths["modulation"] = os.path.join(out_dir, "modulation.csv")
             write_intensity_csv(trace, paths["modulation"])
-            speckle_trace = IntensityTrace(
-                t0=field.t0,
-                dt=field.dt,
-                samples=field.intensity(),
-                mean=field.mean_intensity,
-            )
             paths["speckle"] = os.path.join(out_dir, "speckle.csv")
-            write_intensity_csv(speckle_trace, paths["speckle"])
-            del speckle_trace
-    del trace, field  # keep peak memory at one trace from here on
+            write_intensity_csv(speckle, paths["speckle"])
+    del trace, speckle  # keep peak memory at one trace from here on
 
     stream = detect_photons(
         joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads

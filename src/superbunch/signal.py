@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._spectral import (
-    bandlimited_complex_field,
+    bandlimited_intensity,
     bandlimited_real_noise,
     full_overlap_autocorrelation,
 )
@@ -176,9 +176,7 @@ class BandNoise:
     def sample(self, t0, dt, n, rng):
         require_oversampled(dt, 1.0 / self.cutoff_hz, f"cutoff {self.cutoff_hz:g} Hz")
         flags = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
-        a = bandlimited_complex_field(n, dt, self.cutoff_hz / 2.0, rng)
-        samples = np.abs(a) ** 2
-        samples *= self.mean_intensity / samples.mean()
+        samples = bandlimited_intensity(n, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng)
         if self.clip_level is not None:
             np.minimum(samples, self.clip_level, out=samples)
         if self.quantization_bits is not None:

@@ -1,10 +1,15 @@
-"""Pseudothermal speckle field from the rotating ground glass.
+"""Pseudothermal speckle intensity from the rotating ground glass.
 
 A detector behind the ground glass sees one speckle whose complex field is
 a stationary circular Gaussian process.  A flat angular spectrum of total
 width `bandwidth` (rad/s) gives the field autocorrelation
 gamma(tau) = sinc(bandwidth * tau / 2), hence intensity correlation
 1 + sinc^2(bandwidth * tau / 2) and the thermal value g2(0) = 2.
+
+Only the intensity reaches the detectors, so the speckle is synthesized
+and carried as an intensity trace.  It is the same thermal process as the
+`BandNoise` modulation with `cutoff_hz = bandwidth / (2 pi)`, and both
+draw it from `_spectral.bandlimited_intensity`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import bandlimited_complex_field, full_overlap_autocorrelation
+from ._spectral import bandlimited_intensity
 from .signal import IntensityTrace, require_oversampled
 
 
@@ -36,37 +41,10 @@ class SpeckleParams:
             raise ValueError("gain must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexFieldTrace:
-    """Uniformly sampled complex speckle field."""
-
-    t0: float
-    dt: float
-    samples: np.ndarray
-    mean_intensity: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if not self.dt > 0:
-            raise ValueError("sample spacing must be positive")
-        if not self.mean_intensity > 0:
-            raise ValueError("mean intensity must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
-
-
 def generate_speckle_field(
     params: SpeckleParams, t0: float, dt: float, n: int
-) -> ComplexFieldTrace:
-    """Synthesize `n` field samples; |E|^2 has empirical mean equal to gain.
+) -> IntensityTrace:
+    """Synthesize `n` speckle intensity samples with empirical mean gain.
 
     Requires the grid to oversample the coherence time: dt must be at most
     2 pi / (10 * bandwidth).
@@ -78,26 +56,22 @@ def generate_speckle_field(
     )
     rng = np.random.default_rng(params.seed)
     # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
-    field = bandlimited_complex_field(n, dt, params.bandwidth / (4 * np.pi), rng)
-    intensity = np.abs(field) ** 2
-    field = field * np.sqrt(params.gain / intensity.mean())
-    return ComplexFieldTrace(
-        t0=t0, dt=dt, samples=field, mean_intensity=params.gain
-    )
+    samples = bandlimited_intensity(n, dt, params.bandwidth / (4 * np.pi), params.gain, rng)
+    return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=params.gain)
 
 
-def apply_speckle(trace: IntensityTrace, field: ComplexFieldTrace) -> IntensityTrace:
-    """Multiply a modulation trace by the speckle intensity |E(t)|^2.
+def apply_speckle(trace: IntensityTrace, speckle: IntensityTrace) -> IntensityTrace:
+    """Multiply a modulation trace by the speckle intensity.
 
     Both inputs must live on the identical sample grid.
     """
     if (
-        trace.t0 != field.t0
-        or trace.dt != field.dt
-        or trace.samples.size != field.samples.size
+        trace.t0 != speckle.t0
+        or trace.dt != speckle.dt
+        or trace.samples.size != speckle.samples.size
     ):
-        raise ValueError("modulation trace and speckle field grids do not match")
-    samples = trace.samples * field.intensity()
+        raise ValueError("modulation and speckle trace grids do not match")
+    samples = trace.samples * speckle.samples
     return IntensityTrace(
         t0=trace.t0,
         dt=trace.dt,
@@ -105,13 +79,3 @@ def apply_speckle(trace: IntensityTrace, field: ComplexFieldTrace) -> IntensityT
         mean=float(samples.mean()),
         flags=trace.flags,
     )
-
-
-def field_autocorrelation(field: ComplexFieldTrace, max_lag: float) -> np.ndarray:
-    """|gamma(tau)|^2 of the field on its sample grid, lags 0..max_lag.
-
-    gamma is the normalized first-order correlation
-    <E*(t) E(t+tau)> / <|E|^2>, estimated over the full overlap by FFT.
-    """
-    raw = full_overlap_autocorrelation(field.samples, field.dt, max_lag)
-    return np.abs(raw / field.intensity().mean()) ** 2

@@ -37,7 +37,7 @@ from superbunch import (
 )
 from superbunch.cli import main
 from superbunch.seeding import substream_seed
-from superbunch.signal import IntensityTrace, modulation_autocorrelation
+from superbunch.signal import modulation_autocorrelation
 
 BW = 2 * np.pi * 1e4  # speckle bandwidth used throughout
 
@@ -176,7 +176,6 @@ def _segmented_g2_zero(stream, bin_s, window_s, nseg=10):
             d2=stream.d2[(stream.d2 >= lo) & (stream.d2 < hi)],
             resolution_ns=stream.resolution_ns,
             duration_s=(hi - lo) / 1e9,
-            t0_ns=int(lo),
         )
         vals.append(g2_zero_estimate(coincidence_histogram(seg, bin_s, window_s))[0])
     vals = np.asarray(vals)
@@ -217,21 +216,18 @@ def _factorization_run(seed):
     det = DetectorConfig(rate_hz=1e4)
     mod = Sinusoid(base_intensity=1.0, depth=0.8, omega=2 * np.pi * 25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
-    field = generate_speckle_field(
+    speckle = generate_speckle_field(
         SpeckleParams(bandwidth=BW, gain=1.0, seed=substream_seed(seed, "speckle")),
         0.0, dt, n,
     )
     # same speckle realization with and without modulation; independent
     # detection substreams keep the two runs' shot noise uncorrelated so
     # the pointwise error bars are exact
-    joint = apply_speckle(trace, field)
-    speckle_only = IntensityTrace(
-        t0=field.t0, dt=field.dt, samples=field.intensity(), mean=field.mean_intensity
-    )
+    joint = apply_speckle(trace, speckle)
     curve_j = normalize_g2(coincidence_histogram(
         detect_photons(joint, det, substream_seed(seed, "detect-joint")), bin_s, window_s))
     curve_s = normalize_g2(coincidence_histogram(
-        detect_photons(speckle_only, det, substream_seed(seed, "detect-speckle")), bin_s, window_s))
+        detect_photons(speckle, det, substream_seed(seed, "detect-speckle")), bin_s, window_s))
     return curve_j, curve_s
 
 
@@ -313,8 +309,7 @@ def test_08_brute_force_oracle():
         d2 = np.sort(rng.integers(0, span, n2) // quant * quant)
         dtau_ns = int(rng.integers(1, 1000))
         half_bins = int(rng.integers(10, 40))
-        stream = PhotonStream(d1=d1, d2=d2, resolution_ns=1,
-                              duration_s=(span + 1) / 1e9, t0_ns=0)
+        stream = PhotonStream(d1=d1, d2=d2, resolution_ns=1, duration_s=(span + 1) / 1e9)
         hist = coincidence_histogram(stream, dtau_ns * 1e-9, dtau_ns * half_bins * 1e-9)
         assert hist.half_bins == half_bins
         expect = _brute_force(d1, d2, dtau_ns, half_bins)

@@ -77,26 +77,9 @@ def test_seed_changes_results():
     assert not np.array_equal(a.d1, b.d1)
 
 
-def test_monotone_coupling_with_shared_ceiling():
-    # two traces with the same declared mean and a shared explicit ceiling:
-    # the dimmer trace's events are a subset of the brighter one's
-    rng = np.random.default_rng(8)
-    bright = rng.random(200_000) + 0.5
-    dim = 0.4 * bright
-    t_bright = IntensityTrace(0.0, 1e-5, bright, 1.0)
-    t_dim = IntensityTrace(0.0, 1e-5, dim, 1.0)
-    cfg = DetectorConfig(rate_hz=1e4, resolution_s=1e-9)
-    ceiling = 2 * 1e4 * bright.max() / 1.0
-    a = detect_photons(t_dim, cfg, seed=9, rate_ceiling_hz=ceiling)
-    b = detect_photons(t_bright, cfg, seed=9, rate_ceiling_hz=ceiling)
-    assert set(a.d1).issubset(set(b.d1))
-    assert set(a.d2).issubset(set(b.d2))
-    assert b.d1.size + b.d2.size > a.d1.size + a.d2.size
-
-
 def test_monotone_coupling_without_a_ceiling():
-    # the ceiling no longer shapes the draws: the dimmer trace's events
-    # are still a subset of the brighter one's, block peaks and all
+    # under a shared seed the dimmer trace's events are a subset of the
+    # brighter one's, across blocks of different peaks and thread counts
     rng = np.random.default_rng(8)
     bright = rng.random(1_500_000) + 0.5
     t_bright = IntensityTrace(0.0, 1e-5, bright, 1.0)
@@ -130,11 +113,6 @@ _GOLDEN = {
         dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={}),
         "5e6c56d89f7fbfc4eaa66af2c3d5eadc6826ce1ee2a87a8bb542b0a5e56bbfd6",
     ),
-    # a ceiling does not enter the draws: same events as without one
-    "explicit_ceiling": (
-        dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={"rate_ceiling_hz": 1e6}),
-        "5e6c56d89f7fbfc4eaa66af2c3d5eadc6826ce1ee2a87a8bb542b0a5e56bbfd6",
-    ),
     "dark_counts_two_threads": (
         dict(cfg=DetectorConfig(rate_hz=1e5, dark_rate_hz=5e3), kwargs={"threads": 2}),
         "8c7a146cbb1f8750171d52960ef5e4ab1d068f2d404e7193c5fa6dc102c5b0a3",
@@ -165,7 +143,6 @@ def test_sample_chunks_do_not_change_events(monkeypatch, chunk):
     monkeypatch.setattr("superbunch.detection._BLOCK", 2048)
     cases = [
         (DetectorConfig(rate_hz=500.0), {}),
-        (DetectorConfig(rate_hz=500.0), {"rate_ceiling_hz": 3e3}),
         (DetectorConfig(rate_hz=500.0, dark_rate_hz=300.0), {"threads": 2}),
     ]
     trace = _short_trace()
@@ -179,13 +156,12 @@ def test_sample_chunks_do_not_change_events(monkeypatch, chunk):
 
 
 def test_detection_memory_is_bounded_by_the_sample_chunk():
-    # one block of 2**20 samples at about 0.04 expected photons each; a
-    # ceiling far above the intensity no longer draws extra candidates
+    # one block of 2**20 samples at about 0.04 expected photons each
     trace = IntensityTrace(0.0, 1e-6, np.ones(1 << 20), 1.0)
     cfg = DetectorConfig(rate_hz=2e4)
     tracemalloc.start()
     try:
-        stream = detect_photons(trace, cfg, seed=2, rate_ceiling_hz=4e6)
+        stream = detect_photons(trace, cfg, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,12 +261,6 @@ def test_offsets_are_uniform_within_a_sample():
     expected = frac.size / 20
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     assert chi2 < 43.82  # chi-square upper 0.999 point, 19 dof
-
-
-def test_ceiling_below_peak_rejected():
-    cfg = DetectorConfig(rate_hz=1e4, resolution_s=1e-9)
-    with pytest.raises(ValueError):
-        detect_photons(_constant_trace(1.0), cfg, seed=0, rate_ceiling_hz=1e3)
 
 
 def test_pileup_guard():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -82,6 +83,41 @@ def test_write_trace_artifacts(tmp_path):
     assert (tmp_path / "speckle.csv").exists()
     data = np.loadtxt(tmp_path / "modulation.csv", delimiter=",", skiprows=1)
     assert data.shape[0] == cfg.samples
+
+
+_CHAIN_PINS = {
+    "sinusoid": (
+        {"run": {"duration_s": "0.2"}},
+        "b182047afe8d2c087ee5ce42dd2c2bb5a01b42aafbeeacfea48340e350a259a7",
+    ),
+    "clipped_8bit_band_noise": (
+        {
+            "run": {"duration_s": "0.2"},
+            "modulation": {
+                "kind": "band_noise",
+                "cutoff_hz": "2000",
+                "clip_level": "realistic",
+                "quantization_bits": "8",
+            },
+        },
+        "3fbf0ecde366c5f2263d70400ac3181ca5cee41159791d7d758721a64706c966",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_PINS))
+def test_simulate_chain_is_pinned(case):
+    # modulation, speckle, apply and detection end to end; a photon
+    # stream, unlike a float trace, does not hinge on the last bits of
+    # the FFT or libm
+    overrides, digest = _CHAIN_PINS[case]
+    stream = run_pipeline(build_config(_raw(**overrides))).stream
+    assert stream.n1 > 1000 and stream.n2 > 1000
+    h = hashlib.sha256()
+    h.update(stream.d1.astype("<i8").tobytes())
+    h.update(b"|")
+    h.update(stream.d2.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_seed_changes_stream():

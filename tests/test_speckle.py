@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from superbunch import (
+    BandNoise,
     ConfigError,
     Constant,
     IntensityTrace,
     SpeckleParams,
     apply_speckle,
-    field_autocorrelation,
+    g2_speckle,
     generate_speckle_field,
+    modulation_autocorrelation,
     sample_intensity,
 )
 
@@ -17,16 +19,16 @@ BW = 2 * np.pi * 10e3  # default speckle bandwidth used throughout
 
 
 def test_field_mean_is_exactly_gain():
-    field = generate_speckle_field(SpeckleParams(bandwidth=BW, gain=2.5, seed=1), 0.0, 1e-5, 50_000)
-    assert field.intensity().mean() == pytest.approx(2.5, abs=1e-12)
-    assert field.mean_intensity == pytest.approx(2.5, abs=1e-12)
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, gain=2.5, seed=1), 0.0, 1e-5, 50_000)
+    assert speckle.samples.mean() == pytest.approx(2.5, abs=1e-12)
+    assert speckle.mean == 2.5
 
 
 def test_intensity_is_negative_exponential():
     # single polarized speckle: P(I) = exp(-I/<I>)/<I>, so <I^2>/<I>^2 = 2
     # and <I^3>/<I>^3 = 6
-    field = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=2), 0.0, 1e-5, 1_000_000)
-    intensity = field.intensity()
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=2), 0.0, 1e-5, 1_000_000)
+    intensity = speckle.samples
     m = intensity.mean()
     assert np.mean(intensity**2) / m**2 == pytest.approx(2.0, abs=0.1)
     assert np.mean(intensity**3) / m**3 == pytest.approx(6.0, abs=1.0)
@@ -34,14 +36,20 @@ def test_intensity_is_negative_exponential():
     assert np.median(intensity) / m == pytest.approx(np.log(2.0), abs=0.05)
 
 
-def test_field_autocorrelation_matches_sinc():
-    field = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=3), 0.0, 1e-5, 1_000_000)
-    gamma_sq = field_autocorrelation(field, 2e-4)
-    tau = np.arange(gamma_sq.size) * 1e-5
-    x = BW * tau / 2
-    expected = np.where(x == 0, 1.0, np.sin(np.where(x == 0, 1, x)) / np.where(x == 0, 1, x)) ** 2
-    assert gamma_sq[0] == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(gamma_sq - expected)) < 0.05
+def test_intensity_autocorrelation_matches_g2_speckle():
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=3), 0.0, 1e-5, 1_000_000)
+    curve = modulation_autocorrelation(speckle, 2e-4)
+    assert np.max(np.abs(curve.value - g2_speckle(curve.tau, BW))) < 0.02
+
+
+def test_speckle_is_band_noise_of_the_same_band():
+    # the ground glass and the noise modulation are one thermal process:
+    # equal band, mean and seed give the same samples
+    bw, gain, dt, n = 2 * np.pi * 3e3, 1.7, 1e-5, 4096
+    model = BandNoise(mean_intensity=gain, cutoff_hz=bw / (2 * np.pi))
+    noise = sample_intensity(model, 0.0, dt, n, 12)
+    speckle = generate_speckle_field(SpeckleParams(bw, gain, 12), 0.0, dt, n)
+    assert np.array_equal(noise.samples, speckle.samples)
 
 
 def test_determinism():
@@ -61,20 +69,20 @@ def test_dt_guard():
 
 def test_apply_speckle_multiplies():
     trace = sample_intensity(Constant(2.0), 0.0, 1e-5, 2048, 0)
-    field = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
-    joint = apply_speckle(trace, field)
-    assert np.allclose(joint.samples, trace.samples * field.intensity())
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
+    joint = apply_speckle(trace, speckle)
+    assert np.array_equal(joint.samples, trace.samples * speckle.samples)
     assert joint.mean == pytest.approx(joint.samples.mean())
 
 
 def test_apply_speckle_rejects_mismatched_grid():
     trace = sample_intensity(Constant(1.0), 0.0, 1e-5, 1024, 0)
-    field = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
     with pytest.raises(ValueError):
-        apply_speckle(trace, field)
-    field2 = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 1e-3, 1e-5, 1024)
+        apply_speckle(trace, speckle)
+    shifted = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 1e-3, 1e-5, 1024)
     with pytest.raises(ValueError):
-        apply_speckle(trace, field2)
+        apply_speckle(trace, shifted)
 
 
 def test_speckle_params_validation():
@@ -86,6 +94,6 @@ def test_speckle_params_validation():
 
 def test_trace_flags_carried_through():
     trace = IntensityTrace(0.0, 1e-5, np.ones(2048), 1.0, flags=("short-trace",))
-    field = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
-    joint = apply_speckle(trace, field)
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
+    joint = apply_speckle(trace, speckle)
     assert "short-trace" in joint.flags
