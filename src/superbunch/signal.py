@@ -305,7 +305,7 @@ def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve
     functional of the trace.
     """
     raw = full_overlap_autocorrelation(trace.samples, trace.dt, max_lag)
-    gamma = raw.real / trace.samples.mean() ** 2
+    gamma = raw / trace.samples.mean() ** 2
     tau = np.arange(gamma.size) * trace.dt
     return G2Curve(tau=tau, value=gamma, stderr=np.zeros_like(gamma))
 

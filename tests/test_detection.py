@@ -305,6 +305,18 @@ def test_text_format_layout(tmp_path):
     assert path.read_text() == "1,100\n2,200\n1,300\n"
 
 
+def test_text_photons_golden_bytes(tmp_path):
+    # channel then timestamp in plain decimal: a zero, a tie between the
+    # detectors (channel 1 first) and a timestamp past 2**32
+    d1 = np.array([0, 5, 1_000_000_007, 2**40 + 3])
+    stream = PhotonStream(d1, np.array([5, 17, 999]), 1, 2000.0)
+    path = tmp_path / "photons.txt"
+    write_photon_stream(stream, path)
+    assert path.read_bytes() == (
+        b"1,0\n1,5\n2,5\n2,17\n2,999\n1,1000000007\n1,1099511627779\n"
+    )
+
+
 def test_text_writer_chunk_boundaries(tmp_path, monkeypatch):
     # rows are formatted in chunks; a boundary must not drop or double a line
     monkeypatch.setattr("superbunch._text._CHUNK_ROWS", 2)

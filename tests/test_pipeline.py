@@ -102,6 +102,13 @@ _CHAIN_PINS = {
         },
         "3fbf0ecde366c5f2263d70400ac3181ca5cee41159791d7d758721a64706c966",
     ),
+    "eom_noise": (
+        {
+            "run": {"duration_s": "0.2"},
+            "modulation": {"kind": "eom", "waveform": "noise", "vpp": "8", "frequency_hz": "20e3"},
+        },
+        "b3219e9ba3701b5abb8111a199baa29e6e90c6a9fea3bf2d0ff6b3e58d785281",
+    ),
 }
 
 

@@ -1,0 +1,122 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from superbunch import _spectral
+
+
+def _one_shot(n, dt, half_band_hz, seed):
+    # the same draws in the same order, placed on every n-point mode and
+    # transformed at once
+    rng = np.random.default_rng(seed)
+    mask = np.abs(np.fft.fftfreq(n, dt)) <= half_band_hz * (1.0 + 1e-12)
+    m = int(mask.sum())
+    re = rng.standard_normal(m)
+    im = rng.standard_normal(m)
+    coef = np.zeros(n, dtype=np.complex128)
+    coef[mask] = (re + 1j * im) / np.sqrt(2.0)
+    return np.fft.ifft(coef) * (n / np.sqrt(m)), m
+
+
+def _max_rel(got, want):
+    # relative to the largest sample: an intensity near zero has no useful
+    # elementwise relative error
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# (n, dt, half band): the transform length n_c and phase count L they give
+_CASES = {
+    "L>1": (200_000, 1e-6, 5e3),  # m 2001, n_c 2500, L 80
+    "prime_n": (10_007, 1e-4, 300.0),  # L 1: one n-point transform
+    "odd_n": (9_009, 1e-4, 200.0),  # m 361, n_c 429, L 21
+    "n_c_equals_m": (1_000, 1e-3, 62.0),  # m 125 = n_c, L 8
+    "whole_band": (1_000, 1e-3, 600.0),  # every mode, Nyquist included
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_interleaved_synthesis_matches_one_shot_transform(case):
+    n, dt, half_band = _CASES[case]
+    field, m = _one_shot(n, dt, half_band, seed=4)
+    p, q = _spectral._band_modes(n, dt, half_band)
+    assert p + q == m
+    intensity = np.abs(field) ** 2
+    got = _spectral.bandlimited_intensity(n, dt, half_band, 2.5, np.random.default_rng(4))
+    assert _max_rel(got, intensity * (2.5 / intensity.mean())) <= 1e-12
+    noise = np.sqrt(2.0) * field.real
+    got = _spectral.bandlimited_real_noise(n, dt, half_band, np.random.default_rng(4))
+    assert _max_rel(got, noise / noise.std()) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 3 * 2500, 1 << 30])
+def test_batch_size_does_not_change_samples(monkeypatch, batch):
+    # one phase per transform, three (written out eight phases at a time,
+    # so each group ends in a batch of two) and all 80 phases at once
+    monkeypatch.setattr(_spectral, "_BATCH", batch)
+    n, dt, half_band = _CASES["L>1"]
+    field, _ = _one_shot(n, dt, half_band, seed=4)
+    intensity = np.abs(field) ** 2
+    got = _spectral.bandlimited_intensity(n, dt, half_band, 1.0, np.random.default_rng(4))
+    assert _max_rel(got, intensity / intensity.mean()) <= 1e-12
+
+
+def test_case_geometry():
+    # the cases above cover what their names say
+    def geometry(n, dt, half_band):
+        m = sum(_spectral._band_modes(n, dt, half_band))
+        n_c = _spectral._transform_length(n, m)
+        return m, n_c, n // n_c
+
+    assert geometry(*_CASES["L>1"]) == (2001, 2500, 80)
+    assert geometry(*_CASES["prime_n"])[1:] == (10_007, 1)
+    assert geometry(*_CASES["odd_n"]) == (361, 429, 21)
+    assert geometry(*_CASES["n_c_equals_m"]) == (125, 125, 8)
+    assert geometry(*_CASES["whole_band"]) == (1000, 1000, 1)
+
+
+@pytest.mark.parametrize("n, dt", [(1000, 1e-3), (1001, 1e-3), (999, 3e-4), (3000, 1e-5)])
+def test_band_edge_on_a_mode(n, dt):
+    # an edge of k * step / (1 + 1e-12) ties with mode k after the
+    # tolerance, and edge / step then rounds to either side of k; the mode
+    # count must follow fftfreq all the same
+    freqs = np.abs(np.fft.fftfreq(n, dt))
+    half = (n - 1) // 2 + 1
+    step = 1.0 / (n * dt)
+    for k in range(1, n // 2 + 1):
+        tie = k * step / (1.0 + 1e-12)
+        for edge in (k * step, tie, np.nextafter(tie, 0), np.nextafter(tie, np.inf)):
+            mask = freqs <= edge * (1.0 + 1e-12)
+            want = (int(mask[:half].sum()), int(mask[half:].sum()))
+            assert _spectral._band_modes(n, dt, edge) == want
+
+
+def test_transform_length_is_smallest_divisor_at_least_m():
+    for n in (2, 12, 97, 1000, 30_030, 65_536):
+        for m in (1, 2, 5, 11, 25, 26, n // 3 + 1, n):
+            if m > n:
+                continue
+            want = min(d for d in range(1, n + 1) if n % d == 0 and d >= m)
+            assert _spectral._transform_length(n, m) == want
+
+
+def test_synthesis_memory_stays_near_its_output():
+    # README speckle at 2M samples: 20001 modes, n_c 25000, L 80; a one-shot
+    # n-point complex transform traces several 32 MB arrays
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        samples = _spectral.bandlimited_intensity(n, 1e-6, 5e3, 1.0, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.nbytes == 8 * n
+    assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_synthesis_rejects_degenerate_input():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="2 samples"):
+        _spectral.bandlimited_intensity(1, 1e-3, 10.0, 1.0, rng)
+    with pytest.raises(ValueError, match="positive"):
+        _spectral.bandlimited_real_noise(100, 1e-3, 0.0, rng)
