@@ -41,16 +41,10 @@ def _band_modes(n: int, dt: float, half_band_hz: float) -> tuple[int, int]:
     step = 1.0 / (n * dt)
     # tolerate rounding at the band edge so the mode count is stable
     edge = half_band_hz * (1.0 + 1e-12)
-
-    def inside(limit):  # how many of k = 1..limit have k * step <= edge
-        k = min(limit, int(edge / step))
-        while k < limit and (k + 1) * step <= edge:
-            k += 1
-        while k > 0 and k * step > edge:
-            k -= 1
-        return k
-
-    return 1 + inside((n - 1) // 2), inside(n // 2)
+    # edge / step is within rounding of the last in-band k: test its neighbours
+    near = min(int(edge / step), n) + np.arange(-1, 2)
+    last = int(near[near * step <= edge].max())
+    return 1 + min(last, (n - 1) // 2), min(last, n // 2)
 
 
 def _transform_length(n: int, m: int) -> int:
@@ -62,15 +56,6 @@ def _transform_length(n: int, m: int) -> int:
                 if m <= c < best:
                     best = c
     return best
-
-
-def _roots(j: np.ndarray, n: int) -> np.ndarray:
-    """e^{2 pi i j / n} for integers |j| < n."""
-    angle = (2 * np.pi / n) * j
-    out = np.empty(angle.shape, dtype=np.complex128)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
 
 
 def _synthesize(n, dt, half_band_hz, rng, reduce) -> np.ndarray:
@@ -97,7 +82,7 @@ def _synthesize(n, dt, half_band_hz, rng, reduce) -> np.ndarray:
     phases = n // n_c
     rows = max(1, min(phases, _BATCH // n_c))
     # e^{2 pi i k s / n} for the phases s of one batch, relative to its first
-    twiddle = _roots(np.outer(np.arange(rows), k), n)
+    twiddle = np.exp((2j * np.pi / n) * np.outer(np.arange(rows), k))
     # a phase's samples sit `phases` apart in the output, so phases are
     # staged and written at least eight (a 64-byte line of floats) at a
     # time; fewer per pass would touch every line of the output each pass
@@ -110,11 +95,12 @@ def _synthesize(n, dt, half_band_hz, rng, reduce) -> np.ndarray:
         g1 = min(g0 + group, phases)
         for s0 in range(g0, g1, rows):
             w = twiddle[: g1 - s0]
-            start = coef * _roots(k * s0, n)
+            start = coef * np.exp((2j * np.pi / n) * (k * s0))
             batch = buffer[: len(w)]
             batch[:, p : n_c - q] = 0
             np.multiply(w[:, :p], start[:p], out=batch[:, :p])
             np.multiply(w[:, p:], start[p:], out=batch[:, n_c - q :])
+            # in place (`out` needs numpy 2): a fresh array per batch is slower
             np.fft.ifft(batch, axis=1, norm="forward", out=batch)
             reduce(batch, stage[s0 - g0 : s0 - g0 + len(w)])
         grid[:, g0:g1] = stage[: g1 - g0].T
