@@ -80,23 +80,27 @@ def _sinusoid(tau, c, w0):
     return value, (d_c, d_w0)
 
 
+def _thermal(x, dx, outer=1.0):
+    """1 + sinc^2(x), the factor of thermal light, and a derivative column.
+
+    `dx` is the derivative of x by the parameter, and `outer` the factor
+    this one multiplies.  `outer` enters the product first, so the column
+    rounds as the left-to-right product outer * 2 s sinc'(x) * dx that
+    tests/test_analytic.py pins.
+    """
+    s = _sinc(x)
+    return 1.0 + s * s, outer * 2.0 * s * _dsinc(x) * dx
+
+
 def _noise(tau, f0):
     """Thermal-statistics noise over a flat band f0 wide."""
-    x = np.pi * f0 * tau
-    s = _sinc(x)
-    return 1.0 + s * s, (2.0 * s * _dsinc(x) * (np.pi * tau),)
+    value, d_f0 = _thermal(np.pi * f0 * tau, np.pi * tau)
+    return value, (d_f0,)
 
 
 def _speckle(tau, bw, outer=1.0):
-    """The speckle factor, and the bandwidth derivative of `outer` times it.
-
-    `outer` is the modulation factor the speckle factor multiplies.  It
-    enters the product first, so the column rounds as the left-to-right
-    product outer * 2 s sinc'(x) * tau/2 that tests/test_analytic.py pins.
-    """
-    x = tau * bw / 2.0
-    s = _sinc(x)
-    return 1.0 + s * s, outer * 2.0 * s * _dsinc(x) * (tau / 2.0)
+    """The speckle factor, and the bandwidth derivative of `outer` times it."""
+    return _thermal(tau * bw / 2.0, tau / 2.0, outer)
 
 
 class _Product:

@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from ._text import read_csv
 from .config import build_config, load_config
 from .errors import ConfigError, DataError
 from .pipeline import run_analysis, run_pipeline, run_sweep
@@ -97,26 +98,6 @@ def _load(args, need_config: bool):
     return cfg, raw
 
 
-def _read_curve_csv(path, min_cols: int):
-    """Read a small CSV of numbers with a one-line header."""
-    try:
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.lower().startswith("tau_s"):
-                raise DataError(f"{path}: expected a 'tau_s,...' header")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if data.size == 0:
-        raise DataError(f"{path}: no data rows")
-    if data.shape[1] < min_cols:
-        raise DataError(f"{path}: expected at least {min_cols} columns")
-    return data
-
-
 def _gnuplot_block(name: str, rows) -> list:
     lines = [f"${name} << EOD"]
     for row in rows:
@@ -126,7 +107,7 @@ def _gnuplot_block(name: str, rows) -> list:
 
 
 def _cmd_plot(args) -> int:
-    data = _read_curve_csv(args.data, 2)
+    data = read_csv(args.data, 2, header="tau_s")
     have_err = data.shape[1] >= 3 and bool(np.any(data[:, 2] > 0))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -148,7 +129,7 @@ def _cmd_plot(args) -> int:
     else:
         plots.append('$data using 1:2 with points pointtype 7 pointsize 0.35 title "data"')
     if args.theory is not None:
-        theory = _read_curve_csv(args.theory, 2)
+        theory = read_csv(args.theory, 2, header="tau_s")
         lines += _gnuplot_block("theory", theory[:, :2])
         plots.append('$theory using 1:2 with lines linewidth 2 title "model"')
     lines.append("plot " + ", \\\n     ".join(plots))

@@ -13,8 +13,10 @@ any physical window.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -147,20 +149,10 @@ def coincidence_histogram(
     i0, i1 = d1_range if d1_range is not None else (0, d1.size)
     if not (0 <= i0 <= i1 <= d1.size):
         raise ValueError("d1_range out of bounds")
-    if threads <= 1 or i1 - i0 < 2:
-        counts = _kernels.pair_histogram(d1, d2, dtau_ns, half_bins, i0, i1)
-    else:
-        edges = np.linspace(i0, i1, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _kernels.pair_histogram(
-                        d1, d2, dtau_ns, half_bins, se[0], se[1]
-                    ),
-                    zip(edges[:-1], edges[1:]),
-                )
-            )
-        counts = np.sum(parts, axis=0, dtype=np.int64)
+    edges = np.linspace(i0, i1, threads + 1).astype(int)
+    count = partial(_kernels.pair_histogram, d1, d2, dtau_ns, half_bins)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        counts = np.sum(list(pool.map(count, edges[:-1], edges[1:])), axis=0, dtype=np.int64)
     return CoincidenceHistogram(
         dtau_ns=dtau_ns,
         half_bins=half_bins,
@@ -171,34 +163,30 @@ def coincidence_histogram(
     )
 
 
-def normalize_g2(hist: CoincidenceHistogram, symmetric: bool = False) -> G2Curve:
+def normalize_g2(hist: CoincidenceHistogram) -> G2Curve:
     """Normalize counts by the accidental rate: g2 = counts * T / (N1 N2 dtau).
 
-    Statistical errors are Poisson: g2 / sqrt(counts).  A zero-count bin
-    gets value 0 and a one-count upper bound as its error.  With
-    `symmetric` the two bins at each |lag| are pooled and the curve is
-    returned on positive lags only.
+    The curve has one point per bin, at the bin centres.  Statistical
+    errors are Poisson: g2 / sqrt(counts).  A zero-count bin gets value 0
+    and a one-count upper bound as its error.
     """
     scale = hist.duration_s / (hist.n1 * hist.n2 * hist.bin_s)
-    if symmetric:
-        pos = hist.counts[hist.half_bins :]
-        neg = hist.counts[: hist.half_bins][::-1]
-        counts = pos + neg
-        tau = (np.arange(hist.half_bins) + 0.5) * hist.bin_s
-        scale = scale / 2.0
-    else:
-        counts = hist.counts
-        tau = hist.bin_centers_s()
-    value = counts * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stderr = np.where(counts > 0, value / np.sqrt(np.maximum(counts, 1)), scale)
-    return G2Curve(tau=tau, value=value, stderr=stderr)
+    value = hist.counts * scale
+    stderr = np.where(hist.counts > 0, value / np.sqrt(np.maximum(hist.counts, 1)), scale)
+    return G2Curve(tau=hist.bin_centers_s(), value=value, stderr=stderr)
 
 
 def g2_zero_estimate(hist: CoincidenceHistogram) -> tuple[float, float]:
-    """Zero-lag estimate (value, stderr): the two innermost bins, pooled."""
-    curve = normalize_g2(hist, symmetric=True)
-    return float(curve.value[0]), float(curve.stderr[0])
+    """Zero-lag estimate (value, stderr) from the two innermost bins, pooled.
+
+    The bins just either side of zero lag are summed and normalized as one
+    bin of twice the width, with normalize_g2's Poisson error and its
+    one-count bound when both are empty.
+    """
+    scale = hist.duration_s / (hist.n1 * hist.n2 * hist.bin_s) / 2.0
+    counts = int(hist.counts[hist.half_bins - 1] + hist.counts[hist.half_bins])
+    value = counts * scale
+    return value, (value / math.sqrt(counts) if counts else scale)
 
 
 @dataclass(frozen=True)

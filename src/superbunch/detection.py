@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import write_csv
+from ._text import line_of, read_csv, write_csv
 from .errors import ConfigError, DataError, ResolutionError
 from .seeding import substream, substream_seed
 from .signal import IntensityTrace
@@ -210,13 +210,9 @@ def detect_photons(
         ts, ch1 = ts[order], ch1[order]
         return ts[ch1], ts[~ch1]
 
-    if threads <= 1 or nblocks == 1:
-        parts = [run_block(b) for b in range(nblocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_block, range(nblocks)))
-    d1 = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-    d2 = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run_block, range(nblocks)))
+    d1, d2 = (np.concatenate(channel) for channel in zip(*parts))
     # both ends are whole nanoseconds, so this is the decimal duration
     # (samples * dt need not be: 200000 * 1e-6 = 0.19999999999999998)
     return PhotonStream(d1=d1, d2=d2, resolution_ns=res_ns, duration_s=(end_ns - t0_ns) / 1e9)
@@ -273,17 +269,6 @@ def write_photon_stream(stream: PhotonStream, path, fmt: str | None = None) -> N
             fh.write(rec.tobytes())
 
 
-def _split_channels(ts, ch, where: str) -> tuple[np.ndarray, np.ndarray]:
-    bad = (ch != 1) & (ch != 2)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise DataError(f"invalid channel {int(ch[pos])} at {where} {pos + 1}")
-    if ts.size > 1 and np.any(np.diff(ts) < 0):
-        pos = int(np.argmax(np.diff(ts) < 0)) + 1
-        raise DataError(f"timestamps not sorted at {where} {pos + 1}")
-    return ts[ch == 1], ts[ch == 2]
-
-
 def read_photon_stream(
     path,
     fmt: str | None = None,
@@ -294,55 +279,42 @@ def read_photon_stream(
 
     The files carry no header, so the acquisition duration is not stored;
     pass `duration_s` for exact rate normalization (otherwise it is
-    inferred as the last timestamp plus one resolution tick).
+    inferred as the last timestamp plus one resolution tick).  A missing
+    or malformed file raises DataError naming the path and the line or
+    record at fault.
     """
-    kind = _format_for(path, fmt)
-    if kind == "text":
-        ts, ch = _read_text(path)
-        where = "line"
+    if _format_for(path, fmt) == "text":
+        data = read_csv(path, 2, dtype=np.int64, exact=True)
+        ts, ch = data[:, 1], data[:, 0]
+        at = lambda i: f"line {line_of(path, i)}"
     else:
         ts, ch = _read_binary(path)
-        where = "record"
+        at = lambda i: f"record {i + 1}"
     if ts.size == 0:
         raise DataError(f"{path}: no events")
-    d1, d2 = _split_channels(ts, ch, where)
+    bad = (ch != 1) & (ch != 2)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise DataError(f"{path}: invalid channel {int(ch[pos])} at {at(pos)}")
+    if np.any(np.diff(ts) < 0):
+        pos = int(np.argmax(np.diff(ts) < 0)) + 1
+        raise DataError(f"{path}: timestamps not sorted at {at(pos)}")
     if duration_s is None:
         duration_s = (int(ts.max()) + resolution_ns) * 1e-9
     return PhotonStream(
-        d1=d1, d2=d2, resolution_ns=resolution_ns, duration_s=duration_s
+        d1=ts[ch == 1], d2=ts[ch == 2], resolution_ns=resolution_ns, duration_s=duration_s
     )
 
 
-def _read_text(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-    except ValueError:
-        # slow pass to point at the offending line
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.strip().split(",")
-                if len(parts) != 2:
-                    raise DataError(f"{path}: malformed record on line {lineno}")
-                try:
-                    int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise DataError(f"{path}: malformed record on line {lineno}")
-        raise DataError(f"{path}: malformed text stream")
-    if data.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    if data.shape[1] != 2:
-        raise DataError(f"{path}: expected 2 columns, found {data.shape[1]}")
-    return data[:, 1], data[:, 0]
-
-
 def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     rem = len(raw) % _BINARY_DTYPE.itemsize
     if rem:
-        raise DataError(
-            f"{path}: truncated record at byte {len(raw) - rem}"
-        )
+        raise DataError(f"{path}: truncated record at byte {len(raw) - rem}")
     rec = np.frombuffer(raw, dtype=_BINARY_DTYPE)
     ts = rec["timestamp_ns"]
     wraps = ts > np.iinfo(np.int64).max

@@ -82,7 +82,9 @@ def initial_model(cfg: RunConfig):
     Starting values come from `init_*` keys in [analysis] when given and
     otherwise from the configured physics (`fit_start()` of the
     modulation), which is the natural guess when analysing a stream
-    produced by the same config.
+    produced by the same config.  A start outside the model's bounds, or
+    a window too narrow for the fit, raises ConfigError naming the key,
+    so a run fails before any synthesis or reading.
     """
     if cfg.analysis_model is None:
         return None
@@ -93,12 +95,22 @@ def initial_model(cfg: RunConfig):
     for key, value in cfg.analysis_init.items():
         name, scale = INIT[key]
         start[name] = scale * value
-    for key, (name, _) in INIT.items():
-        if name in cls.names and name not in start:
+    key_of = {name: key for key, (name, _) in INIT.items()}
+    for name, (lo, hi) in zip(cls.names, cls.bounds):
+        if name not in start:
             raise ConfigError(
-                f"[analysis] {key} is required for model {cls.name} "
+                f"[analysis] {key_of[name]} is required for model {cls.name} "
                 "when the modulation does not define one"
             )
+        if not lo <= start[name] <= hi:
+            raise ConfigError(
+                f"[analysis] {key_of[name]}: the fit start {name} = {start[name]:g} "
+                f"is outside its bounds [{lo:g}, {hi:g}]"
+            )
+    # fit_g2 needs five curve points per parameter, amplitude and offset included
+    bins, needed = 2 * round(cfg.window_s / cfg.bin_s), 5 * (len(cls.names) + 2)
+    if bins < needed:
+        raise ConfigError(f"[correlator] window_s gives {bins} bins; {cls.name} needs {needed}")
     return cls(**{name: start[name] for name in cls.names})
 
 

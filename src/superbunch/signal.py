@@ -183,7 +183,9 @@ class BandNoise:
             top = samples.max()
             if top > 0:
                 step = top / (2**self.quantization_bits - 1)
-                samples = np.rint(samples / step) * step
+                samples /= step
+                np.rint(samples, out=samples)
+                samples *= step
         return samples, flags
 
     def fit_start(self) -> dict:

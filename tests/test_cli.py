@@ -1,9 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from superbunch import PhotonStream, write_photon_stream
+from superbunch import PhotonStream, analytic, write_photon_stream
 from superbunch.cli import main
 
 CONFIG = """
@@ -147,6 +148,31 @@ def test_analyze_malformed_file_exit_code(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.txt", "missing.bin"])
+def test_analyze_missing_file_exit_code(tmp_path, capsys, name):
+    path = tmp_path / name
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert f"data error: cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_unconverged_fit_exits_4_and_writes_artifacts(tmp_path, config_path, monkeypatch, command):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
+    monkeypatch.setattr(analytic, "fit_g2", functools.partial(analytic.fit_g2, max_iter=1))
+    out = tmp_path / "out"
+    argv = ["--config", str(config_path), "--out", str(out)]
+    if command == "analyze":
+        argv = [str(sim / "photons.txt"), "--duration-s", "0.5"] + argv
+    assert main([command] + argv) == 4
+    assert "converged: no" in (out / "fit.txt").read_text()
+    for name in ("g2.csv", "histogram.csv", "theory.csv"):
+        assert (out / name).stat().st_size > 0
+    if command == "simulate":
+        assert (out / "manifest.json").exists()
+        assert (out / "photons.txt").read_bytes() == (sim / "photons.txt").read_bytes()
+
+
 def test_sweep_cli(tmp_path, config_path):
     path = tmp_path / "sweep.ini"
     path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2, 1.0\n")
@@ -236,6 +262,14 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys):
     data = tmp_path / "g2.csv"
     data.write_text("wrong,header\n1,2\n")
     assert main(["plot", str(data), "--out", str(tmp_path)]) == 3
+    for text, message in [
+        ("tau_s,g2\n# comment\n1,2\nx,3\n", "line 4: malformed record"),
+        ("tau_s,g2\n\n1\n2\n", "line 3: expected at least 2 columns, found 1"),
+    ]:
+        data.write_text(text)
+        capsys.readouterr()
+        assert main(["plot", str(data), "--out", str(tmp_path)]) == 3
+        assert f"data error: {data}: {message}" in capsys.readouterr().err
 
 
 def test_threads_validation(config_path, capsys):

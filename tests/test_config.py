@@ -157,10 +157,18 @@ frequency_hz = 50e3
 
 
 def test_model_value_errors_become_config_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, FULL.replace("depth = 0.8", "depth = 1.4")))
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, FULL.replace("rate_hz = 3e4", "rate_hz = -1")))
+    for old, new, match in [
+        ("depth = 0.8", "depth = 1.4", "depth"),
+        ("rate_hz = 3e4", "rate_hz = -1", "rate"),
+        ("duration_s = 2.0", "duration_s = 0", r"\[run\] duration_s and dt_s must be positive"),
+        ("dt_s = 1e-6", "dt_s = -1e-6", r"\[run\] duration_s and dt_s must be positive"),
+        ("duration_s = 2.0", "duration_s = 1.5e-6", "at least two samples"),
+        ("bin_s = 1e-6", "bin_s = 0", r"\[correlator\] bin_s and window_s must be positive"),
+        ("window_s = 5e-4", "window_s = -5e-4", r"\[correlator\] bin_s and window_s"),
+    ]:
+        assert old in FULL
+        with pytest.raises(ConfigError, match=match):
+            load_config(_write(tmp_path, FULL.replace(old, new)))
 
 
 def test_sweep_section(tmp_path):

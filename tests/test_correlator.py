@@ -127,15 +127,29 @@ def test_uncorrelated_stream_normalizes_to_unity():
 
 
 def test_symmetric_normalization_pools_mirror_bins():
+    # g2(0) normalizes the two bins either side of zero lag as one bin of
+    # twice the width, empty ones included
     rng = np.random.default_rng(31)
-    stream = _random_stream(rng, n1=2000, n2=2000)
-    hist = coincidence_histogram(stream, 1e-6, 20e-6)
-    sym = normalize_g2(hist, symmetric=True)
-    asym = normalize_g2(hist)
-    assert sym.tau.size == hist.half_bins
-    assert np.all(sym.tau > 0)
-    pooled = asym.value[hist.half_bins :] + asym.value[: hist.half_bins][::-1]
-    assert np.allclose(sym.value, pooled / 2.0)
+    for _ in range(300):
+        half = int(rng.integers(10, 40))
+        counts = rng.poisson(rng.uniform(0.0, 3.0), 2 * half)
+        hist = CoincidenceHistogram(
+            dtau_ns=int(rng.integers(1, 1000)),
+            half_bins=half,
+            counts=counts,
+            n1=int(rng.integers(1, 10**6)),
+            n2=int(rng.integers(1, 10**6)),
+            duration_s=float(rng.uniform(0.1, 100.0)),
+        )
+        curve = normalize_g2(hist)
+        value, err = g2_zero_estimate(hist)
+        pooled = int(counts[half - 1] + counts[half])
+        assert value == pytest.approx((curve.value[half - 1] + curve.value[half]) / 2.0)
+        if pooled:
+            assert err == pytest.approx(value / np.sqrt(pooled))
+        else:
+            assert value == 0.0
+            assert err == pytest.approx(curve.stderr[half] / 2.0)
 
 
 def test_g2_zero_estimate_uses_innermost_bins():

@@ -345,13 +345,6 @@ def test_duration_inferred_when_absent(tmp_path):
     assert back.duration_s == pytest.approx((250 + 1) * 1e-9)
 
 
-def test_malformed_text_reports_line(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1,100\n2,oops\n1,300\n")
-    with pytest.raises(DataError, match="line 2"):
-        read_photon_stream(path)
-
-
 def test_bad_channel_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,100\n3,200\n")
@@ -364,6 +357,52 @@ def test_unsorted_file_rejected(tmp_path):
     path.write_text("1,300\n2,200\n")
     with pytest.raises(DataError):
         read_photon_stream(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1,100\n2,oops\n1,300\n", "line 2: malformed record"),
+        ("# hdr\n1,100\n2,oops\n", "line 3: malformed record"),
+        ("# hdr\n1,10\n3,20\n", "invalid channel 3 at line 3"),
+        ("1,10\n\n3,20\n", "invalid channel 3 at line 3"),
+        ("# a\n# b\n1,300\n2,200\n", "timestamps not sorted at line 4"),
+        ("1,10,5\n2,20,6\n", "line 1: expected 2 columns, found 3"),
+        ("1,10\n\n2,20,6\n", "line 3: expected 2 columns, found 3"),
+    ],
+    ids=[
+        "bad-cell",
+        "bad-cell-after-comment",
+        "channel-after-comment",
+        "channel-after-blank-line",
+        "unsorted-after-comments",
+        "three-columns",
+        "ragged",
+    ],
+)
+def test_malformed_text_reports_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        read_photon_stream(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_empty_text_file_fails_without_a_warning(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no data rows"):
+            read_photon_stream(path)
+
+
+def test_files_that_loaded_before_still_load(tmp_path):
+    path = tmp_path / "ok.txt"
+    path.write_text("# channel,timestamp_ns\n1,10\n\n2, 20 # late\r\n\n1,+30\n2,40")
+    stream = read_photon_stream(path)
+    assert stream.d1.tolist() == [10, 30]
+    assert stream.d2.tolist() == [20, 40]
 
 
 def test_truncated_binary_reports_offset(tmp_path):

@@ -162,20 +162,45 @@ def test_initial_model_requires_frequency_for_mismatched_modulation():
         initial_model(cfg)
 
 
-def test_bad_analysis_section_fails_before_simulation(tmp_path):
-    raw = _raw(analysis={"model": "sinusoid_speckle"})
-    raw["modulation"] = {"kind": "constant", "intensity": "1.0"}
-    cfg = build_config(raw)
-    with pytest.raises(ConfigError, match="init_frequency_hz"):
+# (overrides, the key the error names): a start the modulation cannot
+# supply, a start outside the fit bounds, a window too narrow for the fit
+_BAD_ANALYSIS = {
+    "init_frequency_hz": (
+        {"analysis": {"model": "sinusoid_speckle"}, "modulation": {"kind": "constant"}},
+        "init_frequency_hz",
+    ),
+    "init_cutoff_hz": (
+        {"analysis": {"model": "noise_speckle"}, "modulation": {"kind": "constant"}},
+        "init_cutoff_hz",
+    ),
+    "init_contrast": (
+        {"analysis": {"model": "sinusoid_speckle", "init_contrast": "2"}},
+        "init_contrast",
+    ),
+    "window_s": (
+        {
+            "analysis": {"model": "sinusoid_speckle"},
+            "correlator": {"bin_s": "1e-5", "window_s": "1.2e-4"},
+        },
+        "window_s",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ANALYSIS))
+def test_bad_analysis_section_fails_before_simulation(tmp_path, case):
+    overrides, key = _BAD_ANALYSIS[case]
+    cfg = build_config(_raw(**overrides))
+    with pytest.raises(ConfigError, match=key):
         run_pipeline(cfg, out_dir=tmp_path)
-    assert list(tmp_path.glob("photons.*")) == []
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_bad_analysis_section_fails_before_reading(tmp_path):
-    raw = _raw(analysis={"model": "noise_speckle"})
-    raw["modulation"] = {"kind": "constant", "intensity": "1.0"}
-    with pytest.raises(ConfigError, match="init_cutoff_hz"):
-        pipeline.run_analysis(build_config(raw), tmp_path / "missing.txt")
+@pytest.mark.parametrize("case", sorted(_BAD_ANALYSIS))
+def test_bad_analysis_section_fails_before_reading(tmp_path, case):
+    overrides, key = _BAD_ANALYSIS[case]
+    with pytest.raises(ConfigError, match=key):
+        pipeline.run_analysis(build_config(_raw(**overrides)), tmp_path / "missing.txt")
 
 
 def test_initial_model_speckle_only():

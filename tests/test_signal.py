@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,21 @@ def test_band_noise_quantization():
     assert len(levels) <= 256
     step = 2.0 / 255
     assert np.allclose(np.round(tr.samples / step), tr.samples / step, atol=1e-9)
+
+
+def test_quantization_memory_stays_near_its_output():
+    # the sweep_noise_threads modulation: 8-bit band noise at 2M samples;
+    # quantizing through temporaries traced 48 MB
+    n = 2_000_000
+    model = BandNoise(1.0, 200.0, quantization_bits=8)
+    tracemalloc.start()
+    try:
+        samples, _ = model.sample(0.0, 1e-5, n, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.nbytes == 8 * n
+    assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize(
