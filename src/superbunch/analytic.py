@@ -113,6 +113,11 @@ class _Product:
         return [getattr(self, k) for k in self.names]
 
     @classmethod
+    def min_points(cls) -> int:
+        """Curve points a fit needs: five per parameter, amplitude and offset included."""
+        return 5 * (len(cls.names) + 2)
+
+    @classmethod
     def curve(cls, tau, theta):
         tau_arr = np.asarray(tau, dtype=float)
         *args, bw = theta
@@ -246,9 +251,9 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
     names = model.names + ("amplitude", "offset")
     n_phys = len(model.names)
     n_par = n_phys + 2
-    if len(curve) < 5 * n_par:
+    if len(curve) < model.min_points():
         raise ValueError(
-            f"need at least {5 * n_par} points to fit {n_par} parameters"
+            f"need at least {model.min_points()} points to fit {n_par} parameters"
         )
     bounds = list(model.bounds) + [(1e-12, np.inf), (-np.inf, np.inf)]
     lo, hi = np.array(bounds).T

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from ._text import read_csv
-from .config import build_config, load_config
+from .config import apply_override, build_config, read_raw
 from .errors import ConfigError, DataError
 from .pipeline import run_analysis, run_pipeline, run_sweep
 
@@ -43,7 +43,8 @@ def _run_flags(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
         dest="fmt",
         choices=("text", "binary"),
         default=None,
-        help="timestamp file format (default from config, else text)",
+        help="timestamp file format: overrides [output] format, or for analyze "
+        "names the input file's format (default: from its extension)",
     )
 
 
@@ -83,19 +84,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args, need_config: bool):
+    """The run's (RunConfig, raw config), with the flags applied as overrides.
+
+    `--seed` sets `[run] seed`; `--format` sets `[output] format`, except
+    for analyze, where it names the input file's format.  The config is
+    built once from the result, so every setting is checked before any
+    work and a sweep's points inherit the flags.
+    """
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     if args.config is None:
         if need_config:
             raise ConfigError(f"--config is required for {args.command}")
-        cfg, raw = build_config({}), {}
+        raw = {}
     else:
-        cfg, raw = load_config(args.config)
+        raw = read_raw(args.config)
     if args.seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    return cfg, raw
+        raw = apply_override(raw, "run.seed", str(args.seed))
+    if args.fmt is not None and args.command != "analyze":
+        raw = apply_override(raw, "output.format", args.fmt)
+    return build_config(raw), raw
 
 
 def _gnuplot_block(name: str, rows) -> list:
@@ -145,26 +153,28 @@ def _warn(warnings, prefix: str = "") -> None:
         print(f"warning: {prefix}{message}", file=sys.stderr)
 
 
+def _report(result) -> int:
+    """Print a run's summary and warnings; the exit code: 4 for an unconverged fit."""
+    print(
+        f"g2(0) = {result.g2_zero:.4f} +- {result.g2_zero_err:.4f}  "
+        f"peak/background = {result.peak.ratio:.3f}  "
+        f"events = {result.stream.n1 + result.stream.n2}"
+    )
+    _warn(result.warnings)
+    if result.fit is None:
+        return 0
+    state = "converged" if result.fit.converged else "did not converge"
+    print(f"fit {state} after {result.fit.iterations} iterations")
+    return 0 if result.fit.converged else 4
+
+
 def _dispatch(args) -> int:
     if args.command == "plot":
         return _cmd_plot(args)
 
     if args.command == "simulate":
         cfg, _ = _load(args, True)
-        out_dir = args.out or cfg.out_dir
-        result = run_pipeline(cfg, threads=args.threads, out_dir=out_dir, fmt=args.fmt)
-        print(
-            f"g2(0) = {result.g2_zero:.4f} +- {result.g2_zero_err:.4f}  "
-            f"peak/background = {result.peak.ratio:.3f}  "
-            f"events = {result.stream.d1.size + result.stream.d2.size}"
-        )
-        _warn(result.warnings)
-        if result.fit is not None:
-            state = "converged" if result.fit.converged else "did not converge"
-            print(f"fit {state} after {result.fit.iterations} iterations")
-            if not result.fit.converged:
-                return 4
-        return 0
+        return _report(run_pipeline(cfg, threads=args.threads, out_dir=args.out or cfg.out_dir))
 
     if args.command == "analyze":
         cfg, _ = _load(args, False)
@@ -177,19 +187,12 @@ def _dispatch(args) -> int:
             out_dir=out_dir,
             threads=args.threads,
         )
-        print(
-            f"g2(0) = {result.g2_zero:.4f} +- {result.g2_zero_err:.4f}  "
-            f"peak/background = {result.peak.ratio:.3f}"
-        )
-        _warn(result.warnings)
-        if result.fit is not None and not result.fit.converged:
-            return 4
-        return 0
+        return _report(result)
 
     if args.command == "sweep":
         cfg, raw = _load(args, True)
         out_dir = args.out or cfg.out_dir
-        rows = run_sweep(cfg, raw, out_dir=out_dir, threads=args.threads, fmt=args.fmt)
+        rows = run_sweep(cfg, raw, out_dir=out_dir, threads=args.threads)
         for i, row in enumerate(rows):
             _warn(row["warnings"], f"point_{i:03d}: ")
         failures = sum(1 for row in rows if row["status"] != "ok")

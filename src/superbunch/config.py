@@ -7,8 +7,10 @@ parameter each one starts.  Every section is optional and a missing key
 takes its default; only [sweep] has required keys.  Without [modulation]
 the config builds with `modulation = None`, which analysis accepts and
 `run_pipeline` rejects.  An unknown section or key, or an unparsable
-value, raises ConfigError naming the section, the key and the value.
-Inline `;` and `#` comments are allowed.  See README for the schema.
+value, raises ConfigError naming the section, the key and the value;
+so does a [correlator] whose bins `histogram_geometry` rejects, so a
+run fails before any work.  Inline `;` and `#` comments are allowed.
+See README for the schema.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic
+from .correlator import histogram_geometry
 from .detection import DetectorConfig
 from .errors import ConfigError
 from .signal import BandNoise, Constant, EomDrive, ModulationModel, Sinusoid
@@ -263,6 +266,7 @@ def build_config(raw: dict) -> RunConfig:
     bin_s = window_s / 500.0 if corr["bin_s"] is None else corr["bin_s"]
     if bin_s <= 0 or window_s <= 0:
         raise ConfigError("[correlator] bin_s and window_s must be positive")
+    _build("correlator", histogram_geometry, bin_s, window_s, detection.resolution_ns)
 
     ana = section("analysis")
     model = ana.pop("model")

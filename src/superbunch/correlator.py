@@ -14,7 +14,6 @@ any physical window.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._text import write_csv
+from ._workers import map_blocks
 from .errors import DataError
 
 
@@ -119,6 +119,22 @@ def merge(a: CoincidenceHistogram, b: CoincidenceHistogram) -> CoincidenceHistog
     )
 
 
+def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tuple[int, int]:
+    """The bin width in whole nanoseconds and the bins per side, (dtau_ns, half_bins).
+
+    The window is rounded to a whole number of bins.  Raises ValueError
+    when the bin is narrower than the timestamp resolution or the window
+    spans fewer than ten bins per side.
+    """
+    dtau_ns = int(round(bin_s * 1e9))
+    if dtau_ns < max(1, resolution_ns):
+        raise ValueError("bin width must not be below the timestamp resolution")
+    half_bins = int(round(window_s / bin_s))
+    if half_bins < 10:
+        raise ValueError("window must span at least ten bins")
+    return dtau_ns, half_bins
+
+
 def coincidence_histogram(
     stream,
     bin_s: float,
@@ -130,9 +146,8 @@ def coincidence_histogram(
     """Histogram all D1 x D2 pairs with |t1 - t2| within the window.
 
     `stream` is a PhotonStream, whose channels are sorted by construction;
-    an empty channel raises DataError.  `bin_s` must be at least the
-    stream's timestamp resolution and the window at least ten bins wide.
-    The window is rounded to a whole number of bins.  `d1_range` restricts
+    an empty channel raises DataError.  The bins are those of
+    histogram_geometry at the stream's resolution.  `d1_range` restricts
     counting to a slice of the first channel (used for partial histograms;
     see merge()).  `threads` splits the first channel across workers; the
     result is bit-identical for any thread count because partial counts
@@ -140,19 +155,14 @@ def coincidence_histogram(
     """
     d1 = np.ascontiguousarray(stream.d1, dtype=np.int64)
     d2 = np.ascontiguousarray(stream.d2, dtype=np.int64)
-    dtau_ns = int(round(bin_s * 1e9))
-    if dtau_ns < max(1, stream.resolution_ns):
-        raise ValueError("bin width must not be below the timestamp resolution")
-    half_bins = int(round(window_s / bin_s))
-    if half_bins < 10:
-        raise ValueError("window must span at least ten bins")
+    dtau_ns, half_bins = histogram_geometry(bin_s, window_s, stream.resolution_ns)
     i0, i1 = d1_range if d1_range is not None else (0, d1.size)
     if not (0 <= i0 <= i1 <= d1.size):
         raise ValueError("d1_range out of bounds")
     edges = np.linspace(i0, i1, threads + 1).astype(int)
     count = partial(_kernels.pair_histogram, d1, d2, dtau_ns, half_bins)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        counts = np.sum(list(pool.map(count, edges[:-1], edges[1:])), axis=0, dtype=np.int64)
+    parts = map_blocks(count, edges[:-1], edges[1:], threads=threads)
+    counts = np.sum(parts, axis=0, dtype=np.int64)
     return CoincidenceHistogram(
         dtau_ns=dtau_ns,
         half_bins=half_bins,

@@ -32,12 +32,12 @@ are a per-sample prefix, hence a subset, of those of a brighter one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._text import line_of, read_csv, write_csv
+from ._workers import map_blocks
 from .errors import ConfigError, DataError, ResolutionError
 from .seeding import substream, substream_seed
 from .signal import IntensityTrace
@@ -210,8 +210,7 @@ def detect_photons(
         ts, ch1 = ts[order], ch1[order]
         return ts[ch1], ts[~ch1]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_block, range(nblocks)))
+    parts = map_blocks(run_block, range(nblocks), threads=threads)
     d1, d2 = (np.concatenate(channel) for channel in zip(*parts))
     # both ends are whole nanoseconds, so this is the decimal duration
     # (samples * dt need not be: 200000 * 1e-6 = 0.19999999999999998)

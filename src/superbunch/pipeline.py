@@ -26,6 +26,7 @@ from .correlator import (
     PeakBackground,
     coincidence_histogram,
     g2_zero_estimate,
+    histogram_geometry,
     normalize_g2,
     peak_background_ratio,
     write_g2_csv,
@@ -83,8 +84,9 @@ def initial_model(cfg: RunConfig):
     otherwise from the configured physics (`fit_start()` of the
     modulation), which is the natural guess when analysing a stream
     produced by the same config.  A start outside the model's bounds, or
-    a window too narrow for the fit, raises ConfigError naming the key,
-    so a run fails before any synthesis or reading.
+    a window with fewer bins than the model's `min_points`, raises
+    ConfigError naming the key, so a run fails before any synthesis or
+    reading.
     """
     if cfg.analysis_model is None:
         return None
@@ -107,14 +109,14 @@ def initial_model(cfg: RunConfig):
                 f"[analysis] {key_of[name]}: the fit start {name} = {start[name]:g} "
                 f"is outside its bounds [{lo:g}, {hi:g}]"
             )
-    # fit_g2 needs five curve points per parameter, amplitude and offset included
-    bins, needed = 2 * round(cfg.window_s / cfg.bin_s), 5 * (len(cls.names) + 2)
+    half_bins = histogram_geometry(cfg.bin_s, cfg.window_s, cfg.detection.resolution_ns)[1]
+    bins, needed = 2 * half_bins, cls.min_points()
     if bins < needed:
         raise ConfigError(f"[correlator] window_s gives {bins} bins; {cls.name} needs {needed}")
     return cls(**{name: start[name] for name in cls.names})
 
 
-def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram, fmt: str) -> dict:
+def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram) -> dict:
     mod = dataclasses.asdict(cfg.modulation)
     mod["kind"] = cfg.modulation.kind
     return {
@@ -146,7 +148,7 @@ def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram, fmt: str) -> dict:
             "model": cfg.analysis_model or "none",
             "init": dict(sorted(cfg.analysis_init.items())),
         },
-        "output": {"format": fmt},
+        "output": {"format": cfg.output_format},
     }
 
 
@@ -219,25 +221,16 @@ def _require_modulation(cfg: RunConfig) -> None:
         raise ConfigError("missing required section [modulation]")
 
 
-def run_pipeline(
-    cfg: RunConfig,
-    *,
-    threads: int = 1,
-    out_dir=None,
-    fmt: Optional[str] = None,
-) -> RunResult:
+def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult:
     """Run the full chain; write artifacts when `out_dir` is given.
 
-    Artifacts: photons.txt or photons.bin and manifest.json, plus those
-    of analyze_stream.  With output.write_trace the source intensity
-    traces go to modulation.csv and speckle.csv (only sensible for short
-    runs).
+    Artifacts: photons.txt or photons.bin (by `[output] format`) and
+    manifest.json, plus those of analyze_stream.  With output.write_trace
+    the source intensity traces go to modulation.csv and speckle.csv
+    (only sensible for short runs).
     """
     _require_modulation(cfg)
-    fmt = fmt or cfg.output_format
     n = cfg.samples
-    if n < 2:
-        raise ConfigError("[run] duration_s / dt_s must give at least two samples")
     model = initial_model(cfg)
 
     trace = sample_intensity(
@@ -264,16 +257,16 @@ def run_pipeline(
     del joint
 
     if out_dir is not None:
-        ext = "txt" if fmt == "text" else "bin"
+        ext = "txt" if cfg.output_format == "text" else "bin"
         paths["photons"] = os.path.join(out_dir, f"photons.{ext}")
-        write_photon_stream(stream, paths["photons"], fmt=fmt)
+        write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
 
     result = analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
     result.warnings = tuple(WARNINGS[flag] for flag in flags) + result.warnings
     if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         with open(paths["manifest"], "w", newline="") as fh:
-            json.dump(manifest_dict(cfg, result.histogram, fmt), fh, indent=2, sort_keys=True)
+            json.dump(manifest_dict(cfg, result.histogram), fh, indent=2, sort_keys=True)
             fh.write("\n")
     result.paths.update(paths)
     return result
@@ -313,14 +306,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def run_sweep(
-    cfg: RunConfig,
-    raw: dict,
-    *,
-    out_dir,
-    threads: int = 1,
-    fmt: Optional[str] = None,
-) -> list:
+def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
     """Repeat the pipeline over the values of one swept config key.
 
     Each point runs in out_dir/point_NNN with its own seed derived from
@@ -331,7 +317,11 @@ def run_sweep(
     columns are those of the points' own fits, in order of first
     appearance, so `analysis.model` can be swept too.  Each row's
     `warnings` holds its run's RunResult.warnings; summary.csv omits them.
+    `cfg` is `build_config(raw)`; `threads` below 1 raises ValueError
+    before any point runs.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     _require_modulation(cfg)
     if cfg.sweep is None:
         raise ConfigError("missing required section [sweep]")
@@ -347,10 +337,8 @@ def run_sweep(
             raw_i = apply_override(raw, sweep.parameter, value)
             raw_i.pop("sweep", None)
             cfg_i = build_config(raw_i)
-            cfg_i = dataclasses.replace(
-                cfg_i, seed=substream_seed(cfg.seed, "sweep", i), sweep=None
-            )
-            result = run_pipeline(cfg_i, threads=threads, out_dir=point_dir, fmt=fmt)
+            cfg_i = dataclasses.replace(cfg_i, seed=substream_seed(cfg.seed, "sweep", i))
+            result = run_pipeline(cfg_i, threads=threads, out_dir=point_dir)
         except (ConfigError, DataError, ValueError) as exc:
             message = str(exc).replace("\n", " ").replace(",", ";")
             row["status"] = f"error: {message}"

@@ -74,10 +74,22 @@ def test_unknown_key_exit_code(tmp_path, capsys):
 
 
 def test_bad_parameter_exit_code(tmp_path, capsys):
-    # valid syntax, invalid physics: correlator bin finer than the resolution
-    path = tmp_path / "bad.ini"
-    path.write_text(CONFIG.replace("bin_s = 1e-6", "bin_s = 0.5e-9"))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    # valid syntax, invalid physics: a correlator bin finer than the
+    # resolution, and (with no fit to ask for more) a five-bin window;
+    # both fail before synthesis, leaving the output directory unmade
+    for i, text in enumerate([
+        CONFIG.replace("bin_s = 1e-6", "bin_s = 0.5e-9"),
+        CONFIG.replace("bin_s = 1e-6", "bin_s = 1e-5")
+        .replace("window_s = 1e-4", "window_s = 5e-5")
+        .replace("model = sinusoid_speckle", "model = none"),
+    ]):
+        path = tmp_path / f"bad{i}.ini"
+        path.write_text(text)
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: [correlator]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_seed_flag_overrides(tmp_path, config_path):
@@ -156,7 +168,9 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_unconverged_fit_exits_4_and_writes_artifacts(tmp_path, config_path, monkeypatch, command):
+def test_unconverged_fit_exits_4_and_writes_artifacts(
+    tmp_path, config_path, monkeypatch, capsys, command
+):
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
     monkeypatch.setattr(analytic, "fit_g2", functools.partial(analytic.fit_g2, max_iter=1))
@@ -164,7 +178,9 @@ def test_unconverged_fit_exits_4_and_writes_artifacts(tmp_path, config_path, mon
     argv = ["--config", str(config_path), "--out", str(out)]
     if command == "analyze":
         argv = [str(sim / "photons.txt"), "--duration-s", "0.5"] + argv
+    capsys.readouterr()
     assert main([command] + argv) == 4
+    assert "fit did not converge after 1 iterations" in capsys.readouterr().out
     assert "converged: no" in (out / "fit.txt").read_text()
     for name in ("g2.csv", "histogram.csv", "theory.csv"):
         assert (out / name).stat().st_size > 0
@@ -183,6 +199,22 @@ def test_sweep_cli(tmp_path, config_path):
     assert len(lines) == 3
     assert (out / "point_000" / "g2.csv").exists()
     assert (out / "point_001" / "g2.csv").exists()
+
+
+def test_sweep_flags_are_config_overrides(tmp_path):
+    # --seed and --format set [run] seed and [output] format for every point
+    base = CONFIG.replace("duration_s = 0.5", "duration_s = 0.2")
+    sweep = "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2, 1.0\n"
+    flags, keys = tmp_path / "flags.ini", tmp_path / "keys.ini"
+    flags.write_text(base + sweep)
+    keys.write_text(base.replace("seed = 3", "seed = 7") + "\n[output]\nformat = binary\n" + sweep)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["sweep", "-c", str(flags), "-o", str(a), "--seed", "7", "--format", "binary"]) == 0
+    assert main(["sweep", "-c", str(keys), "-o", str(b)]) == 0
+    for point in ("point_000", "point_001"):
+        for name in ("photons.bin", "manifest.json"):
+            assert (a / point / name).read_bytes() == (b / point / name).read_bytes(), name
+    assert json.loads((a / "point_000" / "manifest.json").read_text())["output"]["format"] == "binary"
 
 
 def test_sweep_cli_failed_point_exit_code(tmp_path, config_path, capsys):

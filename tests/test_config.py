@@ -165,6 +165,13 @@ def test_model_value_errors_become_config_errors(tmp_path):
         ("duration_s = 2.0", "duration_s = 1.5e-6", "at least two samples"),
         ("bin_s = 1e-6", "bin_s = 0", r"\[correlator\] bin_s and window_s must be positive"),
         ("window_s = 5e-4", "window_s = -5e-4", r"\[correlator\] bin_s and window_s"),
+        # the correlator's own bin rules, checked before any work
+        (
+            "bin_s = 1e-6\nwindow_s = 5e-4",
+            "bin_s = 1e-5\nwindow_s = 5e-5",
+            r"\[correlator\] window must span at least ten bins",
+        ),
+        ("bin_s = 1e-6", "bin_s = 1e-9", r"\[correlator\] bin width must not be below"),
     ]:
         assert old in FULL
         with pytest.raises(ConfigError, match=match):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from superbunch import (
     write_g2_csv,
     write_histogram_csv,
 )
-from superbunch import _corr_np
+from superbunch import _corr_np, _kernels
 
 
 def brute_force(d1, d2, dtau_ns, half_bins):
@@ -112,6 +113,23 @@ def test_threads_do_not_change_counts():
     a = coincidence_histogram(stream, 1e-6, 30e-6, threads=1)
     b = coincidence_histogram(stream, 1e-6, 30e-6, threads=3)
     assert np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_kernel_runs_on_the_calling_thread_only_when_serial(monkeypatch, threads):
+    # one thread starts no worker; the kernel is looked up per call
+    seen = []
+    kernel = _kernels.pair_histogram
+
+    def spy(*args):
+        seen.append(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "pair_histogram", spy)
+    stream = _random_stream(np.random.default_rng(19), n1=500, n2=500)
+    coincidence_histogram(stream, 1e-6, 30e-6, threads=threads)
+    assert len(seen) == threads
+    assert (threading.get_ident() in seen) == (threads == 1)
 
 
 def test_uncorrelated_stream_normalizes_to_unity():

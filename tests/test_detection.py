@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -34,6 +35,23 @@ def test_total_rate_and_split():
     assert abs(total - 2e5) < 5 * np.sqrt(2e5)
     # 50:50 splitter: binomial z-test at 5 sigma
     assert abs(stream.d1.size - stream.d2.size) < 5 * np.sqrt(total)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocks_run_on_the_calling_thread_only_when_serial(monkeypatch, threads):
+    # one thread starts no worker: every block's draws run on the caller
+    seen = []
+    levels = detection._poisson_levels
+
+    def spy(u, mu):
+        seen.append(threading.get_ident())
+        return levels(u, mu)
+
+    monkeypatch.setattr(detection, "_poisson_levels", spy)
+    monkeypatch.setattr(detection, "_BLOCK", 1000)
+    detect_photons(_constant_trace(0.1), DetectorConfig(rate_hz=1e4), seed=3, threads=threads)
+    assert len(seen) == 10
+    assert (threading.get_ident() in seen) == (threads == 1)
 
 
 def test_intensity_weighting_is_unbiased():

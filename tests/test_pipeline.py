@@ -216,7 +216,7 @@ def test_each_modulation_kind_builds_and_names_itself(kind):
     hist = CoincidenceHistogram(
         dtau_ns=1000, half_bins=10, counts=np.ones(20), n1=1, n2=1, duration_s=1.0
     )
-    assert manifest_dict(cfg, hist, "text")["modulation"]["kind"] == kind
+    assert manifest_dict(cfg, hist)["modulation"]["kind"] == kind
 
 
 @pytest.mark.parametrize("name", sorted(analytic.MODELS))
@@ -232,7 +232,7 @@ def test_manifest_dict_is_json_clean():
                                         "quantization_bits": "8"},
                             run={"dt_s": "1e-5", "duration_s": "1.0"}))
     result = run_pipeline(cfg)
-    blob = json.dumps(manifest_dict(cfg, result.histogram, "text"), sort_keys=True)
+    blob = json.dumps(manifest_dict(cfg, result.histogram), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["modulation"]["clip_level"] == 2.0
     assert parsed["modulation"]["quantization_bits"] == 8
@@ -270,6 +270,13 @@ def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "run_pipeline", broken)
     with pytest.raises(TypeError, match="a bug"):
         run_sweep(cfg, raw, out_dir=tmp_path)
+
+
+def test_sweep_rejects_threads_below_one_before_any_point(tmp_path):
+    raw = _raw(sweep={"parameter": "modulation.depth", "values": "0.3, 0.9"})
+    with pytest.raises(ValueError, match="threads"):
+        run_sweep(build_config(raw), raw, out_dir=tmp_path, threads=0)
+    assert not (tmp_path / "point_000").exists()
 
 
 def test_sweep_points_use_distinct_seeds(tmp_path):
