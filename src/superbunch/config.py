@@ -289,6 +289,11 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(f"[sweep] parameter: no such key in [{name}]: {parameter!r}")
         if not values:
             raise ConfigError("[sweep] values: empty list")
+        if parameter == "run.seed":
+            raise ConfigError(
+                "[sweep] parameter: run.seed cannot be swept; each point takes "
+                "a seed derived from [run] seed and its index"
+            )
         sweep = SweepSpec(parameter=parameter, values=values)
 
     return RunConfig(

@@ -59,7 +59,7 @@ def test_simulate_requires_config(capsys):
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_missing_modulation_exit_code(tmp_path, capsys, command):
     path = tmp_path / "run.ini"
-    path.write_text("[run]\nseed = 1\n\n[sweep]\nparameter = run.seed\nvalues = 1\n")
+    path.write_text("[run]\nseed = 1\n\n[sweep]\nparameter = run.duration_s\nvalues = 1\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert "[modulation]" in capsys.readouterr().err
@@ -252,6 +252,16 @@ def test_sweep_undeclared_parameter_fails_before_any_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_over_run_seed_fails_before_any_point(tmp_path, capsys):
+    # points take derived seeds, so a swept run.seed would be ignored
+    path = tmp_path / "sweep.ini"
+    path.write_text(CONFIG + "\n[sweep]\nparameter = run.seed\nvalues = 1, 2\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "run.seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_section(config_path, tmp_path):
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 2
 
@@ -404,7 +414,8 @@ def test_sweep_cli_analysis_model(tmp_path, capsys):
 def test_sweep_cli_warns_for_each_point(tmp_path, capsys):
     path = tmp_path / "noise.ini"
     path.write_text(
-        NOISE_CONFIG.format(duration=0.02) + "\n[sweep]\nparameter = run.seed\nvalues = 1, 2\n"
+        NOISE_CONFIG.format(duration=0.02)
+        + "\n[sweep]\nparameter = run.duration_s\nvalues = 0.02, 0.03\n"
     )
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0

@@ -234,7 +234,7 @@ def test_sweep_parameter_must_name_a_declared_key(tmp_path, parameter):
         load_config(_write(tmp_path, text))
 
 
-@pytest.mark.parametrize("parameter", ["modulation.kind", "run.seed"])
+@pytest.mark.parametrize("parameter", ["modulation.kind", "run.duration_s"])
 def test_sweep_parameter_declared_keys_accepted(tmp_path, parameter):
     text = FULL + f"\n[sweep]\nparameter = {parameter}\nvalues = 1\n"
     cfg, _ = load_config(_write(tmp_path, text))

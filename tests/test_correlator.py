@@ -274,7 +274,7 @@ def test_bin_centers():
     assert np.allclose(hist.bin_centers_s(), [-1.5e-6, -0.5e-6, 0.5e-6, 1.5e-6])
 
 
-# --- the pair kernel: edge cases of the bin formula, and chunking ---
+# --- the pair kernel: edge cases of the bin formula, blocks and tail ---
 
 
 def _kernel_counts(stream, dtau_ns, half_bins, d1_range=None):
@@ -311,21 +311,59 @@ def test_lags_at_bin_edges_match_brute_force():
     assert counts[12 + 1] == 1 and counts[12 - 2] == 1 and counts.sum() == 2
 
 
+def _burst_stream(rng):
+    # sparse channels plus a dense cluster in D2 that a few D1 events sit in:
+    # those events have far more in-window partners than the median one
+    d1 = np.sort(np.concatenate([rng.integers(0, 40_000, 300), [20_000, 20_003, 20_003]]))
+    d2 = np.sort(np.concatenate([rng.integers(0, 40_000, 300), rng.integers(19_500, 20_500, 900)]))
+    return PhotonStream(d1, d2, 1, 4e-5)
+
+
+def _kernel_cases(rng):
+    """(stream, dtau_ns, half_bins) cases for the kernel against brute_force."""
+    cases = [(_random_stream(rng, span=20_000), 50, 40) for _ in range(3)]
+    dup = np.sort(rng.integers(0, 300, 400)), np.sort(rng.integers(0, 300, 500))
+    cases.append((PhotonStream(*dup, 1, 1e-6), 3, 20))
+    grid = np.sort(rng.integers(0, 400, 300)) * 7, np.sort(rng.integers(0, 400, 300)) * 7
+    cases.append((PhotonStream(*grid, 1, 1e-5), 7, 12))
+    cases.append((_burst_stream(rng), 40, 25))
+    return cases
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3, 7])
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_block_and_tail_sizes_match_brute_force(monkeypatch, block, tail):
+    # tiny blocks and tail thresholds send most pairs through the offset
+    # loop, and a tail budget of 5 pairs splits tail runs across chunks
+    monkeypatch.setattr(_corr_np, "_BLOCK", block)
+    monkeypatch.setattr(_corr_np, "_TAIL", tail)
+    monkeypatch.setattr(_corr_np, "_TAIL_PAIRS", 5)
+    rng = np.random.default_rng(59)
+    for i, (stream, dtau, half) in enumerate(_kernel_cases(rng)):
+        expected = brute_force(stream.d1, stream.d2, dtau, half)
+        assert np.array_equal(_kernel_counts(stream, dtau, half), expected), f"case {i}"
+
+
 @pytest.mark.parametrize("pairs", [1, 2, 3, 7, 64, 1000])
 def test_pair_budget_does_not_change_counts(monkeypatch, pairs):
+    # with the offset loop off, every pair goes through the flat tail in
+    # chunks of `pairs`, whose edges cut through runs
     rng = np.random.default_rng(47)
     streams = [_random_stream(rng, span=20_000) for _ in range(4)]
     # one D1 event with far more in-window partners than the budget
     streams.append(PhotonStream(np.array([5000, 5000, 9000]), np.arange(0, 10_000, 3), 1, 1e-5))
     expected = [_kernel_counts(s, 50, 40) for s in streams]
-    monkeypatch.setattr("superbunch._corr_np._PAIRS", pairs)
+    monkeypatch.setattr(_corr_np, "_TAIL", 1 << 62)
+    monkeypatch.setattr(_corr_np, "_TAIL_PAIRS", pairs)
     for s, want in zip(streams, expected):
         assert np.array_equal(_kernel_counts(s, 50, 40), want)
         assert np.array_equal(want, brute_force(s.d1, s.d2, 50, 40))
 
 
 def test_d1_range_slices_match_brute_force(monkeypatch):
-    monkeypatch.setattr("superbunch._corr_np._PAIRS", 5)
+    monkeypatch.setattr(_corr_np, "_BLOCK", 3)
+    monkeypatch.setattr(_corr_np, "_TAIL", 2)
+    monkeypatch.setattr(_corr_np, "_TAIL_PAIRS", 5)
     rng = np.random.default_rng(53)
     stream = _random_stream(rng, n1=600, n2=600, span=30_000)
     for _ in range(20):
@@ -334,19 +372,40 @@ def test_d1_range_slices_match_brute_force(monkeypatch):
         assert np.array_equal(counts, brute_force(stream.d1[i0:i1], stream.d2, 20, 15))
 
 
-def test_kernel_memory_is_bounded_by_the_pair_budget():
-    # about 1000 in-window partners per D1 event, millions of pairs in all
-    d2 = np.arange(0, 3000)
-    for n1 in (8000, 16000):
-        d1 = np.sort(np.random.default_rng(n1).integers(1000, 2000, n1))
+def test_runs_of_65536_partners_or_more_sort_by_their_full_length(monkeypatch):
+    # one D1 event has 65546 partners before it, one more than 65536 + 9,
+    # so a 16-bit sort key would place its run among the short ones and
+    # cut it from the offset loop's suffix; the others have about 60 a run
+    monkeypatch.setattr(_corr_np, "_TAIL", 2)
+    rng = np.random.default_rng(61)
+    d1 = np.concatenate([[70_000], np.sort(rng.integers(150_000, 400_000, 40))])
+    d2 = np.concatenate([np.arange(4454, 70_000), np.sort(rng.integers(70_001, 400_000, 300))])
+    stream = PhotonStream(d1, d2, 1, 4e-4)
+    assert np.searchsorted(d2, 70_000) == 65546
+    assert np.array_equal(_kernel_counts(stream, 700, 100), brute_force(d1, d2, 700, 100))
+
+
+def test_kernel_memory_is_bounded_by_the_pair_budget(monkeypatch):
+    # about 1000 in-window partners per D1 event, millions of pairs in all;
+    # with 4096-event blocks the larger stream spans four of them
+    monkeypatch.setattr(_corr_np, "_BLOCK", 1 << 12)
+    # a dozen int64 arrays per run of a block, 40 bytes per tail pair
+    bound = 2 * 96 * _corr_np._BLOCK + 40 * _corr_np._TAIL_PAIRS
+    streams = [
+        (np.sort(np.random.default_rng(n1).integers(1000, 2000, n1)), np.arange(0, 3000), 10, 50)
+        for n1 in (8000, 16000)
+    ]
+    # three events whose million-partner windows all go to the flat tail
+    huge = np.array([1_000_000, 1_000_000, 1_000_001]), np.arange(0, 2_000_000), 10_000, 100
+    for d1, d2, dtau_ns, half_bins in [*streams, huge]:
+        n1 = d1.size
         tracemalloc.start()
         try:
-            counts = _corr_np.pair_histogram(d1, d2, 10, 50)
+            counts = _corr_np.pair_histogram(d1, d2, dtau_ns, half_bins)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         pairs = int(counts.sum()) + n1  # plus the one zero-lag pair per event
         assert pairs >= 1000 * n1
-        bound = 40 * _corr_np._PAIRS + 128 * n1
         assert peak < bound, f"peak {peak / 1e6:.1f} MB for {pairs} pairs"
-        assert 8 * pairs > 3 * bound  # whole-chunk temporaries would not fit
+        assert 8 * pairs > 3 * bound  # whole-pair temporaries would not fit
