@@ -87,13 +87,13 @@ def read_csv(path, columns: int, *, dtype=float, header=None, exact=False) -> np
     """
     skip = 0 if header is None else 1
     try:
-        if header is not None:
-            with open(path) as fh:
-                if not fh.readline().lower().startswith(header):
-                    raise DataError(f"{path}: expected a '{header},...' header")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, skiprows=skip)
+        # opened here and not by np.loadtxt, whose missing-file error has no reason
+        with open(path) as fh:
+            if header is not None and not fh.readline().lower().startswith(header):
+                raise DataError(f"{path}: expected a '{header},...' header")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # also a line that does not decode

@@ -6,10 +6,11 @@ Subcommands:
   sweep      repeat simulate over the values of one config key
   plot       emit a gnuplot script for a g2 curve (+ optional model)
 
-Exit codes: 0 success, 2 configuration problem, 3 malformed data file,
-4 the requested fit did not converge (artifacts are still written),
-5 one or more sweep points failed (the other points and summary.csv are
-still written).
+Exit codes: 0 success, 2 configuration problem (a config value, flag or
+file name), 3 malformed data file, 4 the requested fit did not converge
+(artifacts are still written), 5 one or more sweep points failed (the
+other points and summary.csv are still written).  Any other exception
+is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -212,9 +213,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"invalid parameter: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ for the kind-specific keys of [modulation] in `_MODULATION`, and for the
 parameter each one starts.  Every section is optional and a missing key
 takes its default; only [sweep] has required keys.  Without [modulation]
 the config builds with `modulation = None`, which analysis accepts and
-`run_pipeline` rejects.  An unknown section or key, or an unparsable
-value, raises ConfigError naming the section, the key and the value;
-so does a [correlator] whose bins `histogram_geometry` rejects, so a
-run fails before any work.  Inline `;` and `#` comments are allowed.
-See README for the schema.
+`run_pipeline` rejects.  An unknown section or key, or an unparsable or
+non-finite value, raises ConfigError naming the section, the key and the
+value; so does a [correlator] whose bins `histogram_geometry` rejects,
+so a run fails before any work.  Inline `;` and `#` comments are
+allowed.  See README for the schema.
 """
 
 from __future__ import annotations
@@ -29,7 +29,21 @@ from .signal import BandNoise, Constant, EomDrive, ModulationModel, Sinusoid
 from .speckle import SpeckleParams
 
 _REQUIRED = object()  # the default of a key that must be given
-_NOT_A = {float: "not a number", int: "not an integer"}
+
+
+def _number(text: str, kind=float):
+    """`kind(text)`, and a float must be finite: no key takes nan or an infinity."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"not {'a number' if kind is float else 'an integer'}: {text!r}")
+    if kind is float and not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    return _number(text, int)
 
 
 def _boolean(text: str) -> bool:
@@ -59,11 +73,9 @@ def _clip_level(text: str):
     if text.strip() == "realistic":
         return "realistic"
     try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"expected a number, 'none' or 'realistic', got {text.strip()!r}"
-        ) from None
+        return _number(text)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (expected a number, 'none' or 'realistic')") from None
 
 
 def _band_noise(v: dict) -> BandNoise:
@@ -79,15 +91,15 @@ def _band_noise(v: dict) -> BandNoise:
 # kind -> ({key: (parser, default)}, builder of the model from the parsed keys)
 _MODULATION = {
     Constant.kind: (
-        {"intensity": (float, 1.0)},
+        {"intensity": (_number, 1.0)},
         lambda v: Constant(base_intensity=v["intensity"]),
     ),
     Sinusoid.kind: (
         {
-            "intensity": (float, 1.0),
-            "depth": (float, 1.0),
-            "frequency_hz": (float, 50e3),
-            "phase_rad": (float, 0.0),
+            "intensity": (_number, 1.0),
+            "depth": (_number, 1.0),
+            "frequency_hz": (_number, 50e3),
+            "phase_rad": (_number, 0.0),
         },
         lambda v: Sinusoid(
             base_intensity=v["intensity"],
@@ -98,17 +110,17 @@ _MODULATION = {
     ),
     BandNoise.kind: (
         {
-            "intensity": (float, 1.0),
-            "cutoff_hz": (float, 200.0),
+            "intensity": (_number, 1.0),
+            "cutoff_hz": (_number, 200.0),
             "clip_level": (_or_none(_clip_level), None),
-            "quantization_bits": (_or_none(int), None),
+            "quantization_bits": (_or_none(_integer), None),
         },
         _band_noise,
     ),
     EomDrive.kind: (
         {
-            "vpp": (float, 8.0),
-            "frequency_hz": (float, 50e3),
+            "vpp": (_number, 8.0),
+            "frequency_hz": (_number, 50e3),
             "waveform": (_choice("sinusoid", "noise"), "sinusoid"),
         },
         lambda v: EomDrive(**v),
@@ -125,20 +137,20 @@ INIT = {
 
 # section -> {key: (parser, default)}
 _SCHEMA = {
-    "run": {"seed": (int, 0), "duration_s": (float, 100.0), "dt_s": (float, 1e-5)},
+    "run": {"seed": (_integer, 0), "duration_s": (_number, 100.0), "dt_s": (_number, 1e-5)},
     # the keys that depend on the kind are declared in _MODULATION
     "modulation": {"kind": (_choice(*_MODULATION), None)},
-    "speckle": {"bandwidth_rad_s": (float, 2 * np.pi * 10e3), "gain": (float, 1.0)},
+    "speckle": {"bandwidth_rad_s": (_number, 2 * np.pi * 10e3)},
     "detection": {
-        "rate_hz": (float, 50e3),
-        "resolution_ns": (int, 1),
-        "dark_rate_hz": (float, 0.0),
+        "rate_hz": (_number, 50e3),
+        "resolution_ns": (_integer, 1),
+        "dark_rate_hz": (_number, 0.0),
     },
     # bin_s None: window_s / 500
-    "correlator": {"bin_s": (float, None), "window_s": (float, 5e-4)},
+    "correlator": {"bin_s": (_number, None), "window_s": (_number, 5e-4)},
     "analysis": {
         "model": (_choice("none", *analytic.MODELS), "none"),
-        **{key: (float, None) for key in INIT},
+        **{key: (_number, None) for key in INIT},
     },
     "output": {
         "directory": (str.strip, "out"),
@@ -194,8 +206,7 @@ def _parse(section: str, entries: dict, keys: dict) -> dict:
         try:
             values[key] = parse(entries[key])
         except ValueError as exc:
-            reason = f"{_NOT_A[parse]}: {entries[key]!r}" if parse in _NOT_A else exc
-            raise ConfigError(f"[{section}] {key}: {reason}") from None
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
     return values
 
 
@@ -245,19 +256,19 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("[run] duration_s and dt_s must be positive")
     if run["duration_s"] < 2 * run["dt_s"]:
         raise ConfigError("[run] duration_s must cover at least two samples")
+    # detection computes sample times from float sample indices
+    if run["duration_s"] / run["dt_s"] >= 2**53:
+        raise ConfigError("[run] duration_s / dt_s must be below 2**53 samples")
 
     modulation = _build_modulation(raw["modulation"]) if "modulation" in raw else None
 
-    spk = section("speckle")
-    speckle = _build(
-        "speckle", SpeckleParams, bandwidth=spk["bandwidth_rad_s"], gain=spk["gain"], seed=0
-    )
+    speckle = _build("speckle", SpeckleParams, bandwidth=section("speckle")["bandwidth_rad_s"])
     det = section("detection")
     detection = _build(
         "detection",
         DetectorConfig,
         rate_hz=det["rate_hz"],
-        resolution_s=det["resolution_ns"] * 1e-9,
+        resolution_ns=det["resolution_ns"],
         dark_rate_hz=det["dark_rate_hz"],
     )
 

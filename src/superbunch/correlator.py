@@ -123,15 +123,19 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
     """The bin width in whole nanoseconds and the bins per side, (dtau_ns, half_bins).
 
     The window is rounded to a whole number of bins.  Raises ValueError
-    when the bin is narrower than the timestamp resolution or the window
-    spans fewer than ten bins per side.
+    when the window reaches 2**58 ns (lags are int64 nanoseconds, and a
+    1 ns bin must leave the int64 counts addressable), spans fewer than
+    ten bins per side, or the bin is narrower than the timestamp
+    resolution.
     """
-    dtau_ns = int(round(bin_s * 1e9))
-    if dtau_ns < max(1, resolution_ns):
-        raise ValueError("bin width must not be below the timestamp resolution")
+    if not window_s * 1e9 < 2**58:
+        raise ValueError("window must be shorter than 2**58 ns")
     half_bins = int(round(window_s / bin_s))
     if half_bins < 10:
         raise ValueError("window must span at least ten bins")
+    dtau_ns = int(round(bin_s * 1e9))
+    if dtau_ns < max(1, resolution_ns):
+        raise ValueError("bin width must not be below the timestamp resolution")
     return dtau_ns, half_bins
 
 

@@ -51,21 +51,17 @@ class DetectorConfig:
     """Per-detector mean count rate, timestamp resolution, dark rate."""
 
     rate_hz: float = 50e3
-    resolution_s: float = 1e-9
+    resolution_ns: int = 1
     dark_rate_hz: float = 0.0
 
     def __post_init__(self):
         if not self.rate_hz > 0:
             raise ValueError("count rate must be positive")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark rate cannot be negative")
-        res_ns = round(self.resolution_s * 1e9)
-        if res_ns < 1 or abs(self.resolution_s * 1e9 - res_ns) > 1e-6:
-            raise ValueError("resolution must be a whole number of nanoseconds")
-
-    @property
-    def resolution_ns(self) -> int:
-        return round(self.resolution_s * 1e9)
+        if not (isinstance(self.resolution_ns, int) and self.resolution_ns >= 1):
+            raise ValueError("resolution must be a whole number of nanoseconds, at least 1")
+        # detect_photons' pile-up bound, for the dark counts of both detectors alone
+        if not 0 <= 2 * self.dark_rate_hz * (self.resolution_ns * 1e-9) <= 0.1:
+            raise ValueError("dark rate must lie between 0 and 0.05 events per tick")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +161,12 @@ def detect_photons(
     """
     scale = 2.0 * cfg.rate_hz / trace.mean
     lam_top = scale * float(trace.samples.max())
-    if lam_top * cfg.resolution_s > 0.1:
+    res_ns = cfg.resolution_ns
+    if lam_top * (res_ns * 1e-9) > 0.1:
         raise ResolutionError(
-            f"peak rate {lam_top:g} Hz exceeds 0.1 events per {cfg.resolution_s:g} s tick"
+            f"peak rate {lam_top:g} Hz exceeds 0.1 events per {res_ns} ns tick"
         )
     n = trace.n
-    res_ns = cfg.resolution_ns
     t0_ns = round(trace.t0 * 1e9)
     end_ns = t0_ns + round(trace.duration * 1e9)
     nblocks = (n + _BLOCK - 1) // _BLOCK
@@ -242,7 +238,7 @@ def _format_for(path, fmt: str | None) -> str:
         return "text"
     if any(name.endswith(e) for e in _BINARY_EXTENSIONS):
         return "binary"
-    raise ValueError(f"cannot infer photon file format from {path!r}")
+    raise ConfigError(f"cannot infer photon file format from {path!r}")
 
 
 def _interleave(stream: PhotonStream) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +274,14 @@ def read_photon_stream(
 
     The files carry no header, so the acquisition duration is not stored;
     pass `duration_s` for exact rate normalization (otherwise it is
-    inferred as the last timestamp plus one resolution tick).  A missing
-    or malformed file raises DataError naming the path and the line or
-    record at fault.
+    inferred as the last timestamp plus one resolution tick).  A
+    `duration_s` that is not positive or not below the 2**63 ns int64
+    timestamps can reach raises ConfigError; one shorter than the span of
+    the timestamps, DataError.  A missing or malformed file raises
+    DataError naming the path and the line or record at fault.
     """
+    if duration_s is not None and not 0 < duration_s * 1e9 < 2**63:
+        raise ConfigError(f"--duration-s must be positive and below 2**63 ns, got {duration_s!r}")
     if _format_for(path, fmt) == "text":
         data = read_csv(path, 2, dtype=np.int64, exact=True)
         ts, ch = data[:, 1], data[:, 0]
@@ -299,7 +299,9 @@ def read_photon_stream(
         pos = int(np.argmax(np.diff(ts) < 0)) + 1
         raise DataError(f"{path}: timestamps not sorted at {at(pos)}")
     if duration_s is None:
-        duration_s = (int(ts.max()) + resolution_ns) * 1e-9
+        duration_s = (int(ts[-1]) + resolution_ns) * 1e-9
+    elif round(duration_s * 1e9) < ts[-1] - ts[0]:
+        raise DataError(f"{path}: timestamps span {ts[-1] - ts[0]} ns, more than {duration_s:g} s")
     return PhotonStream(
         d1=ts[ch == 1], d2=ts[ch == 2], resolution_ns=resolution_ns, duration_s=duration_s
     )

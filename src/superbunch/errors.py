@@ -1,9 +1,11 @@
-"""Exceptions shared across the package.
+"""The two exceptions the package handles.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, malformed or degenerate input data with 3, a failed fit of record
-with 4, and a sweep with any failed point (ConfigError, DataError or
-ValueError raised by that point) with 5.
+Bad input is refused where it enters, naming its config key, flag or
+file: a configuration problem raises ConfigError and the CLI exits 2;
+malformed or degenerate input data raises DataError and it exits 3.  A
+failed fit of record exits 4, and a sweep with a point that raised
+either error exits 5.  Any other exception, ValueError included, is a
+bug and stops the run.
 """
 
 
@@ -15,5 +17,5 @@ class DataError(Exception):
     """Malformed input data or degenerate input (e.g. an empty channel)."""
 
 
-class ResolutionError(ValueError):
+class ResolutionError(ConfigError):
     """Event rate too high for the detector timestamp resolution."""

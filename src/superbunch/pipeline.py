@@ -129,10 +129,7 @@ def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram) -> dict:
             "samples": cfg.samples,
         },
         "modulation": mod,
-        "speckle": {
-            "bandwidth_rad_s": cfg.speckle.bandwidth,
-            "gain": cfg.speckle.gain,
-        },
+        "speckle": {"bandwidth_rad_s": cfg.speckle.bandwidth},
         "detection": {
             "rate_hz": cfg.detection.rate_hz,
             "resolution_ns": cfg.detection.resolution_ns,
@@ -311,14 +308,14 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
 
     Each point runs in out_dir/point_NNN with its own seed derived from
     the master seed, and a row is appended to out_dir/summary.csv.  A
-    point whose config or data is rejected (ConfigError, DataError,
-    ValueError) is recorded in its row's status column and the sweep
-    continues; any other exception is a bug and propagates.  The fit
-    columns are those of the points' own fits, in order of first
-    appearance, so `analysis.model` can be swept too.  Each row's
-    `warnings` holds its run's RunResult.warnings; summary.csv omits them.
-    `cfg` is `build_config(raw)`; `threads` below 1 raises ValueError
-    before any point runs.
+    point whose config or data is rejected (ConfigError, DataError) is
+    recorded in its row's status column and the sweep continues; any
+    other exception is a bug and propagates.  The fit columns are those
+    of the points' own fits, in order of first appearance, so
+    `analysis.model` can be swept too.  Each row's `warnings` holds its
+    run's RunResult.warnings; summary.csv omits them.  `cfg` is
+    `build_config(raw)`; `threads` below 1 raises ValueError before any
+    point runs.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -339,7 +336,7 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
             cfg_i = build_config(raw_i)
             cfg_i = dataclasses.replace(cfg_i, seed=substream_seed(cfg.seed, "sweep", i))
             result = run_pipeline(cfg_i, threads=threads, out_dir=point_dir)
-        except (ConfigError, DataError, ValueError) as exc:
+        except (ConfigError, DataError) as exc:
             message = str(exc).replace("\n", " ").replace(",", ";")
             row["status"] = f"error: {message}"
             rows.append(row)

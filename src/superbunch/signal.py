@@ -221,6 +221,9 @@ class EomDrive:
         require_oversampled(
             dt, 1.0 / self.frequency_hz, f"drive frequency {self.frequency_hz:g} Hz"
         )
+        if self.waveform == "noise" and n * dt * self.frequency_hz < 1:
+            # over a shorter trace the band holds only DC, whose spread is rounding
+            raise ConfigError(f"noise drive: duration_s must be >= {1 / self.frequency_hz:g} s")
         if self.vpp == 0.0:
             v = np.zeros(n)
         elif self.waveform == "sinusoid":

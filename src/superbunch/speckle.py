@@ -27,37 +27,32 @@ class SpeckleParams:
     """Ground-glass speckle parameters.
 
     bandwidth: total angular width of the scattered spectrum, rad/s.  The
-    coherence time is 2 pi / bandwidth.  gain scales the mean intensity.
+    coherence time is 2 pi / bandwidth.
     """
 
     bandwidth: float = 2 * np.pi * 10e3
-    gain: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if not self.gain > 0:
-            raise ValueError("gain must be positive")
 
 
 def generate_speckle_field(
     params: SpeckleParams, t0: float, dt: float, n: int
 ) -> IntensityTrace:
-    """Synthesize `n` speckle intensity samples with empirical mean gain.
+    """Synthesize `n` speckle intensity samples with empirical mean 1.
 
     Requires the grid to oversample the coherence time: dt must be at most
     2 pi / (10 * bandwidth).
     """
-    if n < 2:
-        raise ValueError("need at least two samples")
     require_oversampled(
         dt, 2 * np.pi / params.bandwidth, f"speckle bandwidth {params.bandwidth:g} rad/s"
     )
     rng = np.random.default_rng(params.seed)
     # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
-    samples = bandlimited_intensity(n, dt, params.bandwidth / (4 * np.pi), params.gain, rng)
-    return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=params.gain)
+    samples = bandlimited_intensity(n, dt, params.bandwidth / (4 * np.pi), 1.0, rng)
+    return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=1.0)
 
 
 def apply_speckle(trace: IntensityTrace, speckle: IntensityTrace) -> IntensityTrace:

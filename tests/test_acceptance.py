@@ -39,6 +39,8 @@ from superbunch.cli import main
 from superbunch.seeding import substream_seed
 from superbunch.signal import modulation_autocorrelation
 
+from test_correlator import brute_force  # the all-pairs oracle
+
 BW = 2 * np.pi * 1e4  # speckle bandwidth used throughout
 
 
@@ -217,7 +219,7 @@ def _factorization_run(seed):
     mod = Sinusoid(base_intensity=1.0, depth=0.8, omega=2 * np.pi * 25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
     speckle = generate_speckle_field(
-        SpeckleParams(bandwidth=BW, gain=1.0, seed=substream_seed(seed, "speckle")),
+        SpeckleParams(bandwidth=BW, seed=substream_seed(seed, "speckle")),
         0.0, dt, n,
     )
     # same speckle realization with and without modulation; independent
@@ -279,19 +281,6 @@ def test_07_gate_rejects_a_wrong_gamma():
     assert not ok, f"wrong Gamma passed: sum z^2 = {chi2:.1f}, max |z| = {zmax:.2f}"
 
 
-def _brute_force(d1, d2, dtau_ns, half_bins):
-    """All-pairs reference histogram, O(N1*N2), chunked to bound memory."""
-    counts = np.zeros(2 * half_bins, dtype=np.int64)
-    window = half_bins * dtau_ns
-    for lo in range(0, d1.size, 512):
-        tau = d1[lo:lo + 512, None] - d2[None, :]
-        tau = tau[(tau != 0) & (np.abs(tau) <= window)]
-        q = (np.abs(tau) - 1) // dtau_ns
-        idx = np.where(tau > 0, half_bins + q, half_bins - 1 - q)
-        counts += np.bincount(idx, minlength=2 * half_bins)
-    return counts
-
-
 def test_08_brute_force_oracle():
     rng = np.random.default_rng(2024)
     checked = 0
@@ -312,7 +301,7 @@ def test_08_brute_force_oracle():
         stream = PhotonStream(d1=d1, d2=d2, resolution_ns=1, duration_s=(span + 1) / 1e9)
         hist = coincidence_histogram(stream, dtau_ns * 1e-9, dtau_ns * half_bins * 1e-9)
         assert hist.half_bins == half_bins
-        expect = _brute_force(d1, d2, dtau_ns, half_bins)
+        expect = brute_force(d1, d2, dtau_ns, half_bins)
         assert np.array_equal(hist.counts, expect), f"trial {trial} mismatch"
         checked += 1
         largest = max(largest, n1 * n2)

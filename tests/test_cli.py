@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from superbunch import PhotonStream, analytic, write_photon_stream
+from superbunch import PhotonStream, analytic, pipeline, write_photon_stream
 from superbunch.cli import main
 
 CONFIG = """
@@ -92,6 +92,53 @@ def test_bad_parameter_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("rate_hz = 3e4", "rate_hz = 3e4\ndark_rate_hz = nan", "[detection] dark_rate_hz"),
+        # a 50 Hz band over 0.01 s holds only DC: the noise drive is undefined
+        (
+            "kind = sinusoid\nintensity = 1.0\ndepth = 0.9\nfrequency_hz = 50e3",
+            "kind = eom\nwaveform = noise\nfrequency_hz = 50",
+            "noise drive: duration_s must be >= 0.02 s",
+        ),
+    ],
+    ids=["nan-dark-rate", "eom-noise-band-of-dc-only"],
+)
+def test_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.ini"
+    text = CONFIG.replace("duration_s = 0.5", "duration_s = 0.01")
+    assert old in text
+    path.write_text(text.replace(old, new).replace("model = sinusoid_speckle", "model = none"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_too_high_for_the_resolution_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "fast.ini"
+    path.write_text(
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.01")
+        .replace("rate_hz = 3e4", "rate_hz = 1e6\nresolution_ns = 100")
+    )
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: peak rate") and "0.1 events per 100 ns tick" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_value_error_is_a_bug_and_not_exit_2(tmp_path, monkeypatch, command):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(pipeline, "generate_speckle_field", broken)
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2\n")
+    with pytest.raises(ValueError, match="a bug"):
+        main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
 def test_seed_flag_overrides(tmp_path, config_path):
     out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
     main(["simulate", "--config", str(config_path), "--out", str(out1), "--seed", "99"])
@@ -164,7 +211,45 @@ def test_analyze_malformed_file_exit_code(tmp_path, capsys):
 def test_analyze_missing_file_exit_code(tmp_path, capsys, name):
     path = tmp_path / name
     assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert f"data error: cannot read {path}" in capsys.readouterr().err
+    assert f"data error: cannot read {path}: No such file or directory" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def short_photons(tmp_path_factory):
+    """photons.txt of a 0.2 s simulate run."""
+    tmp = tmp_path_factory.mktemp("short")
+    path = tmp / "run.ini"
+    path.write_text(CONFIG.replace("duration_s = 0.5", "duration_s = 0.2"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp / "sim")]) == 0
+    return tmp / "sim" / "photons.txt"
+
+
+@pytest.mark.parametrize(
+    "duration,code,message",
+    [
+        # a duration shorter than the file silently rescales g2
+        ("0.05", 3, "data error: {path}: timestamps span"),
+        ("inf", 2, "config error: --duration-s must be positive and below 2**63 ns, got inf"),
+        ("0", 2, "config error: --duration-s must be positive and below 2**63 ns, got 0.0"),
+        ("-1", 2, "config error: --duration-s must be positive and below 2**63 ns, got -1.0"),
+    ],
+    ids=["shorter-than-the-file", "inf", "zero", "negative"],
+)
+def test_analyze_refuses_a_duration_that_cannot_hold_the_file(
+    tmp_path, capsys, short_photons, duration, code, message
+):
+    out = tmp_path / "out"
+    assert main(["analyze", str(short_photons), "--duration-s", duration, "-o", str(out)]) == code
+    assert message.format(path=short_photons) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_unknown_extension_exit_code(tmp_path, capsys):
+    path = tmp_path / "photons.dat"
+    path.write_text("1,100\n2,200\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot infer photon file format from '{path}'" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from superbunch import ConfigError, load_config, run_pipeline
-from superbunch.config import apply_override, build_config, read_raw
+from superbunch.config import _MODULATION, _SCHEMA, apply_override, build_config, read_raw
 from superbunch.signal import BandNoise, EomDrive, Sinusoid
 
 FULL = """
@@ -23,7 +23,6 @@ phase_rad = 0.1
 
 [speckle]
 bandwidth_rad_s = 62831.853
-gain = 2.0
 
 [detection]
 rate_hz = 3e4
@@ -60,7 +59,6 @@ def test_full_config_parses(tmp_path):
     assert cfg.modulation.depth == 0.8
     assert cfg.modulation.omega == pytest.approx(2 * np.pi * 50e3)
     assert cfg.speckle.bandwidth == pytest.approx(62831.853)
-    assert cfg.speckle.gain == 2.0
     assert cfg.detection.rate_hz == 3e4
     assert cfg.detection.resolution_ns == 2
     assert cfg.detection.dark_rate_hz == 10
@@ -94,6 +92,9 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="typo_key"):
         load_config(_write(tmp_path, FULL + "\ntypo_key = 3\n"))
+    # no speckle gain: detection divides each trace by its own mean
+    with pytest.raises(ConfigError, match=r"\[speckle\] unknown key 'gain'"):
+        build_config({"speckle": {"gain": "2.0"}})
 
 
 def test_key_wrong_for_modulation_kind(tmp_path):
@@ -105,6 +106,35 @@ def test_key_wrong_for_modulation_kind(tmp_path):
 def test_bad_number_names_key(tmp_path):
     with pytest.raises(ConfigError, match="duration_s"):
         load_config(_write(tmp_path, FULL.replace("duration_s = 2.0", "duration_s = soon")))
+
+
+def _number_keys():
+    """(section, modulation kind or None, key) of every key that reads '1.5' as a float."""
+    tables = [(section, None, keys) for section, keys in _SCHEMA.items()]
+    tables += [("modulation", kind, keys) for kind, (keys, _) in _MODULATION.items()]
+    for section, kind, keys in tables:
+        for key, (parse, _) in keys.items():
+            try:
+                value = parse("1.5")
+            except ValueError:
+                continue
+            if isinstance(value, float):
+                yield section, kind, key
+
+
+_NUMBER_KEYS = list(_number_keys())
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section,kind,key", _NUMBER_KEYS, ids=[f"{k or s}.{key}" for s, k, key in _NUMBER_KEYS]
+)
+def test_number_keys_must_be_finite(section, kind, key, text):
+    raw = {section: {key: text}}
+    if kind is not None:
+        raw[section]["kind"] = kind
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: not a finite number: '{text}'"):
+        build_config(raw)
 
 
 def test_missing_required_section(tmp_path):
@@ -163,6 +193,9 @@ def test_model_value_errors_become_config_errors(tmp_path):
         ("duration_s = 2.0", "duration_s = 0", r"\[run\] duration_s and dt_s must be positive"),
         ("dt_s = 1e-6", "dt_s = -1e-6", r"\[run\] duration_s and dt_s must be positive"),
         ("duration_s = 2.0", "duration_s = 1.5e-6", "at least two samples"),
+        ("duration_s = 2.0", "duration_s = 1e300", r"\[run\] duration_s / dt_s must be below"),
+        ("dark_rate_hz = 10", "dark_rate_hz = 1e300", r"\[detection\] dark rate must lie between"),
+        ("window_s = 5e-4", "window_s = 1e300", r"\[correlator\] window must be shorter than"),
         ("bin_s = 1e-6", "bin_s = 0", r"\[correlator\] bin_s and window_s must be positive"),
         ("window_s = 5e-4", "window_s = -5e-4", r"\[correlator\] bin_s and window_s"),
         # the correlator's own bin rules, checked before any work

@@ -28,7 +28,7 @@ def _constant_trace(duration=10.0, dt=1e-5, level=1.0):
 
 
 def test_total_rate_and_split():
-    cfg = DetectorConfig(rate_hz=1e4, resolution_s=1e-9)
+    cfg = DetectorConfig(rate_hz=1e4, resolution_ns=1)
     stream = detect_photons(_constant_trace(10.0), cfg, seed=1)
     total = stream.d1.size + stream.d2.size
     # Poisson(2e5): allow 5 sigma
@@ -58,7 +58,7 @@ def test_intensity_weighting_is_unbiased():
     # step trace: second half three times brighter; event counts follow
     samples = np.concatenate([np.ones(500_000), 3.0 * np.ones(500_000)])
     trace = IntensityTrace(0.0, 1e-5, samples, float(samples.mean()))
-    cfg = DetectorConfig(rate_hz=2e4, resolution_s=1e-9)
+    cfg = DetectorConfig(rate_hz=2e4, resolution_ns=1)
     stream = detect_photons(trace, cfg, seed=3)
     ts = np.sort(np.concatenate([stream.d1, stream.d2]))
     mid = 5.0 * 1e9
@@ -70,7 +70,7 @@ def test_intensity_weighting_is_unbiased():
 
 
 def test_timestamps_quantized_and_in_range():
-    cfg = DetectorConfig(rate_hz=5e3, resolution_s=10e-9)
+    cfg = DetectorConfig(rate_hz=5e3, resolution_ns=10)
     stream = detect_photons(_constant_trace(2.0), cfg, seed=2)
     for arr in (stream.d1, stream.d2):
         assert np.all(arr % 10 == 0)
@@ -81,7 +81,7 @@ def test_timestamps_quantized_and_in_range():
 
 def test_thread_count_does_not_change_results():
     trace = _constant_trace(30.0, 1e-5)  # 3e6 samples: several blocks
-    cfg = DetectorConfig(rate_hz=2e4, resolution_s=1e-9)
+    cfg = DetectorConfig(rate_hz=2e4, resolution_ns=1)
     a = detect_photons(trace, cfg, seed=5, threads=1)
     b = detect_photons(trace, cfg, seed=5, threads=4)
     assert np.array_equal(a.d1, b.d1)
@@ -89,7 +89,7 @@ def test_thread_count_does_not_change_results():
 
 
 def test_seed_changes_results():
-    cfg = DetectorConfig(rate_hz=1e4, resolution_s=1e-9)
+    cfg = DetectorConfig(rate_hz=1e4, resolution_ns=1)
     a = detect_photons(_constant_trace(1.0), cfg, seed=1)
     b = detect_photons(_constant_trace(1.0), cfg, seed=2)
     assert not np.array_equal(a.d1, b.d1)
@@ -102,7 +102,7 @@ def test_monotone_coupling_without_a_ceiling():
     bright = rng.random(1_500_000) + 0.5
     t_bright = IntensityTrace(0.0, 1e-5, bright, 1.0)
     t_dim = IntensityTrace(0.0, 1e-5, 0.4 * bright, 1.0)
-    cfg = DetectorConfig(rate_hz=1e3, resolution_s=1e-9)
+    cfg = DetectorConfig(rate_hz=1e3, resolution_ns=1)
     a = detect_photons(t_dim, cfg, seed=9)
     b = detect_photons(t_bright, cfg, seed=9, threads=2)
     assert np.all(np.isin(a.d1, b.d1)) and np.all(np.isin(a.d2, b.d2))
@@ -282,14 +282,14 @@ def test_offsets_are_uniform_within_a_sample():
 
 
 def test_pileup_guard():
-    cfg = DetectorConfig(rate_hz=1e6, resolution_s=1e-6)
+    cfg = DetectorConfig(rate_hz=1e6, resolution_ns=1000)
     with pytest.raises(ResolutionError):
         detect_photons(_constant_trace(0.1, 1e-7), cfg, seed=0)
 
 
 def test_dark_counts():
     trace = _constant_trace(20.0)
-    cfg = DetectorConfig(rate_hz=1e-3, resolution_s=1e-9, dark_rate_hz=1e3)
+    cfg = DetectorConfig(rate_hz=1e-3, resolution_ns=1, dark_rate_hz=1e3)
     stream = detect_photons(trace, cfg, seed=4)
     total = stream.d1.size + stream.d2.size
     assert abs(total - 2 * 1e3 * 20.0) < 5 * np.sqrt(2 * 1e3 * 20.0)
@@ -302,7 +302,7 @@ def test_stream_validation():
 
 @pytest.mark.parametrize("ext,fmt", [("txt", "text"), ("csv", "text"), ("bin", "binary"), ("phot", "binary")])
 def test_write_read_round_trip(tmp_path, ext, fmt):
-    cfg = DetectorConfig(rate_hz=5e3, resolution_s=1e-9)
+    cfg = DetectorConfig(rate_hz=5e3, resolution_ns=1)
     stream = detect_photons(_constant_trace(1.0), cfg, seed=6)
     path = tmp_path / f"photons.{ext}"
     write_photon_stream(stream, path)
@@ -446,7 +446,8 @@ def test_binary_timestamp_beyond_int64_reports_record(tmp_path):
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(rate_hz=0.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(rate_hz=1e3, resolution_s=0.5e-9)
+    for resolution_ns in (0, 2.5):
+        with pytest.raises(ValueError):
+            DetectorConfig(rate_hz=1e3, resolution_ns=resolution_ns)
     with pytest.raises(ValueError):
         DetectorConfig(rate_hz=1e3, dark_rate_hz=-1.0)

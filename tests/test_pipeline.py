@@ -264,12 +264,14 @@ def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
     raw = _raw(sweep={"parameter": "modulation.depth", "values": "0.3, 0.9"})
     cfg = build_config(raw)
 
-    def broken(*args, **kwargs):
-        raise TypeError("a bug, not a bad sweep point")
+    for error in (TypeError, ValueError):
 
-    monkeypatch.setattr(pipeline, "run_pipeline", broken)
-    with pytest.raises(TypeError, match="a bug"):
-        run_sweep(cfg, raw, out_dir=tmp_path)
+        def broken(*args, **kwargs):
+            raise error("a bug, not a bad sweep point")
+
+        monkeypatch.setattr(pipeline, "generate_speckle_field", broken)
+        with pytest.raises(error, match="a bug"):
+            run_sweep(cfg, raw, out_dir=tmp_path)
 
 
 def test_sweep_rejects_threads_below_one_before_any_point(tmp_path):

@@ -18,10 +18,10 @@ from superbunch import (
 BW = 2 * np.pi * 10e3  # default speckle bandwidth used throughout
 
 
-def test_field_mean_is_exactly_gain():
-    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, gain=2.5, seed=1), 0.0, 1e-5, 50_000)
-    assert speckle.samples.mean() == pytest.approx(2.5, abs=1e-12)
-    assert speckle.mean == 2.5
+def test_field_mean_is_exactly_one():
+    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=1), 0.0, 1e-5, 50_000)
+    assert speckle.samples.mean() == pytest.approx(1.0, abs=1e-12)
+    assert speckle.mean == 1.0
 
 
 def test_intensity_is_negative_exponential():
@@ -45,10 +45,10 @@ def test_intensity_autocorrelation_matches_g2_speckle():
 def test_speckle_is_band_noise_of_the_same_band():
     # the ground glass and the noise modulation are one thermal process:
     # equal band, mean and seed give the same samples
-    bw, gain, dt, n = 2 * np.pi * 3e3, 1.7, 1e-5, 4096
-    model = BandNoise(mean_intensity=gain, cutoff_hz=bw / (2 * np.pi))
+    bw, dt, n = 2 * np.pi * 3e3, 1e-5, 4096
+    model = BandNoise(mean_intensity=1.0, cutoff_hz=bw / (2 * np.pi))
     noise = sample_intensity(model, 0.0, dt, n, 12)
-    speckle = generate_speckle_field(SpeckleParams(bw, gain, 12), 0.0, dt, n)
+    speckle = generate_speckle_field(SpeckleParams(bw, 12), 0.0, dt, n)
     assert np.array_equal(noise.samples, speckle.samples)
 
 
@@ -88,8 +88,6 @@ def test_apply_speckle_rejects_mismatched_grid():
 def test_speckle_params_validation():
     with pytest.raises(ValueError):
         SpeckleParams(bandwidth=-1.0)
-    with pytest.raises(ValueError):
-        SpeckleParams(bandwidth=BW, gain=0.0)
 
 
 def test_trace_flags_carried_through():
