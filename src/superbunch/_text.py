@@ -60,7 +60,9 @@ def _rows(fh):
 
 def _fault(path, skip, dtype) -> str:
     """Name the first line past `skip` rows that np.loadtxt rejects; "" if none is found."""
-    parse = int if np.dtype(dtype).kind in "iu" else float
+    dtype = np.dtype(dtype)
+    # an integer must also fit the dtype: Python's int never overflows
+    parse = (lambda cell: dtype.type(int(cell))) if dtype.kind in "iu" else float
     width = None
     with open(path, errors="replace") as fh:  # an undecodable line is malformed
         for lineno, cells in islice(_rows(fh), skip, None):
@@ -70,7 +72,7 @@ def _fault(path, skip, dtype) -> str:
             try:
                 for cell in cells:
                     parse(cell)
-            except ValueError:
+            except (ValueError, OverflowError):
                 return f"line {lineno}: malformed record"
     return ""
 

@@ -6,11 +6,17 @@ for the kind-specific keys of [modulation] in `_MODULATION`, and for the
 parameter each one starts.  Every section is optional and a missing key
 takes its default; only [sweep] has required keys.  Without [modulation]
 the config builds with `modulation = None`, which analysis accepts and
-`run_pipeline` rejects.  An unknown section or key, or an unparsable or
-non-finite value, raises ConfigError naming the section, the key and the
-value; so does a [correlator] whose bins `histogram_geometry` rejects,
-so a run fails before any work.  Inline `;` and `#` comments are
-allowed.  See README for the schema.
+`run_pipeline` rejects.
+
+`build_config` checks the whole run before any work.  An unknown section
+or key, or a value that does not parse, is not finite or, for a
+`_positive` key, is not positive, raises ConfigError naming the section,
+the key and the value.  So does, naming the section and key, a [run]
+duration whose timestamps a photon file cannot hold, a [correlator]
+whose bins `histogram_geometry` rejects and an [analysis] section whose
+fit start `_fit_start` rejects.  The fit start, the fit model at its
+starting point, is built here once and kept in `RunConfig.fit_start`.
+Inline `;` and `#` comments are allowed.  See README for the schema.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import analytic
 from .correlator import histogram_geometry
-from .detection import DetectorConfig
+from .detection import TIMESTAMP_END_NS, DetectorConfig
 from .errors import ConfigError
 from .signal import BandNoise, Constant, EomDrive, ModulationModel, Sinusoid
 from .speckle import SpeckleParams
@@ -39,6 +45,13 @@ def _number(text: str, kind=float):
         raise ValueError(f"not {'a number' if kind is float else 'an integer'}: {text!r}")
     if kind is float and not np.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _number(text)
+    if not value > 0:
+        raise ValueError(f"not a positive number: {text!r}")
     return value
 
 
@@ -91,14 +104,14 @@ def _band_noise(v: dict) -> BandNoise:
 # kind -> ({key: (parser, default)}, builder of the model from the parsed keys)
 _MODULATION = {
     Constant.kind: (
-        {"intensity": (_number, 1.0)},
+        {"intensity": (_positive, 1.0)},
         lambda v: Constant(base_intensity=v["intensity"]),
     ),
     Sinusoid.kind: (
         {
-            "intensity": (_number, 1.0),
+            "intensity": (_positive, 1.0),
             "depth": (_number, 1.0),
-            "frequency_hz": (_number, 50e3),
+            "frequency_hz": (_positive, 50e3),
             "phase_rad": (_number, 0.0),
         },
         lambda v: Sinusoid(
@@ -110,8 +123,8 @@ _MODULATION = {
     ),
     BandNoise.kind: (
         {
-            "intensity": (_number, 1.0),
-            "cutoff_hz": (_number, 200.0),
+            "intensity": (_positive, 1.0),
+            "cutoff_hz": (_positive, 200.0),
             "clip_level": (_or_none(_clip_level), None),
             "quantization_bits": (_or_none(_integer), None),
         },
@@ -120,7 +133,7 @@ _MODULATION = {
     EomDrive.kind: (
         {
             "vpp": (_number, 8.0),
-            "frequency_hz": (_number, 50e3),
+            "frequency_hz": (_positive, 50e3),
             "waveform": (_choice("sinusoid", "noise"), "sinusoid"),
         },
         lambda v: EomDrive(**v),
@@ -135,19 +148,22 @@ INIT = {
     "init_cutoff_hz": ("cutoff_hz", 1.0),
 }
 
+# fit parameter -> its bounds, which are the same in every model that has it
+_BOUNDS = {name: b for cls in analytic.MODELS.values() for name, b in zip(cls.names, cls.bounds)}
+
 # section -> {key: (parser, default)}
 _SCHEMA = {
-    "run": {"seed": (_integer, 0), "duration_s": (_number, 100.0), "dt_s": (_number, 1e-5)},
+    "run": {"seed": (_integer, 0), "duration_s": (_positive, 100.0), "dt_s": (_positive, 1e-5)},
     # the keys that depend on the kind are declared in _MODULATION
     "modulation": {"kind": (_choice(*_MODULATION), None)},
-    "speckle": {"bandwidth_rad_s": (_number, 2 * np.pi * 10e3)},
+    "speckle": {"bandwidth_rad_s": (_positive, 2 * np.pi * 10e3)},
     "detection": {
-        "rate_hz": (_number, 50e3),
+        "rate_hz": (_positive, 50e3),
         "resolution_ns": (_integer, 1),
         "dark_rate_hz": (_number, 0.0),
     },
     # bin_s None: window_s / 500
-    "correlator": {"bin_s": (_number, None), "window_s": (_number, 5e-4)},
+    "correlator": {"bin_s": (_positive, None), "window_s": (_positive, 5e-4)},
     "analysis": {
         "model": (_choice("none", *analytic.MODELS), "none"),
         **{key: (_number, None) for key in INIT},
@@ -179,7 +195,7 @@ class RunConfig:
     detection: DetectorConfig
     bin_s: float
     window_s: float
-    analysis_model: Optional[str]
+    fit_start: Optional[analytic.TheoryModel]
     analysis_init: dict = field(default_factory=dict)
     output_format: str = "text"
     write_trace: bool = False
@@ -226,6 +242,47 @@ def _build_modulation(entries: dict) -> ModulationModel:
     return _build("modulation", build, _parse("modulation", rest, keys))
 
 
+def _fit_start(model: str, init: dict, modulation, bandwidth: float, half_bins: int):
+    """The fit model at its starting point; None for the model `none`.
+
+    A parameter starts from its `init_*` key when given, else from the
+    modulation's `fit_start()`; `contrast` falls back to 0.5 and
+    `bandwidth` to the speckle's.  ConfigError names the key of a model
+    parameter that nothing starts and of a start outside its parameter's
+    bounds, and the window when it has fewer bins than the model's
+    `min_points`.  Every given key is range-checked, also one whose
+    parameter the model lacks, which it keeps accepting so that one init
+    set can serve a sweep over `analysis.model`.
+    """
+    start = {"contrast": 0.5, "bandwidth": bandwidth}
+    if modulation is not None:
+        start.update(modulation.fit_start())
+    for key, value in init.items():
+        name, scale = INIT[key]
+        start[name] = scale * value
+    cls = analytic.MODELS.get(model)
+    names = cls.names if cls else ()
+    key_of = {name: key for key, (name, _) in INIT.items()}
+    for name in (*names, *(INIT[key][0] for key in init)):
+        if name not in start:
+            raise ConfigError(
+                f"[analysis] {key_of[name]} is required for model {cls.name} "
+                "when the modulation does not define one"
+            )
+        lo, hi = _BOUNDS[name]
+        if not lo <= start[name] <= hi:
+            raise ConfigError(
+                f"[analysis] {key_of[name]}: the fit start {name} = {start[name]:g} "
+                f"is outside its bounds [{lo:g}, {hi:g}]"
+            )
+    if cls is None:
+        return None
+    bins, needed = 2 * half_bins, cls.min_points()
+    if bins < needed:
+        raise ConfigError(f"[correlator] window_s gives {bins} bins; {cls.name} needs {needed}")
+    return cls(**{name: start[name] for name in names})
+
+
 def read_raw(path) -> dict:
     """Parse the INI file into {section: {key: raw string}}."""
     parser = configparser.ConfigParser(
@@ -252,13 +309,14 @@ def build_config(raw: dict) -> RunConfig:
         return _parse(name, raw.get(name, {}), _SCHEMA[name])
 
     run = section("run")
-    if run["duration_s"] <= 0 or run["dt_s"] <= 0:
-        raise ConfigError("[run] duration_s and dt_s must be positive")
     if run["duration_s"] < 2 * run["dt_s"]:
-        raise ConfigError("[run] duration_s must cover at least two samples")
+        raise ConfigError("[run] duration_s must cover at least two samples of dt_s")
     # detection computes sample times from float sample indices
     if run["duration_s"] / run["dt_s"] >= 2**53:
         raise ConfigError("[run] duration_s / dt_s must be below 2**53 samples")
+    # so that every photon file a run writes reads back
+    if not run["duration_s"] * 1e9 < TIMESTAMP_END_NS:
+        raise ConfigError("[run] duration_s must be below 2**63 - 2**58 ns, the timestamp range")
 
     modulation = _build_modulation(raw["modulation"]) if "modulation" in raw else None
 
@@ -275,9 +333,7 @@ def build_config(raw: dict) -> RunConfig:
     corr = section("correlator")
     window_s = corr["window_s"]
     bin_s = window_s / 500.0 if corr["bin_s"] is None else corr["bin_s"]
-    if bin_s <= 0 or window_s <= 0:
-        raise ConfigError("[correlator] bin_s and window_s must be positive")
-    _build("correlator", histogram_geometry, bin_s, window_s, detection.resolution_ns)
+    half_bins = _build("correlator", histogram_geometry, bin_s, window_s, det["resolution_ns"])[1]
 
     ana = section("analysis")
     model = ana.pop("model")
@@ -316,7 +372,7 @@ def build_config(raw: dict) -> RunConfig:
         detection=detection,
         bin_s=bin_s,
         window_s=window_s,
-        analysis_model=None if model == "none" else model,
+        fit_start=_fit_start(model, init, modulation, speckle.bandwidth, half_bins),
         analysis_init=init,
         output_format=out["format"],
         write_trace=out["write_trace"],

@@ -129,13 +129,13 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
     resolution.
     """
     if not window_s * 1e9 < 2**58:
-        raise ValueError("window must be shorter than 2**58 ns")
+        raise ValueError("window_s must be shorter than 2**58 ns")
     half_bins = int(round(window_s / bin_s))
     if half_bins < 10:
-        raise ValueError("window must span at least ten bins")
+        raise ValueError("window_s must span at least ten bins of bin_s")
     dtau_ns = int(round(bin_s * 1e9))
     if dtau_ns < max(1, resolution_ns):
-        raise ValueError("bin width must not be below the timestamp resolution")
+        raise ValueError("bin_s must not be below resolution_ns, the timestamp resolution")
     return dtau_ns, half_bins
 
 

@@ -58,10 +58,10 @@ class DetectorConfig:
         if not self.rate_hz > 0:
             raise ValueError("count rate must be positive")
         if not (isinstance(self.resolution_ns, int) and self.resolution_ns >= 1):
-            raise ValueError("resolution must be a whole number of nanoseconds, at least 1")
+            raise ValueError("resolution_ns must be a whole number, at least 1")
         # detect_photons' pile-up bound, for the dark counts of both detectors alone
         if not 0 <= 2 * self.dark_rate_hz * (self.resolution_ns * 1e-9) <= 0.1:
-            raise ValueError("dark rate must lie between 0 and 0.05 events per tick")
+            raise ValueError("dark_rate_hz must lie between 0 and 0.05 events per tick")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +164,8 @@ def detect_photons(
     res_ns = cfg.resolution_ns
     if lam_top * (res_ns * 1e-9) > 0.1:
         raise ResolutionError(
-            f"peak rate {lam_top:g} Hz exceeds 0.1 events per {res_ns} ns tick"
+            f"peak rate {lam_top:g} Hz exceeds 0.1 events per {res_ns} ns tick "
+            "(lower [detection] rate_hz or resolution_ns)"
         )
     n = trace.n
     t0_ns = round(trace.t0 * 1e9)
@@ -220,7 +221,11 @@ def detect_photons(
 #       sorted by timestamp, no header
 # binary: little-endian records of (uint64 timestamp_ns, uint8 channel),
 #       no header
+# Both hold timestamps in [0, TIMESTAMP_END_NS): the correlator adds its
+# window, below 2**58 ns (histogram_geometry), to int64 timestamps.
 # ---------------------------------------------------------------------------
+
+TIMESTAMP_END_NS = 2**63 - 2**58
 
 _BINARY_DTYPE = np.dtype([("timestamp_ns", "<u8"), ("channel", "u1")])
 
@@ -277,8 +282,9 @@ def read_photon_stream(
     inferred as the last timestamp plus one resolution tick).  A
     `duration_s` that is not positive or not below the 2**63 ns int64
     timestamps can reach raises ConfigError; one shorter than the span of
-    the timestamps, DataError.  A missing or malformed file raises
-    DataError naming the path and the line or record at fault.
+    the timestamps, DataError.  A missing or malformed file, or a
+    timestamp outside [0, TIMESTAMP_END_NS), raises DataError naming the
+    path and the line or record at fault.
     """
     if duration_s is not None and not 0 < duration_s * 1e9 < 2**63:
         raise ConfigError(f"--duration-s must be positive and below 2**63 ns, got {duration_s!r}")
@@ -289,22 +295,26 @@ def read_photon_stream(
     else:
         ts, ch = _read_binary(path)
         at = lambda i: f"record {i + 1}"
-    if ts.size == 0:
-        raise DataError(f"{path}: no events")
     bad = (ch != 1) & (ch != 2)
     if bad.any():
         pos = int(np.argmax(bad))
         raise DataError(f"{path}: invalid channel {int(ch[pos])} at {at(pos)}")
+    # a uint64 of 2**63 or more reads as a negative int64
+    bad = (ts < 0) | (ts >= TIMESTAMP_END_NS)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise DataError(f"{path}: timestamp outside [0, 2**63 - 2**58) ns at {at(pos)}")
     if np.any(np.diff(ts) < 0):
         pos = int(np.argmax(np.diff(ts) < 0)) + 1
         raise DataError(f"{path}: timestamps not sorted at {at(pos)}")
+    d1, d2 = ts[ch == 1], ts[ch == 2]
+    if not (d1.size and d2.size):
+        raise DataError(f"{path}: no events on channel {2 if d1.size else 1}")
     if duration_s is None:
         duration_s = (int(ts[-1]) + resolution_ns) * 1e-9
     elif round(duration_s * 1e9) < ts[-1] - ts[0]:
         raise DataError(f"{path}: timestamps span {ts[-1] - ts[0]} ns, more than {duration_s:g} s")
-    return PhotonStream(
-        d1=ts[ch == 1], d2=ts[ch == 2], resolution_ns=resolution_ns, duration_s=duration_s
-    )
+    return PhotonStream(d1=d1, d2=d2, resolution_ns=resolution_ns, duration_s=duration_s)
 
 
 def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
@@ -313,13 +323,8 @@ def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    rem = len(raw) % _BINARY_DTYPE.itemsize
+    records, rem = divmod(len(raw), _BINARY_DTYPE.itemsize)
     if rem:
-        raise DataError(f"{path}: truncated record at byte {len(raw) - rem}")
+        raise DataError(f"{path}: truncated record {records + 1} at byte {len(raw) - rem}")
     rec = np.frombuffer(raw, dtype=_BINARY_DTYPE)
-    ts = rec["timestamp_ns"]
-    wraps = ts > np.iinfo(np.int64).max
-    if wraps.any():
-        pos = int(np.argmax(wraps))
-        raise DataError(f"{path}: timestamp {int(ts[pos])} >= 2**63 at record {pos + 1}")
-    return ts.astype(np.int64), rec["channel"]
+    return rec["timestamp_ns"].astype(np.int64), rec["channel"]

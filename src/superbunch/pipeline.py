@@ -1,11 +1,17 @@
 """End-to-end runs: synthesize, detect, correlate, fit, write artifacts.
 
-A run is driven by a RunConfig and a master seed.  Every stochastic stage
-draws from its own derived substream (see seeding.py), so results are
-reproducible bit-for-bit from (config, seed) alone and independent of the
-thread count.  The manifest records exactly that pair plus derived sizes;
-it deliberately excludes runtime knobs such as thread counts, paths and
-wall-clock times so that repeated runs produce identical files.
+A run is driven by a RunConfig and a master seed.  `build_config` has
+checked every setting of the RunConfig before a run starts, the fit
+start (`RunConfig.fit_start`) included, so a run adds only the checks
+that need its data: simulation needs a [modulation], and a stream needs
+events in both channels.
+
+Every stochastic stage draws from its own derived substream (see
+seeding.py), so results are reproducible bit-for-bit from (config, seed)
+alone and independent of the thread count.  The manifest records exactly
+that pair plus derived sizes; it deliberately excludes runtime knobs such
+as thread counts, paths and wall-clock times so that repeated runs
+produce identical files.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ from typing import Optional
 from . import analytic
 from ._text import write_csv
 from ._version import __version__
-from .config import INIT, RunConfig, apply_override, build_config
+from .config import RunConfig, apply_override, build_config
 from .correlator import (
     CoincidenceHistogram,
     G2Curve,
     PeakBackground,
     coincidence_histogram,
     g2_zero_estimate,
-    histogram_geometry,
     normalize_g2,
     peak_background_ratio,
     write_g2_csv,
@@ -77,45 +82,6 @@ class RunResult:
         return float(self.fit.g2_model(0.0))
 
 
-def initial_model(cfg: RunConfig):
-    """Build the theory model instance whose fields seed the fit.
-
-    Starting values come from `init_*` keys in [analysis] when given and
-    otherwise from the configured physics (`fit_start()` of the
-    modulation), which is the natural guess when analysing a stream
-    produced by the same config.  A start outside the model's bounds, or
-    a window with fewer bins than the model's `min_points`, raises
-    ConfigError naming the key, so a run fails before any synthesis or
-    reading.
-    """
-    if cfg.analysis_model is None:
-        return None
-    cls = analytic.MODELS[cfg.analysis_model]
-    start = {"contrast": 0.5, "bandwidth": cfg.speckle.bandwidth}
-    if cfg.modulation is not None:
-        start.update(cfg.modulation.fit_start())
-    for key, value in cfg.analysis_init.items():
-        name, scale = INIT[key]
-        start[name] = scale * value
-    key_of = {name: key for key, (name, _) in INIT.items()}
-    for name, (lo, hi) in zip(cls.names, cls.bounds):
-        if name not in start:
-            raise ConfigError(
-                f"[analysis] {key_of[name]} is required for model {cls.name} "
-                "when the modulation does not define one"
-            )
-        if not lo <= start[name] <= hi:
-            raise ConfigError(
-                f"[analysis] {key_of[name]}: the fit start {name} = {start[name]:g} "
-                f"is outside its bounds [{lo:g}, {hi:g}]"
-            )
-    half_bins = histogram_geometry(cfg.bin_s, cfg.window_s, cfg.detection.resolution_ns)[1]
-    bins, needed = 2 * half_bins, cls.min_points()
-    if bins < needed:
-        raise ConfigError(f"[correlator] window_s gives {bins} bins; {cls.name} needs {needed}")
-    return cls(**{name: start[name] for name in cls.names})
-
-
 def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram) -> dict:
     mod = dataclasses.asdict(cfg.modulation)
     mod["kind"] = cfg.modulation.kind
@@ -142,7 +108,7 @@ def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram) -> dict:
             "half_bins": hist.half_bins,
         },
         "analysis": {
-            "model": cfg.analysis_model or "none",
+            "model": cfg.fit_start.name if cfg.fit_start else "none",
             "init": dict(sorted(cfg.analysis_init.items())),
         },
         "output": {"format": cfg.output_format},
@@ -162,27 +128,21 @@ def _write_fit_report(path, fit: analytic.FitResult) -> None:
 
 
 def analyze_stream(
-    cfg: RunConfig,
-    stream: PhotonStream,
-    model: Optional[analytic.TheoryModel],
-    *,
-    threads: int = 1,
-    out_dir=None,
+    cfg: RunConfig, stream: PhotonStream, *, threads: int = 1, out_dir=None
 ) -> RunResult:
     """Correlate and fit a photon stream; write artifacts when `out_dir` is given.
 
-    `model` is the fit's starting point, `initial_model(cfg)`, which the
-    callers build before any expensive work so that a bad [analysis]
-    section fails first; None skips the fit.  Artifacts: histogram.csv,
-    g2.csv, and when a fit model is given also theory.csv and fit.txt.
-    Simulated and recorded streams share this one path, so a stream gives
-    the same files from either source.
+    The fit starts from `cfg.fit_start`, which `build_config` built and
+    checked; None skips the fit.  Artifacts: histogram.csv, g2.csv, and
+    with a fit also theory.csv and fit.txt.  Simulated and recorded
+    streams share this one path, so a stream gives the same files from
+    either source.
     """
     hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
     curve = normalize_g2(hist)
     zero, zero_err = g2_zero_estimate(hist)
     peak = peak_background_ratio(hist)
-    fit = analytic.fit_g2(curve, model) if model is not None else None
+    fit = analytic.fit_g2(curve, cfg.fit_start) if cfg.fit_start is not None else None
 
     paths: dict = {}
     if out_dir is not None:
@@ -228,7 +188,6 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     """
     _require_modulation(cfg)
     n = cfg.samples
-    model = initial_model(cfg)
 
     trace = sample_intensity(
         cfg.modulation, 0.0, cfg.dt_s, n, substream_seed(cfg.seed, "modulation")
@@ -258,7 +217,9 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
         paths["photons"] = os.path.join(out_dir, f"photons.{ext}")
         write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
 
-    result = analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
+    if not (stream.n1 and stream.n2):
+        raise DataError("a detector saw no photons: raise [detection] rate_hz or [run] duration_s")
+    result = analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
     result.warnings = tuple(WARNINGS[flag] for flag in flags) + result.warnings
     if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
@@ -285,14 +246,13 @@ def run_analysis(
     it the duration is taken as the last timestamp plus one resolution
     step, which biases g2 slightly low for short streams.
     """
-    model = initial_model(cfg)
     stream = read_photon_stream(
         stream_path,
         fmt=fmt,
         resolution_ns=cfg.detection.resolution_ns,
         duration_s=duration_s,
     )
-    return analyze_stream(cfg, stream, model, threads=threads, out_dir=out_dir)
+    return analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
 
 
 def _csv_cell(value) -> str:
@@ -314,8 +274,9 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
     of the points' own fits, in order of first appearance, so
     `analysis.model` can be swept too.  Each row's `warnings` holds its
     run's RunResult.warnings; summary.csv omits them.  `cfg` is
-    `build_config(raw)`; `threads` below 1 raises ValueError before any
-    point runs.
+    `build_config(raw)`, so the base config, fit start included, has
+    passed every check before any point runs; `threads` below 1 raises
+    ValueError before any point runs.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")

@@ -39,7 +39,8 @@ def require_oversampled(dt: float, timescale: float, what: str) -> None:
     """Raise ConfigError unless dt puts ten samples in `timescale`.
 
     A coarser grid aliases the correlation curve silently.  `what` names
-    the quantity that sets the timescale, for the error message.
+    the config key, with its value, that sets the timescale, for the
+    error message.
     """
     limit = timescale / 10.0
     if dt > limit * (1 + 1e-9):
@@ -130,7 +131,7 @@ class Sinusoid:
 
     def sample(self, t0, dt, n, rng):
         require_oversampled(
-            dt, 2 * np.pi / self.omega, f"modulation at {self.omega:g} rad/s"
+            dt, 2 * np.pi / self.omega, f"[modulation] frequency_hz = {self.omega / 2 / np.pi:g}"
         )
         t = t0 + np.arange(n) * dt
         samples = self.base_intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase))
@@ -169,12 +170,12 @@ class BandNoise:
         if not self.cutoff_hz > 0:
             raise ValueError("noise cutoff must be positive")
         if self.clip_level is not None and not self.clip_level > 0:
-            raise ValueError("clip level must be positive or None")
+            raise ValueError("clip_level must be positive or None")
         if self.quantization_bits is not None and self.quantization_bits < 1:
-            raise ValueError("quantization needs at least 1 bit")
+            raise ValueError("quantization_bits must be at least 1")
 
     def sample(self, t0, dt, n, rng):
-        require_oversampled(dt, 1.0 / self.cutoff_hz, f"cutoff {self.cutoff_hz:g} Hz")
+        require_oversampled(dt, 1 / self.cutoff_hz, f"[modulation] cutoff_hz = {self.cutoff_hz:g}")
         flags = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
         samples = bandlimited_intensity(n, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng)
         if self.clip_level is not None:
@@ -211,7 +212,7 @@ class EomDrive:
 
     def __post_init__(self):
         if self.vpp < 0:
-            raise ValueError("peak-to-peak voltage cannot be negative")
+            raise ValueError("vpp cannot be negative")
         if not self.frequency_hz > 0:
             raise ValueError("drive frequency must be positive")
         if self.waveform not in ("sinusoid", "noise"):
@@ -219,7 +220,7 @@ class EomDrive:
 
     def sample(self, t0, dt, n, rng):
         require_oversampled(
-            dt, 1.0 / self.frequency_hz, f"drive frequency {self.frequency_hz:g} Hz"
+            dt, 1.0 / self.frequency_hz, f"[modulation] frequency_hz = {self.frequency_hz:g}"
         )
         if self.waveform == "noise" and n * dt * self.frequency_hz < 1:
             # over a shorter trace the band holds only DC, whose spread is rounding

@@ -47,7 +47,7 @@ def generate_speckle_field(
     2 pi / (10 * bandwidth).
     """
     require_oversampled(
-        dt, 2 * np.pi / params.bandwidth, f"speckle bandwidth {params.bandwidth:g} rad/s"
+        dt, 2 * np.pi / params.bandwidth, f"[speckle] bandwidth_rad_s = {params.bandwidth:g}"
     )
     rng = np.random.default_rng(params.seed)
     # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)

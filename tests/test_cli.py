@@ -347,6 +347,28 @@ def test_sweep_over_run_seed_fails_before_any_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_with_a_bad_base_fit_start_fails_before_any_point(tmp_path, capsys):
+    # the fit start is part of the config, so the base config's is checked too
+    path = tmp_path / "sweep.ini"
+    text = CONFIG.replace("model = sinusoid_speckle", "model = sinusoid_speckle\ninit_contrast = 2")
+    path.write_text(text + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2, 1.0\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [analysis] init_contrast: the fit start contrast = 2 is outside" in err
+    assert not out.exists()  # no point_000, no summary.csv
+
+
+def test_init_key_of_a_parameter_the_model_lacks_is_range_checked(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG.replace("sinusoid_speckle", "sinusoid_speckle\ninit_cutoff_hz = -1"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [analysis] init_cutoff_hz: the fit start cutoff_hz = -1 is outside" in err
+    assert not out.exists()
+
+
 def test_sweep_requires_section(config_path, tmp_path):
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 2
 

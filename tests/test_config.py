@@ -64,7 +64,7 @@ def test_full_config_parses(tmp_path):
     assert cfg.detection.dark_rate_hz == 10
     assert cfg.bin_s == 1e-6
     assert cfg.window_s == 5e-4
-    assert cfg.analysis_model == "sinusoid_speckle"
+    assert cfg.fit_start.name == "sinusoid_speckle"
     assert cfg.analysis_init == {"init_contrast": 0.6}
     assert cfg.output_format == "binary"
     assert cfg.out_dir == "results"
@@ -79,7 +79,7 @@ def test_defaults(tmp_path):
     assert cfg.dt_s == 1e-5
     assert cfg.window_s == 5e-4
     assert cfg.bin_s == pytest.approx(5e-4 / 500)
-    assert cfg.analysis_model is None
+    assert cfg.fit_start is None
     assert cfg.output_format == "text"
     assert cfg.detection.rate_hz == 50e3
 
@@ -190,25 +190,33 @@ def test_model_value_errors_become_config_errors(tmp_path):
     for old, new, match in [
         ("depth = 0.8", "depth = 1.4", "depth"),
         ("rate_hz = 3e4", "rate_hz = -1", "rate"),
-        ("duration_s = 2.0", "duration_s = 0", r"\[run\] duration_s and dt_s must be positive"),
-        ("dt_s = 1e-6", "dt_s = -1e-6", r"\[run\] duration_s and dt_s must be positive"),
-        ("duration_s = 2.0", "duration_s = 1.5e-6", "at least two samples"),
+        ("duration_s = 2.0", "duration_s = 0", r"\[run\] duration_s: not a positive number: '0'"),
+        ("dt_s = 1e-6", "dt_s = -1e-6", r"\[run\] dt_s: not a positive number: '-1e-6'"),
+        ("duration_s = 2.0", "duration_s = 1.5e-6", "at least two samples of dt_s"),
         ("duration_s = 2.0", "duration_s = 1e300", r"\[run\] duration_s / dt_s must be below"),
-        ("dark_rate_hz = 10", "dark_rate_hz = 1e300", r"\[detection\] dark rate must lie between"),
-        ("window_s = 5e-4", "window_s = 1e300", r"\[correlator\] window must be shorter than"),
-        ("bin_s = 1e-6", "bin_s = 0", r"\[correlator\] bin_s and window_s must be positive"),
-        ("window_s = 5e-4", "window_s = -5e-4", r"\[correlator\] bin_s and window_s"),
+        ("dark_rate_hz = 10", "dark_rate_hz = 1e300", r"\[detection\] dark_rate_hz must lie"),
+        ("window_s = 5e-4", "window_s = 1e300", r"\[correlator\] window_s must be shorter than"),
+        ("bin_s = 1e-6", "bin_s = 0", r"\[correlator\] bin_s: not a positive number: '0'"),
+        ("window_s = 5e-4", "window_s = -5e-4", r"\[correlator\] window_s: not a positive number"),
         # the correlator's own bin rules, checked before any work
         (
             "bin_s = 1e-6\nwindow_s = 5e-4",
             "bin_s = 1e-5\nwindow_s = 5e-5",
-            r"\[correlator\] window must span at least ten bins",
+            r"\[correlator\] window_s must span at least ten bins of bin_s",
         ),
-        ("bin_s = 1e-6", "bin_s = 1e-9", r"\[correlator\] bin width must not be below"),
+        ("bin_s = 1e-6", "bin_s = 1e-9", r"\[correlator\] bin_s must not be below"),
     ]:
         assert old in FULL
         with pytest.raises(ConfigError, match=match):
             load_config(_write(tmp_path, FULL.replace(old, new)))
+
+
+def test_duration_must_end_inside_the_timestamp_range():
+    # photon files hold timestamps below 2**63 - 2**58 ns, about 8.94e9 s
+    build_config({"run": {"duration_s": "8.9e9", "dt_s": "10"}})
+    message = r"^\[run\] duration_s must be below 2\*\*63 - 2\*\*58 ns"
+    with pytest.raises(ConfigError, match=message):
+        build_config({"run": {"duration_s": "9e9", "dt_s": "10"}})
 
 
 def test_sweep_section(tmp_path):
@@ -222,7 +230,8 @@ def test_sweep_section(tmp_path):
 
 
 def test_kind_override_drops_keys_the_new_kind_does_not_declare(tmp_path):
-    raw = read_raw(_write(tmp_path, FULL))
+    # a constant laser gives no mod_omega start, so fit no sinusoid
+    raw = read_raw(_write(tmp_path, FULL.replace("model = sinusoid_speckle", "model = speckle")))
     out = apply_override(raw, "modulation.kind", " constant ")
     assert out["modulation"] == {"kind": " constant ", "intensity": "1.5"}
     assert build_config(out).modulation.kind == "constant"

@@ -387,6 +387,8 @@ def test_unsorted_file_rejected(tmp_path):
         ("# a\n# b\n1,300\n2,200\n", "timestamps not sorted at line 4"),
         ("1,10,5\n2,20,6\n", "line 1: expected 2 columns, found 3"),
         ("1,10\n\n2,20,6\n", "line 3: expected 2 columns, found 3"),
+        # Python's int never overflows, numpy's int64 does
+        ("1,10\n2,99999999999999999999\n", "line 2: malformed record"),
     ],
     ids=[
         "bad-cell",
@@ -396,6 +398,7 @@ def test_unsorted_file_rejected(tmp_path):
         "unsorted-after-comments",
         "three-columns",
         "ragged",
+        "twenty-digit",
     ],
 )
 def test_malformed_text_reports_line(tmp_path, text, message):

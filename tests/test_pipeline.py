@@ -16,7 +16,7 @@ from superbunch import (
 )
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
 from superbunch.config import _MODULATION, INIT
-from superbunch.pipeline import initial_model, manifest_dict
+from superbunch.pipeline import manifest_dict
 
 
 def _raw(**overrides):
@@ -135,8 +135,7 @@ def test_seed_changes_stream():
 
 
 def test_initial_model_from_config():
-    cfg = build_config(_raw(analysis={"model": "sinusoid_speckle"}))
-    model = initial_model(cfg)
+    model = build_config(_raw(analysis={"model": "sinusoid_speckle"})).fit_start
     assert isinstance(model, SinusoidSpeckle)
     assert model.mod_omega == pytest.approx(2 * np.pi * 50e3)
     # depth 0.8 drive -> effective correlation parameter d^2/(2-d^2)
@@ -145,10 +144,8 @@ def test_initial_model_from_config():
 
 
 def test_initial_model_inits_override():
-    cfg = build_config(
-        _raw(analysis={"model": "noise_speckle", "init_cutoff_hz": "300", "init_bandwidth_rad_s": "1000"})
-    )
-    model = initial_model(cfg)
+    analysis = {"model": "noise_speckle", "init_cutoff_hz": "300", "init_bandwidth_rad_s": "1000"}
+    model = build_config(_raw(analysis=analysis)).fit_start
     assert isinstance(model, NoiseSpeckle)
     assert model.cutoff_hz == 300.0
     assert model.bandwidth == 1000.0
@@ -157,9 +154,8 @@ def test_initial_model_inits_override():
 def test_initial_model_requires_frequency_for_mismatched_modulation():
     raw = _raw(analysis={"model": "sinusoid_speckle"})
     raw["modulation"] = {"kind": "constant", "intensity": "1.0"}
-    cfg = build_config(raw)
     with pytest.raises(ConfigError, match="init_frequency_hz"):
-        initial_model(cfg)
+        build_config(raw)
 
 
 # (overrides, the key the error names): a start the modulation cannot
@@ -190,9 +186,8 @@ _BAD_ANALYSIS = {
 @pytest.mark.parametrize("case", sorted(_BAD_ANALYSIS))
 def test_bad_analysis_section_fails_before_simulation(tmp_path, case):
     overrides, key = _BAD_ANALYSIS[case]
-    cfg = build_config(_raw(**overrides))
     with pytest.raises(ConfigError, match=key):
-        run_pipeline(cfg, out_dir=tmp_path)
+        run_pipeline(build_config(_raw(**overrides)), out_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -204,10 +199,8 @@ def test_bad_analysis_section_fails_before_reading(tmp_path, case):
 
 
 def test_initial_model_speckle_only():
-    cfg = build_config(_raw(analysis={"model": "speckle"}))
-    assert isinstance(initial_model(cfg), SpeckleOnly)
-    cfg2 = build_config(_raw())
-    assert initial_model(cfg2) is None
+    assert isinstance(build_config(_raw(analysis={"model": "speckle"})).fit_start, SpeckleOnly)
+    assert build_config(_raw()).fit_start is None
 
 
 @pytest.mark.parametrize("kind", sorted(_MODULATION))
@@ -222,8 +215,8 @@ def test_each_modulation_kind_builds_and_names_itself(kind):
 @pytest.mark.parametrize("name", sorted(analytic.MODELS))
 def test_each_fit_model_name_is_accepted(name):
     cfg = build_config(_raw(modulation={"kind": "eom"}, analysis={"model": name}))
-    assert cfg.analysis_model == name
-    assert type(initial_model(cfg)) is analytic.MODELS[name]
+    assert cfg.fit_start.name == name
+    assert type(cfg.fit_start) is analytic.MODELS[name]
 
 
 def test_manifest_dict_is_json_clean():
@@ -301,8 +294,8 @@ def test_sweep_requires_sweep_section(tmp_path):
 
 
 # The fit start of every modulation kind x fit model: the fields of
-# initial_model(cfg), or its ConfigError message.  With all four init_* keys
-# given, the kind no longer matters.
+# build_config(raw).fit_start, or its ConfigError message.  With all four
+# init_* keys given, the kind no longer matters.
 _PIN_KINDS = {
     "constant": {"intensity": "2.0"},
     "sinusoid": {"depth": "0.8", "frequency_hz": "40e3"},
@@ -351,24 +344,21 @@ _PIN_STARTS_WITH_INITS = {
 @pytest.mark.parametrize("model", ["none", *sorted(analytic.MODELS)])
 @pytest.mark.parametrize("kind", sorted(_MODULATION))
 def test_initial_model_pinned_for_every_kind_and_model(kind, model, with_inits):
-    analysis = {"model": model, **(_PIN_INITS if with_inits else {})}
-    cfg = build_config(
-        {
-            "modulation": {"kind": kind, **_PIN_KINDS[kind]},
-            "speckle": {"bandwidth_rad_s": "62831.853"},
-            "analysis": analysis,
-        }
-    )
+    raw = {
+        "modulation": {"kind": kind, **_PIN_KINDS[kind]},
+        "speckle": {"bandwidth_rad_s": "62831.853"},
+        "analysis": {"model": model, **(_PIN_INITS if with_inits else {})},
+    }
     if model == "none":
-        assert initial_model(cfg) is None
+        assert build_config(raw).fit_start is None
         return
     want = _PIN_STARTS_WITH_INITS[model] if with_inits else _PIN_STARTS[kind, model]
     if isinstance(want, str):
         with pytest.raises(ConfigError) as err:
-            initial_model(cfg)
+            build_config(raw)
         assert str(err.value) == want
         return
-    start = initial_model(cfg)
+    start = build_config(raw).fit_start
     assert type(start) is analytic.MODELS[model]
     assert dataclasses.asdict(start) == want
 
@@ -384,3 +374,22 @@ def test_fit_start_names_fit_parameters(kind):
 
 def test_each_init_key_starts_a_fit_parameter():
     assert {name for name, _ in INIT.values()} <= _FIT_PARAMETERS
+
+
+def test_a_parameter_has_the_same_bounds_in_every_model():
+    bounds = {}
+    for cls in analytic.MODELS.values():
+        for name, pair in zip(cls.names, cls.bounds):
+            assert bounds.setdefault(name, pair) == pair, name
+
+
+@pytest.mark.parametrize("model", ["none", *sorted(analytic.MODELS)])
+@pytest.mark.parametrize("key", sorted(INIT))
+def test_every_init_key_is_range_checked_under_every_model(model, key):
+    # a key whose parameter the model lacks is accepted, so one init set
+    # serves a sweep over analysis.model, but never outside its bounds
+    analysis = {"model": model, **_PIN_INITS}
+    build_config(_raw(analysis=analysis))
+    message = rf"^\[analysis\] {key}: the fit start .* is outside its bounds"
+    with pytest.raises(ConfigError, match=message):
+        build_config(_raw(analysis={**analysis, key: "-1"}))

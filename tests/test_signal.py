@@ -134,13 +134,13 @@ def test_quantization_memory_stays_near_its_output():
     "synthesize, quantity, limit",
     [
         (lambda dt: sample_intensity(Sinusoid(1.0, 0.8, 2 * np.pi * 50e3, 0.0), 0.0, dt, 100, 0),
-         "modulation at 314159 rad/s", 2e-6),
+         "[modulation] frequency_hz = 50000", 2e-6),
         (lambda dt: sample_intensity(BandNoise(1.0, 200.0), 0.0, dt, 1000, 0),
-         "cutoff 200 Hz", 5e-4),
+         "[modulation] cutoff_hz = 200", 5e-4),
         (lambda dt: sample_intensity(EomDrive(vpp=8.0, frequency_hz=50e3), 0.0, dt, 100, 0),
-         "drive frequency 50000 Hz", 2e-6),
+         "[modulation] frequency_hz = 50000", 2e-6),
         (lambda dt: generate_speckle_field(SpeckleParams(bandwidth=62831.853, seed=0), 0.0, dt, 100),
-         "speckle bandwidth 62831.9 rad/s", 1e-5),
+         "[speckle] bandwidth_rad_s = 62831.9", 1e-5),
     ],
     ids=["sinusoid", "band_noise", "eom", "speckle"],
 )
