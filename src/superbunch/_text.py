@@ -62,7 +62,16 @@ def _fault(path, skip, dtype) -> str:
     """Name the first line past `skip` rows that np.loadtxt rejects; "" if none is found."""
     dtype = np.dtype(dtype)
     # an integer must also fit the dtype: Python's int never overflows
-    parse = (lambda cell: dtype.type(int(cell))) if dtype.kind in "iu" else float
+    number = (lambda cell: dtype.type(int(cell))) if dtype.kind in "iu" else float
+
+    def parse(cell):
+        # numpy strips the whitespace str.strip does, and then takes no
+        # underscore or non-ASCII digit, where Python's int and float take both
+        cell = cell.strip()
+        if not cell.isascii() or "_" in cell:
+            raise ValueError(cell)
+        number(cell)
+
     width = None
     with open(path, errors="replace") as fh:  # an undecodable line is malformed
         for lineno, cells in islice(_rows(fh), skip, None):

@@ -42,21 +42,28 @@ from .correlator import G2Curve
 _SMALL = 1e-4
 
 
-def _sinc(x):
-    """sin(x)/x with a series expansion below |x| = 1e-4."""
+def _split(x):
+    """(x where |x| >= 1e-4, else 1; x where |x| < 1e-4, else 0; the mask of the latter).
+
+    Each formula then sees only the arguments it serves, so the series
+    never squares or cubes a large x into an overflow.
+    """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SMALL
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    return np.where(small, 1.0, x), np.where(small, x, 0.0), small
+
+
+def _sinc(x):
+    """sin(x)/x with a series expansion below |x| = 1e-4."""
+    safe, tiny, small = _split(x)
+    return np.where(small, 1.0 - tiny * tiny / 6.0, np.sin(safe) / safe)
 
 
 def _dsinc(x):
     """d/dx of sin(x)/x, series below |x| = 1e-4."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SMALL
-    safe = np.where(small, 1.0, x)
+    safe, tiny, small = _split(x)
     exact = (np.cos(safe) - np.sin(safe) / safe) / safe
-    return np.where(small, -x / 3.0 + x**3 / 30.0, exact)
+    return np.where(small, -tiny / 3.0 + tiny**3 / 30.0, exact)
 
 
 def _scalar_ok(out, tau):

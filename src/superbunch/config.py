@@ -248,39 +248,44 @@ def _fit_start(model: str, init: dict, modulation, bandwidth: float, half_bins: 
     A parameter starts from its `init_*` key when given, else from the
     modulation's `fit_start()`; `contrast` falls back to 0.5 and
     `bandwidth` to the speckle's.  ConfigError names the key of a model
-    parameter that nothing starts and of a start outside its parameter's
-    bounds, and the window when it has fewer bins than the model's
-    `min_points`.  Every given key is range-checked, also one whose
-    parameter the model lacks, which it keeps accepting so that one init
-    set can serve a sweep over `analysis.model`.
+    parameter that nothing starts, the key that set a start outside its
+    parameter's bounds (an `init_*` key, a [modulation] key or [speckle]
+    bandwidth_rad_s), and the window when it has fewer bins than the
+    model's `min_points`.  Every given key is range-checked, also one
+    whose parameter the model lacks, which it keeps accepting so that one
+    init set can serve a sweep over `analysis.model`.
     """
-    start = {"contrast": 0.5, "bandwidth": bandwidth}
+    key_of = {name: f"[analysis] {key}" for key, (name, _) in INIT.items()}
+    # fit parameter -> (its start, the key that set it)
+    start = {
+        "contrast": (0.5, key_of["contrast"]),
+        "bandwidth": (bandwidth, "[speckle] bandwidth_rad_s"),
+    }
     if modulation is not None:
-        start.update(modulation.fit_start())
+        for name, (value, key) in modulation.fit_start().items():
+            start[name] = (value, f"[modulation] {key}")
     for key, value in init.items():
         name, scale = INIT[key]
-        start[name] = scale * value
+        start[name] = (scale * value, key_of[name])
     cls = analytic.MODELS.get(model)
     names = cls.names if cls else ()
-    key_of = {name: key for key, (name, _) in INIT.items()}
     for name in (*names, *(INIT[key][0] for key in init)):
         if name not in start:
             raise ConfigError(
-                f"[analysis] {key_of[name]} is required for model {cls.name} "
+                f"{key_of[name]} is required for model {cls.name} "
                 "when the modulation does not define one"
             )
-        lo, hi = _BOUNDS[name]
-        if not lo <= start[name] <= hi:
+        (value, key), (lo, hi) = start[name], _BOUNDS[name]
+        if not lo <= value <= hi:
             raise ConfigError(
-                f"[analysis] {key_of[name]}: the fit start {name} = {start[name]:g} "
-                f"is outside its bounds [{lo:g}, {hi:g}]"
+                f"{key}: the fit start {name} = {value:g} is outside its bounds [{lo:g}, {hi:g}]"
             )
     if cls is None:
         return None
     bins, needed = 2 * half_bins, cls.min_points()
     if bins < needed:
         raise ConfigError(f"[correlator] window_s gives {bins} bins; {cls.name} needs {needed}")
-    return cls(**{name: start[name] for name in names})
+    return cls(**{name: start[name][0] for name in names})
 
 
 def read_raw(path) -> dict:

@@ -3,8 +3,9 @@
 A run is driven by a RunConfig and a master seed.  `build_config` has
 checked every setting of the RunConfig before a run starts, the fit
 start (`RunConfig.fit_start`) included, so a run adds only the checks
-that need its data: simulation needs a [modulation], and a stream needs
-events in both channels.
+that its kind of work needs: simulation needs a [modulation] whose
+timescales the sample grid resolves (checked before any synthesis;
+analysis samples nothing), and a stream needs events in both channels.
 
 Every stochastic stage draws from its own derived substream (see
 seeding.py), so results are reproducible bit-for-bit from (config, seed)
@@ -12,6 +13,15 @@ alone and independent of the thread count.  The manifest records exactly
 that pair plus derived sizes; it deliberately excludes runtime knobs such
 as thread counts, paths and wall-clock times so that repeated runs
 produce identical files.
+
+Draw order: `run_pipeline` draws the speckle first, then multiplies the
+modulation into the speckle's buffer (`signal.modulate_in_place`).  No
+product trace is made, and a deterministic modulation, evaluated per
+block, makes no full-length trace either.  The order is free because
+each source has its own substream ("speckle", "modulation"): neither
+draw depends on the other.  And as IEEE products commute, the joint
+trace equals apply_speckle(sample_intensity(...),
+generate_speckle_field(...)) bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +55,9 @@ from .detection import (
 )
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
-from .signal import sample_intensity, write_intensity_csv
-from .speckle import apply_speckle, generate_speckle_field
+from .signal import modulate_in_place, sample_intensity, write_intensity_csv
+# run_pipeline calls no apply_speckle, but perfbench/tracer.py wraps it by this module's name
+from .speckle import apply_speckle, generate_speckle_field  # noqa: F401
 
 
 # diagnostic -> the warning it gives; artifacts do not record these
@@ -184,27 +195,30 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     Artifacts: photons.txt or photons.bin (by `[output] format`) and
     manifest.json, plus those of analyze_stream.  With output.write_trace
     the source intensity traces go to modulation.csv and speckle.csv
-    (only sensible for short runs).
+    (only sensible for short runs: the modulation is synthesized whole
+    for its file).
     """
     _require_modulation(cfg)
     n = cfg.samples
+    # before the speckle is drawn, so a grid too coarse for both names the modulation
+    cfg.modulation.check(cfg.dt_s, n)
+    modulation_seed = substream_seed(cfg.seed, "modulation")
 
-    trace = sample_intensity(
-        cfg.modulation, 0.0, cfg.dt_s, n, substream_seed(cfg.seed, "modulation")
-    )
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
     speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n)
-    joint = apply_speckle(trace, speckle)
 
     paths: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if cfg.write_trace:
             paths["modulation"] = os.path.join(out_dir, "modulation.csv")
+            trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed)
             write_intensity_csv(trace, paths["modulation"])
+            del trace
             paths["speckle"] = os.path.join(out_dir, "speckle.csv")
             write_intensity_csv(speckle, paths["speckle"])
-    del trace, speckle  # keep peak memory at one trace from here on
+    joint = modulate_in_place(cfg.modulation, speckle, modulation_seed)
+    del speckle  # stale: its buffer now holds the joint trace
 
     stream = detect_photons(
         joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads

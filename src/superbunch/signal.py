@@ -13,9 +13,20 @@ the same seed always yields the same samples.
 A modulation kind is one frozen dataclass, plus the entry in
 `config._MODULATION` that declares its [modulation] keys.  The class
 names its kind in the class attribute `kind` (not a dataclass field),
+refuses a sample grid that cannot carry it in `check(dt, n)`,
 synthesizes itself in `sample(t0, dt, n, rng) -> (samples, flags)`, and
 names in `fit_start()` the fit parameters its physics implies a start
-for (see `analytic.MODELS`).
+for, each with the [modulation] key that sets it (see `analytic.MODELS`).
+
+A kind is `deterministic` when its intensity is a function of time
+alone, stated once in `at(t)`: `Constant`, `Sinusoid`, and `EomDrive`
+with a sine drive or `vpp = 0`.  `sample` evaluates `at` over the whole
+trace; `modulate_in_place` evaluates it per block of `_BLOCK` samples
+and multiplies each block into a trace, so a deterministic modulation
+never holds a full-length array of its own.  A stochastic kind
+(`BandNoise`, the `EomDrive` noise drive) is synthesized whole by
+`sample` in both paths, from the same generator, so it draws the same
+numbers in either.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ from ._spectral import (
 from ._text import write_csv
 from .correlator import G2Curve
 from .errors import ConfigError
+
+_BLOCK = 1 << 16  # samples of a deterministic modulation evaluated at once
 
 
 def require_oversampled(dt: float, timescale: float, what: str) -> None:
@@ -85,8 +98,23 @@ def eom_transfer(v, transfer: EomTransfer = DEFAULT_TRANSFER):
     return float(out) if arr.ndim == 0 else out
 
 
+def _blocks(n: int):
+    """[s, e) of each block of `_BLOCK` samples of an n-sample trace, in order."""
+    return ((s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
+
+
+class _Waveform:
+    """A deterministic kind: `at(t)` is its intensity at the times `t`."""
+
+    deterministic = True
+
+    def sample(self, t0, dt, n, rng):
+        self.check(dt, n)
+        return self.at(t0 + np.arange(n) * dt), ()
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Waveform):
     """Unmodulated beam of fixed intensity."""
 
     base_intensity: float = 1.0
@@ -97,15 +125,18 @@ class Constant:
         if not self.base_intensity > 0:
             raise ValueError("base intensity must be positive")
 
-    def sample(self, t0, dt, n, rng):
-        return np.full(n, float(self.base_intensity)), ()
+    def check(self, dt, n):
+        pass
+
+    def at(self, t):
+        return np.full(t.shape, float(self.base_intensity))
 
     def fit_start(self) -> dict:
         return {}
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_Waveform):
     """I(t) = base * (1 + depth * cos(omega * t + phase)).
 
     `depth` is the literal intensity modulation depth in [0, 1]; `omega`
@@ -129,19 +160,22 @@ class Sinusoid:
         if not np.isfinite(self.phase):
             raise ValueError("phase must be finite")
 
-    def sample(self, t0, dt, n, rng):
+    def check(self, dt, n):
         require_oversampled(
             dt, 2 * np.pi / self.omega, f"[modulation] frequency_hz = {self.omega / 2 / np.pi:g}"
         )
-        t = t0 + np.arange(n) * dt
-        samples = self.base_intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase))
-        return samples, ()
+
+    def at(self, t):
+        return self.base_intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase))
 
     def fit_start(self) -> dict:
         # a depth-d sinusoid gives g2(0) = 2 + d^2, i.e. an effective
         # correlation parameter d^2 / (2 - d^2)
         d2 = self.depth * self.depth
-        return {"contrast": min(1.0, max(1e-3, d2 / (2.0 - d2))), "mod_omega": self.omega}
+        return {
+            "contrast": (min(1.0, max(1e-3, d2 / (2.0 - d2))), "depth"),
+            "mod_omega": (self.omega, "frequency_hz"),
+        }
 
 
 @dataclass(frozen=True)
@@ -163,6 +197,7 @@ class BandNoise:
     quantization_bits: Optional[int] = None
 
     kind = "band_noise"
+    deterministic = False
 
     def __post_init__(self):
         if not self.mean_intensity > 0:
@@ -174,8 +209,11 @@ class BandNoise:
         if self.quantization_bits is not None and self.quantization_bits < 1:
             raise ValueError("quantization_bits must be at least 1")
 
-    def sample(self, t0, dt, n, rng):
+    def check(self, dt, n):
         require_oversampled(dt, 1 / self.cutoff_hz, f"[modulation] cutoff_hz = {self.cutoff_hz:g}")
+
+    def sample(self, t0, dt, n, rng):
+        self.check(dt, n)
         flags = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
         samples = bandlimited_intensity(n, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng)
         if self.clip_level is not None:
@@ -190,11 +228,11 @@ class BandNoise:
         return samples, flags
 
     def fit_start(self) -> dict:
-        return {"cutoff_hz": self.cutoff_hz}
+        return {"cutoff_hz": (self.cutoff_hz, "cutoff_hz")}
 
 
 @dataclass(frozen=True)
-class EomDrive:
+class EomDrive(_Waveform):
     """Voltage waveform driving the modulator, mapped through its transfer.
 
     `waveform` is "sinusoid" (v(t) = vpp/2 * sin(2 pi f t), bipolar around
@@ -218,25 +256,41 @@ class EomDrive:
         if self.waveform not in ("sinusoid", "noise"):
             raise ValueError(f"unknown drive waveform {self.waveform!r}")
 
-    def sample(self, t0, dt, n, rng):
+    @property
+    def deterministic(self) -> bool:
+        return self.vpp == 0.0 or self.waveform == "sinusoid"
+
+    def check(self, dt, n):
         require_oversampled(
             dt, 1.0 / self.frequency_hz, f"[modulation] frequency_hz = {self.frequency_hz:g}"
         )
         if self.waveform == "noise" and n * dt * self.frequency_hz < 1:
             # over a shorter trace the band holds only DC, whose spread is rounding
             raise ConfigError(f"noise drive: duration_s must be >= {1 / self.frequency_hz:g} s")
+
+    def at(self, t):
         if self.vpp == 0.0:
-            v = np.zeros(n)
-        elif self.waveform == "sinusoid":
-            t = t0 + np.arange(n) * dt
-            v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
+            v = np.zeros(t.shape)
         else:
-            v = bandlimited_real_noise(n, dt, self.frequency_hz, rng) * (self.vpp / 6.0)
-            np.clip(v, -0.5 * self.vpp, 0.5 * self.vpp, out=v)
-        return eom_transfer(v, self.transfer), ()
+            v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
+        return eom_transfer(v, self.transfer)
+
+    def sample(self, t0, dt, n, rng):
+        if self.deterministic:
+            return super().sample(t0, dt, n, rng)
+        self.check(dt, n)
+        v = bandlimited_real_noise(n, dt, self.frequency_hz, rng)
+        v *= self.vpp / 6.0
+        np.clip(v, -0.5 * self.vpp, 0.5 * self.vpp, out=v)
+        for s, e in _blocks(n):  # the drive's buffer becomes the intensity's
+            v[s:e] = eom_transfer(v[s:e], self.transfer)
+        return v, ()
 
     def fit_start(self) -> dict:
-        return {"mod_omega": 2 * np.pi * self.frequency_hz, "cutoff_hz": self.frequency_hz}
+        return {
+            "mod_omega": (2 * np.pi * self.frequency_hz, "frequency_hz"),
+            "cutoff_hz": (self.frequency_hz, "frequency_hz"),
+        }
 
 
 ModulationModel = Union[Constant, Sinusoid, BandNoise, EomDrive]
@@ -300,6 +354,30 @@ def sample_intensity(
     return IntensityTrace(
         t0=t0, dt=dt, samples=samples, mean=float(samples.mean()), flags=flags
     )
+
+
+def modulate_in_place(model: ModulationModel, trace: IntensityTrace, seed) -> IntensityTrace:
+    """The joint trace: `model`'s intensity times `trace`, multiplied into `trace`'s buffer.
+
+    `trace` is consumed: its samples become the product, and the returned
+    trace, whose declared mean is the product's empirical mean, shares
+    them.  Draws and flags are those of sample_intensity(model, trace.t0,
+    trace.dt, trace.n, seed), and as IEEE products commute the samples
+    equal those of apply_speckle(that trace, `trace`) bit for bit.  A
+    deterministic model is evaluated per block of `_BLOCK` samples, so it
+    adds no full-length array; a stochastic one synthesizes its whole
+    trace first.
+    """
+    samples, n, t0, dt = trace.samples, trace.n, trace.t0, trace.dt
+    flags = ()
+    if model.deterministic:
+        model.check(dt, n)
+        for s, e in _blocks(n):
+            samples[s:e] *= model.at(t0 + np.arange(s, e) * dt)
+    else:
+        drawn, flags = model.sample(t0, dt, n, np.random.default_rng(seed))
+        samples *= drawn
+    return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=float(samples.mean()), flags=flags)
 
 
 def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve:

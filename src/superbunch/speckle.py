@@ -10,6 +10,13 @@ Only the intensity reaches the detectors, so the speckle is synthesized
 and carried as an intensity trace.  It is the same thermal process as the
 `BandNoise` modulation with `cutoff_hz = bandwidth / (2 pi)`, and both
 draw it from `_spectral.bandlimited_intensity`.
+
+`run_pipeline` draws the speckle before the modulation and multiplies
+the modulation into the speckle's buffer (`signal.modulate_in_place`),
+so the speckle trace becomes the joint one.  Each source draws from its
+own substream of the run seed (`seed` here, "modulation" there), so the
+order of the draws changes no number.  `apply_speckle` is the
+out-of-place product of two separate traces, with the same bits.
 """
 
 from __future__ import annotations

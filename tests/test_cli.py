@@ -116,6 +116,41 @@ def test_bad_value_exits_2_and_writes_nothing(tmp_path, capsys, old, new, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "modulation,message",
+    [
+        ("kind = sinusoid\nfrequency_hz = 50e3", "too coarse for [modulation] frequency_hz"),
+        ("kind = band_noise\ncutoff_hz = 2e4", "too coarse for [modulation] cutoff_hz"),
+        ("kind = eom\nfrequency_hz = 2e4", "too coarse for [modulation] frequency_hz"),
+        ("kind = eom\nwaveform = noise\nfrequency_hz = 50", "noise drive: duration_s"),
+    ],
+    ids=["sinusoid", "band_noise", "eom", "eom-noise-duration"],
+)
+def test_a_bad_modulation_is_refused_before_the_speckle_is_drawn(
+    tmp_path, capsys, monkeypatch, modulation, message
+):
+    # dt = 1e-5 s is also too coarse for a 1e6 rad/s speckle: the modulation is named
+    def draw(*args):
+        raise AssertionError("the speckle was drawn")
+
+    monkeypatch.setattr(pipeline, "generate_speckle_field", draw)
+    old = "kind = sinusoid\nintensity = 1.0\ndepth = 0.9\nfrequency_hz = 50e3"
+    text = (
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.01")
+        .replace("dt_s = 1e-6", "dt_s = 1e-5")
+        .replace("bandwidth_rad_s = 62831.853", "bandwidth_rad_s = 1e6")
+        .replace("model = sinusoid_speckle", "model = none")
+    )
+    assert old in text
+    path = tmp_path / "coarse.ini"
+    path.write_text(text.replace(old, modulation))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not out.exists()
+
+
 def test_rate_too_high_for_the_resolution_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "fast.ini"
     path.write_text(

@@ -389,6 +389,9 @@ def test_unsorted_file_rejected(tmp_path):
         ("1,10\n\n2,20,6\n", "line 3: expected 2 columns, found 3"),
         # Python's int never overflows, numpy's int64 does
         ("1,10\n2,99999999999999999999\n", "line 2: malformed record"),
+        # Python's int takes underscores and non-ASCII digits, np.loadtxt does not
+        ("1,10\n2,1_000\n", "line 2: malformed record"),
+        ("1,10\n2,\u0661\u0662\n", "line 2: malformed record"),
     ],
     ids=[
         "bad-cell",
@@ -399,6 +402,8 @@ def test_unsorted_file_rejected(tmp_path):
         "three-columns",
         "ragged",
         "twenty-digit",
+        "underscore",
+        "arabic-indic-digits",
     ],
 )
 def test_malformed_text_reports_line(tmp_path, text, message):

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -16,7 +15,13 @@ from superbunch import (
 )
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
 from superbunch.config import _MODULATION, INIT
+from superbunch.detection import detect_photons
 from superbunch.pipeline import manifest_dict
+from superbunch.seeding import substream_seed
+from superbunch.signal import sample_intensity
+from superbunch.speckle import apply_speckle, generate_speckle_field
+
+from test_detection import _stream_digest  # sha256 of d1 | d2
 
 
 def _raw(**overrides):
@@ -120,11 +125,46 @@ def test_simulate_chain_is_pinned(case):
     overrides, digest = _CHAIN_PINS[case]
     stream = run_pipeline(build_config(_raw(**overrides))).stream
     assert stream.n1 > 1000 and stream.n2 > 1000
-    h = hashlib.sha256()
-    h.update(stream.d1.astype("<i8").tobytes())
-    h.update(b"|")
-    h.update(stream.d2.astype("<i8").tobytes())
-    assert h.hexdigest() == digest
+    assert _stream_digest(stream) == digest
+
+
+# the [modulation] of every path of modulate_in_place: blocks of a
+# deterministic kind, the whole trace of a stochastic one
+_KINDS = {
+    "constant": {"kind": "constant"},
+    "sinusoid": {"kind": "sinusoid", "depth": "0.9", "frequency_hz": "50e3", "phase_rad": "0.3"},
+    "band_noise_clipped": {"kind": "band_noise", "cutoff_hz": "2000", "clip_level": "realistic"},
+    "band_noise_8bit": {"kind": "band_noise", "cutoff_hz": "2000", "quantization_bits": "8"},
+    "eom_sine": {"kind": "eom", "vpp": "8", "frequency_hz": "20e3"},
+    "eom_sine_vpp0": {"kind": "eom", "vpp": "0", "frequency_hz": "20e3"},
+    "eom_noise": {"kind": "eom", "waveform": "noise", "vpp": "8", "frequency_hz": "20e3"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_in_place_chain_equals_the_out_of_place_product(monkeypatch, kind):
+    cfg = build_config(_raw(run={"duration_s": "0.2"}, modulation=_KINDS[kind]))
+    n = cfg.samples
+    assert n % (1 << 16) != 0  # a partial last block
+    params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
+    modulation = sample_intensity(
+        cfg.modulation, 0.0, cfg.dt_s, n, substream_seed(cfg.seed, "modulation")
+    )
+    want = apply_speckle(modulation, generate_speckle_field(params, 0.0, cfg.dt_s, n))
+    detected = []
+
+    def detect(joint, *args, **kwargs):
+        detected.append(joint)
+        return detect_photons(joint, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "detect_photons", detect)
+    stream = run_pipeline(cfg).stream
+    (joint,) = detected
+    assert joint.samples.tobytes() == want.samples.tobytes()
+    for name in ("t0", "dt", "mean", "flags"):
+        assert getattr(joint, name) == getattr(want, name), name
+    seed = substream_seed(cfg.seed, "detection")
+    assert _stream_digest(stream) == _stream_digest(detect_photons(want, cfg.detection, seed))
 
 
 def test_seed_changes_stream():

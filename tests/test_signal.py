@@ -16,6 +16,7 @@ from superbunch import (
     sample_intensity,
     write_intensity_csv,
 )
+from superbunch.signal import modulate_in_place
 from superbunch.speckle import SpeckleParams, generate_speckle_field
 
 
@@ -128,6 +129,27 @@ def test_quantization_memory_stays_near_its_output():
         tracemalloc.stop()
     assert samples.nbytes == 8 * n
     assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Constant(2.0), Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3), EomDrive(vpp=8.0)],
+    ids=["constant", "sinusoid", "eom_sine"],
+)
+def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
+    # the README speckle at 2M samples (not a multiple of the block); the
+    # speckle synthesis alone peaks near 1.8 traces, and separate modulation,
+    # speckle and product traces peaked at 3.0 (4.0 for the eom drive)
+    n = 2_000_000
+    speckle = SpeckleParams(bandwidth=62831.853, seed=1)
+    tracemalloc.start()
+    try:
+        joint = modulate_in_place(model, generate_speckle_field(speckle, 0.0, 1e-6, n), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint.samples.nbytes == 8 * n
+    assert peak < 2.0 * joint.samples.nbytes, f"peak {peak / joint.samples.nbytes:.2f} traces"
 
 
 @pytest.mark.parametrize(
