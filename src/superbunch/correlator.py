@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _kernels
+from . import _corr_np, _kernels
 from ._text import write_csv
 from ._workers import map_blocks
 from .errors import DataError
@@ -153,9 +153,10 @@ def coincidence_histogram(
     an empty channel raises DataError.  The bins are those of
     histogram_geometry at the stream's resolution.  `d1_range` restricts
     counting to a slice of the first channel (used for partial histograms;
-    see merge()).  `threads` splits the first channel across workers; the
-    result is bit-identical for any thread count because partial counts
-    are summed exactly.
+    see merge()).  `threads` splits the first channel across workers, in
+    at most one slice per `_corr_np._BLOCK` events; the result is
+    bit-identical for any thread count because partial counts are summed
+    exactly.
     """
     d1 = np.ascontiguousarray(stream.d1, dtype=np.int64)
     d2 = np.ascontiguousarray(stream.d2, dtype=np.int64)
@@ -163,9 +164,11 @@ def coincidence_histogram(
     i0, i1 = d1_range if d1_range is not None else (0, d1.size)
     if not (0 <= i0 <= i1 <= d1.size):
         raise ValueError("d1_range out of bounds")
-    edges = np.linspace(i0, i1, threads + 1).astype(int)
+    # each slice holds a partial histogram: no more of them than the work fills
+    slices = max(1, min(threads, (i1 - i0) // _corr_np._BLOCK))
+    edges = np.linspace(i0, i1, slices + 1).astype(int)
     count = partial(_kernels.pair_histogram, d1, d2, dtau_ns, half_bins)
-    parts = map_blocks(count, edges[:-1], edges[1:], threads=threads)
+    parts = map_blocks(count, edges[:-1], edges[1:], threads=slices)
     counts = np.sum(parts, axis=0, dtype=np.int64)
     return CoincidenceHistogram(
         dtau_ns=dtau_ns,

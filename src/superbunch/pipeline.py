@@ -205,7 +205,7 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     modulation_seed = substream_seed(cfg.seed, "modulation")
 
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
-    speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n)
+    speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n, threads=threads)
 
     paths: dict = {}
     if out_dir is not None:
@@ -217,7 +217,7 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
             del trace
             paths["speckle"] = os.path.join(out_dir, "speckle.csv")
             write_intensity_csv(speckle, paths["speckle"])
-    joint = modulate_in_place(cfg.modulation, speckle, modulation_seed)
+    joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
     del speckle  # stale: its buffer now holds the joint trace
 
     stream = detect_photons(

@@ -14,7 +14,9 @@ A modulation kind is one frozen dataclass, plus the entry in
 `config._MODULATION` that declares its [modulation] keys.  The class
 names its kind in the class attribute `kind` (not a dataclass field),
 refuses a sample grid that cannot carry it in `check(dt, n)`,
-synthesizes itself in `sample(t0, dt, n, rng) -> (samples, flags)`, and
+synthesizes itself in `sample(t0, dt, n, rng, threads=1) -> (samples,
+flags)` (a stochastic kind spreads its synthesis over `threads`
+workers, with the same samples for any count), and
 names in `fit_start()` the fit parameters its physics implies a start
 for, each with the [modulation] key that sets it (see `analytic.MODELS`).
 
@@ -108,7 +110,7 @@ class _Waveform:
 
     deterministic = True
 
-    def sample(self, t0, dt, n, rng):
+    def sample(self, t0, dt, n, rng, threads=1):
         self.check(dt, n)
         return self.at(t0 + np.arange(n) * dt), ()
 
@@ -212,10 +214,12 @@ class BandNoise:
     def check(self, dt, n):
         require_oversampled(dt, 1 / self.cutoff_hz, f"[modulation] cutoff_hz = {self.cutoff_hz:g}")
 
-    def sample(self, t0, dt, n, rng):
+    def sample(self, t0, dt, n, rng, threads=1):
         self.check(dt, n)
         flags = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
-        samples = bandlimited_intensity(n, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng)
+        samples = bandlimited_intensity(
+            n, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng, threads=threads
+        )
         if self.clip_level is not None:
             np.minimum(samples, self.clip_level, out=samples)
         if self.quantization_bits is not None:
@@ -275,11 +279,11 @@ class EomDrive(_Waveform):
             v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
         return eom_transfer(v, self.transfer)
 
-    def sample(self, t0, dt, n, rng):
+    def sample(self, t0, dt, n, rng, threads=1):
         if self.deterministic:
             return super().sample(t0, dt, n, rng)
         self.check(dt, n)
-        v = bandlimited_real_noise(n, dt, self.frequency_hz, rng)
+        v = bandlimited_real_noise(n, dt, self.frequency_hz, rng, threads=threads)
         v *= self.vpp / 6.0
         np.clip(v, -0.5 * self.vpp, 0.5 * self.vpp, out=v)
         for s, e in _blocks(n):  # the drive's buffer becomes the intensity's
@@ -356,7 +360,9 @@ def sample_intensity(
     )
 
 
-def modulate_in_place(model: ModulationModel, trace: IntensityTrace, seed) -> IntensityTrace:
+def modulate_in_place(
+    model: ModulationModel, trace: IntensityTrace, seed, *, threads: int = 1
+) -> IntensityTrace:
     """The joint trace: `model`'s intensity times `trace`, multiplied into `trace`'s buffer.
 
     `trace` is consumed: its samples become the product, and the returned
@@ -366,7 +372,7 @@ def modulate_in_place(model: ModulationModel, trace: IntensityTrace, seed) -> In
     equal those of apply_speckle(that trace, `trace`) bit for bit.  A
     deterministic model is evaluated per block of `_BLOCK` samples, so it
     adds no full-length array; a stochastic one synthesizes its whole
-    trace first.
+    trace first, on `threads` workers (the same samples for any count).
     """
     samples, n, t0, dt = trace.samples, trace.n, trace.t0, trace.dt
     flags = ()
@@ -375,7 +381,7 @@ def modulate_in_place(model: ModulationModel, trace: IntensityTrace, seed) -> In
         for s, e in _blocks(n):
             samples[s:e] *= model.at(t0 + np.arange(s, e) * dt)
     else:
-        drawn, flags = model.sample(t0, dt, n, np.random.default_rng(seed))
+        drawn, flags = model.sample(t0, dt, n, np.random.default_rng(seed), threads)
         samples *= drawn
     return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=float(samples.mean()), flags=flags)
 

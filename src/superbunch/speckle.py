@@ -46,19 +46,22 @@ class SpeckleParams:
 
 
 def generate_speckle_field(
-    params: SpeckleParams, t0: float, dt: float, n: int
+    params: SpeckleParams, t0: float, dt: float, n: int, *, threads: int = 1
 ) -> IntensityTrace:
     """Synthesize `n` speckle intensity samples with empirical mean 1.
 
     Requires the grid to oversample the coherence time: dt must be at most
-    2 pi / (10 * bandwidth).
+    2 pi / (10 * bandwidth).  `threads` workers share the synthesis; the
+    samples are the same for any count.
     """
     require_oversampled(
         dt, 2 * np.pi / params.bandwidth, f"[speckle] bandwidth_rad_s = {params.bandwidth:g}"
     )
     rng = np.random.default_rng(params.seed)
     # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
-    samples = bandlimited_intensity(n, dt, params.bandwidth / (4 * np.pi), 1.0, rng)
+    samples = bandlimited_intensity(
+        n, dt, params.bandwidth / (4 * np.pi), 1.0, rng, threads=threads
+    )
     return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=1.0)
 
 

@@ -17,7 +17,7 @@ from superbunch import (
     write_g2_csv,
     write_histogram_csv,
 )
-from superbunch import _corr_np, _kernels
+from superbunch import _corr_np, _kernels, _workers
 
 
 def brute_force(d1, d2, dtau_ns, half_bins):
@@ -107,7 +107,9 @@ def test_merge_rejects_mismatched_metadata():
         merge(a, b)
 
 
-def test_threads_do_not_change_counts():
+def test_threads_do_not_change_counts(monkeypatch):
+    # a slice per 1000 D1 events, so three threads get three slices
+    monkeypatch.setattr(_corr_np, "_BLOCK", 1000)
     rng = np.random.default_rng(17)
     stream = _random_stream(rng, n1=5000, n2=5000, span=10_000_000)
     a = coincidence_histogram(stream, 1e-6, 30e-6, threads=1)
@@ -126,10 +128,60 @@ def test_kernel_runs_on_the_calling_thread_only_when_serial(monkeypatch, threads
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "pair_histogram", spy)
+    monkeypatch.setattr(_corr_np, "_BLOCK", 100)  # 500 events fill five slices
     stream = _random_stream(np.random.default_rng(19), n1=500, n2=500)
     coincidence_histogram(stream, 1e-6, 30e-6, threads=threads)
     assert len(seen) == threads
     assert (threading.get_ident() in seen) == (threads == 1)
+
+
+class _Pools:
+    """Stands in for ThreadPoolExecutor: records each pool and maps inline."""
+
+    def __init__(self):
+        self.workers = []
+
+    def __call__(self, max_workers):
+        self.workers.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *blocks):
+        return map(fn, *blocks)
+
+
+@pytest.mark.parametrize("n1, slices", [(1000, 1), (3 * _corr_np._BLOCK + 7, 3)])
+def test_slices_never_outnumber_the_work(monkeypatch, n1, slices):
+    # a slice per _BLOCK D1 events at most, however many threads are asked for
+    pools = _Pools()
+    monkeypatch.setattr(_workers, "ThreadPoolExecutor", pools)
+    calls = []
+    kernel = _kernels.pair_histogram
+
+    def spy(*args):
+        calls.append(args[4:])
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "pair_histogram", spy)
+    stream = _random_stream(np.random.default_rng(23), n1=n1, n2=1000, span=10**9)
+    many = coincidence_histogram(stream, 1e-6, 30e-6, threads=5000)
+    assert len(calls) == slices
+    assert pools.workers == ([] if slices == 1 else [slices])
+    one = coincidence_histogram(stream, 1e-6, 30e-6, threads=1)
+    assert many.counts.tobytes() == one.counts.tobytes()
+
+
+def test_a_pool_has_no_more_workers_than_blocks(monkeypatch):
+    pools = _Pools()
+    monkeypatch.setattr(_workers, "ThreadPoolExecutor", pools)
+    assert _workers.map_blocks(str, range(3), threads=5000) == ["0", "1", "2"]
+    assert _workers.map_blocks(str, [7], threads=5000) == ["7"]  # inline: no pool
+    assert pools.workers == [3]
 
 
 def test_uncorrelated_stream_normalizes_to_unity():

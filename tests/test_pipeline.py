@@ -13,6 +13,7 @@ from superbunch import (
     run_pipeline,
     run_sweep,
 )
+from superbunch import _corr_np, _spectral, detection
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
 from superbunch.config import _MODULATION, INIT
 from superbunch.detection import detect_photons
@@ -325,6 +326,40 @@ def test_sweep_points_use_distinct_seeds(tmp_path):
     pa = (tmp_path / "point_000" / "photons.txt").read_bytes()
     pb = (tmp_path / "point_001" / "photons.txt").read_bytes()
     assert pa != pb
+
+
+def test_sweep_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    # a short sweep_noise_threads: 8-bit band noise swept over its clip level;
+    # smaller batches, blocks and slices make two threads split every stage
+    monkeypatch.setattr(_spectral, "_BATCH", 1 << 14)  # 8 speckle and 13 noise batches
+    monkeypatch.setattr(detection, "_BLOCK", 1 << 16)  # 4 detection blocks
+    monkeypatch.setattr(_corr_np, "_BLOCK", 1 << 12)  # a slice per 4096 D1 events
+    raw = _raw(
+        run={"duration_s": "2.0", "dt_s": "1e-5"},
+        modulation={
+            "kind": "band_noise",
+            "intensity": "1.0",
+            "cutoff_hz": "200",
+            "clip_level": "none",
+            "quantization_bits": "8",
+        },
+        detection={"rate_hz": "1e4"},
+        correlator={"bin_s": "1e-5", "window_s": "1e-2"},
+        analysis={"model": "noise_speckle"},
+        output={"format": "binary"},
+        sweep={"parameter": "modulation.clip_level", "values": "none, 3.0, realistic"},
+    )
+    cfg = build_config(raw)
+    files = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        rows = run_sweep(cfg, raw, out_dir=out, threads=threads)
+        assert [row["status"] for row in rows] == ["ok"] * 3
+        files.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.*")})
+    assert "summary.csv" in files[0] and "point_002/photons.bin" in files[0]
+    assert files[0].keys() == files[1].keys()
+    for name in files[0]:
+        assert files[0][name] == files[1][name], name
 
 
 def test_sweep_requires_sweep_section(tmp_path):

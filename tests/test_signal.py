@@ -152,6 +152,27 @@ def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
     assert peak < 2.0 * joint.samples.nbytes, f"peak {peak / joint.samples.nbytes:.2f} traces"
 
 
+def test_wide_noise_drive_adds_no_more_than_its_std_to_the_speckle():
+    # a 20 kHz drive on the README speckle at 2M samples: 80001 modes,
+    # n_c 100000; the drive's std holds a deviation trace beside the drive
+    # and the speckle (3.0 traces); its synthesis peaked above that, at 3.2
+    # traces, with a full twiddle table and an exponential per mode and batch
+    n = 2_000_000
+    speckle = SpeckleParams(bandwidth=62831.853, seed=1)
+    model = EomDrive(vpp=8.0, frequency_hz=20e3, waveform="noise")
+    tracemalloc.start()
+    try:
+        joint = modulate_in_place(model, generate_speckle_field(speckle, 0.0, 1e-6, n), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint.samples.nbytes == 8 * n
+    # the allowance covers interpreter objects, e.g. a first import of numpy.fft
+    assert peak <= 3.0 * joint.samples.nbytes + 2**20, (
+        f"peak {peak / joint.samples.nbytes:.2f} traces"
+    )
+
+
 @pytest.mark.parametrize(
     "synthesize, quantity, limit",
     [

@@ -61,6 +61,37 @@ def test_batch_size_does_not_change_samples(monkeypatch, batch):
     assert _max_rel(got, intensity / intensity.mean()) <= 1e-12
 
 
+# (case, _BATCH) of grids that split into batches differently: "L>1"
+# fits its 80 phases in one batch; below n_c it takes 80 batches of one
+# phase; at three rows, 27 batches, the last of two phases; "prime_n" is
+# one batch of one phase
+_THREAD_GRIDS = {
+    "L>1": ("L>1", _spectral._BATCH),
+    "rows=1": ("L>1", 2000),
+    "rows=3_partial_last": ("L>1", 3 * 2500),
+    "prime_n": ("prime_n", _spectral._BATCH),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_THREAD_GRIDS))
+def test_thread_count_does_not_change_samples(monkeypatch, grid):
+    # three workers start at batches 26 and 53 (or 9 and 18), between the
+    # batches whose start is evaluated directly
+    case, batch = _THREAD_GRIDS[grid]
+    monkeypatch.setattr(_spectral, "_BATCH", batch)
+    n, dt, half_band = _CASES[case]
+
+    def draw(threads):
+        rng = np.random.default_rng(6)
+        intensity = _spectral.bandlimited_intensity(n, dt, half_band, 1.0, rng, threads=threads)
+        noise = _spectral.bandlimited_real_noise(n, dt, half_band, rng, threads=threads)
+        return intensity.tobytes(), noise.tobytes()
+
+    want = draw(1)
+    for threads in (2, 3):
+        assert draw(threads) == want, f"threads={threads}"
+
+
 def test_case_geometry():
     # the cases above cover what their names say
     def geometry(n, dt, half_band):
@@ -112,6 +143,23 @@ def test_synthesis_memory_stays_near_its_output():
         tracemalloc.stop()
     assert samples.nbytes == 8 * n
     assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_two_workers_trace_no_more_than_one_did():
+    # the sweep_noise_threads speckle: 200001 modes, n_c 250000 and eight
+    # phases of one batch each; one worker with a twiddle table and an
+    # exponential per mode and batch traced 56.8 MB
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        samples = _spectral.bandlimited_intensity(
+            n, 1e-5, 5e3, 1.0, np.random.default_rng(1), threads=2
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.nbytes == 8 * n
+    assert peak <= 56.8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_synthesis_rejects_degenerate_input():
