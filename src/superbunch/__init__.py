@@ -1,6 +1,6 @@
 """Monte Carlo simulation and analysis of intensity-modulated pseudothermal light.
 
-The chain mirrors a tabletop experiment: a deterministic or stochastic
+The chain mirrors a tabletop experiment: a periodic or stochastic
 intensity modulation multiplies a rotating ground-glass speckle field, two
 detectors split the light, and the cross-correlation histogram of their
 timestamps yields g2(tau).  Closed-form curves for the same chain support

@@ -59,6 +59,9 @@ class DetectorConfig:
             raise ValueError("count rate must be positive")
         if not (isinstance(self.resolution_ns, int) and self.resolution_ns >= 1):
             raise ValueError("resolution_ns must be a whole number, at least 1")
+        # the correlator's window limit; a larger tick overflows a float below
+        if self.resolution_ns >= 2**58:
+            raise ValueError("resolution_ns must be below 2**58")
         # detect_photons' pile-up bound, for the dark counts of both detectors alone
         if not 0 <= 2 * self.dark_rate_hz * (self.resolution_ns * 1e-9) <= 0.1:
             raise ValueError("dark_rate_hz must lie between 0 and 0.05 events per tick")

@@ -14,14 +14,16 @@ that pair plus derived sizes; it deliberately excludes runtime knobs such
 as thread counts, paths and wall-clock times so that repeated runs
 produce identical files.
 
-Draw order: `run_pipeline` draws the speckle first, then multiplies the
-modulation into the speckle's buffer (`signal.modulate_in_place`).  No
-product trace is made, and a deterministic modulation, evaluated per
-block, makes no full-length trace either.  The order is free because
-each source has its own substream ("speckle", "modulation"): neither
-draw depends on the other.  And as IEEE products commute, the joint
-trace equals apply_speckle(sample_intensity(...),
-generate_speckle_field(...)) bit for bit.
+Draw order: `run_pipeline` checks the modulation against the grid,
+which also gives the run's diagnostics (a `short-trace` warning), then
+draws the speckle, then has the modulation multiply itself into the
+speckle's buffer (`signal.modulate_in_place`).  No product trace is
+made, and a waveform kind, evaluated per block, makes no full-length
+trace either.  The order is free because each source has its own
+substream ("speckle", "modulation"): neither draw depends on the other.
+And as IEEE products commute, the joint trace equals
+apply_speckle(sample_intensity(...), generate_speckle_field(...)) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     _require_modulation(cfg)
     n = cfg.samples
     # before the speckle is drawn, so a grid too coarse for both names the modulation
-    cfg.modulation.check(cfg.dt_s, n)
+    warnings = tuple(WARNINGS[name] for name in cfg.modulation.check(cfg.dt_s, n))
     modulation_seed = substream_seed(cfg.seed, "modulation")
 
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
@@ -223,7 +225,6 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     stream = detect_photons(
         joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads
     )
-    flags = joint.flags
     del joint
 
     if out_dir is not None:
@@ -234,7 +235,7 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     if not (stream.n1 and stream.n2):
         raise DataError("a detector saw no photons: raise [detection] rate_hz or [run] duration_s")
     result = analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
-    result.warnings = tuple(WARNINGS[flag] for flag in flags) + result.warnings
+    result.warnings = warnings + result.warnings
     if out_dir is not None:
         paths["manifest"] = os.path.join(out_dir, "manifest.json")
         with open(paths["manifest"], "w", newline="") as fh:

@@ -1,8 +1,8 @@
 """Intensity modulation models and trace synthesis.
 
 The source under study is a laser whose intensity is modulated before it
-hits the rotating ground glass: either deterministically (a sinusoid, or
-an arbitrary waveform through the electro-optic modulator transfer curve)
+hits the rotating ground glass: either by a fixed waveform (a sinusoid, or
+an arbitrary drive through the electro-optic modulator transfer curve)
 or stochastically (band-limited Gaussian noise, realized as the intensity
 of a band-limited circular complex Gaussian field so the modulation itself
 has thermal counting statistics).
@@ -13,22 +13,23 @@ the same seed always yields the same samples.
 A modulation kind is one frozen dataclass, plus the entry in
 `config._MODULATION` that declares its [modulation] keys.  The class
 names its kind in the class attribute `kind` (not a dataclass field),
-refuses a sample grid that cannot carry it in `check(dt, n)`,
-synthesizes itself in `sample(t0, dt, n, rng, threads=1) -> (samples,
-flags)` (a stochastic kind spreads its synthesis over `threads`
-workers, with the same samples for any count), and
-names in `fit_start()` the fit parameters its physics implies a start
-for, each with the [modulation] key that sets it (see `analytic.MODELS`).
+refuses a sample grid that cannot carry it in `check(dt, n)`, which
+returns the run's diagnostics (`("short-trace",)` for a `BandNoise` run
+shorter than ten correlation times, else `()`), multiplies its
+intensity into a buffer of samples in `multiply_into(samples, t0, dt,
+rng, threads=1)`, and names in `fit_start()` the fit parameters its
+physics implies a start for, each with the [modulation] key that sets
+it (see `analytic.MODELS`).
 
-A kind is `deterministic` when its intensity is a function of time
-alone, stated once in `at(t)`: `Constant`, `Sinusoid`, and `EomDrive`
-with a sine drive or `vpp = 0`.  `sample` evaluates `at` over the whole
-trace; `modulate_in_place` evaluates it per block of `_BLOCK` samples
-and multiplies each block into a trace, so a deterministic modulation
-never holds a full-length array of its own.  A stochastic kind
-(`BandNoise`, the `EomDrive` noise drive) is synthesized whole by
-`sample` in both paths, from the same generator, so it draws the same
-numbers in either.
+A kind whose intensity is a function of time alone states it once in
+`at(t)`: `Constant`, `Sinusoid`, and `EomDrive` with a sine drive or
+`vpp = 0`.  Its `multiply_into` evaluates `at` per block of `_BLOCK`
+samples, so it never holds a full-length array of its own.  A
+stochastic kind (`BandNoise`, the `EomDrive` noise drive) synthesizes
+its whole trace, on `threads` workers with the same samples for any
+count, and multiplies it in.  `modulate_in_place` multiplies a kind
+into the speckle's buffer, and `sample_intensity` into a buffer of
+ones, so both paths draw the same numbers.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from ._text import write_csv
 from .correlator import G2Curve
 from .errors import ConfigError
 
-_BLOCK = 1 << 16  # samples of a deterministic modulation evaluated at once
+_BLOCK = 1 << 16  # samples of a waveform kind evaluated at once
 
 
 def require_oversampled(dt: float, timescale: float, what: str) -> None:
@@ -106,13 +107,11 @@ def _blocks(n: int):
 
 
 class _Waveform:
-    """A deterministic kind: `at(t)` is its intensity at the times `t`."""
+    """A waveform kind: `at(t)` is its intensity at the times `t`."""
 
-    deterministic = True
-
-    def sample(self, t0, dt, n, rng, threads=1):
-        self.check(dt, n)
-        return self.at(t0 + np.arange(n) * dt), ()
+    def multiply_into(self, samples, t0, dt, rng, threads=1):
+        for s, e in _blocks(samples.size):
+            samples[s:e] *= self.at(t0 + np.arange(s, e) * dt)
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class Constant(_Waveform):
             raise ValueError("base intensity must be positive")
 
     def check(self, dt, n):
-        pass
+        return ()
 
     def at(self, t):
         return np.full(t.shape, float(self.base_intensity))
@@ -166,6 +165,7 @@ class Sinusoid(_Waveform):
         require_oversampled(
             dt, 2 * np.pi / self.omega, f"[modulation] frequency_hz = {self.omega / 2 / np.pi:g}"
         )
+        return ()
 
     def at(self, t):
         return self.base_intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase))
@@ -199,7 +199,6 @@ class BandNoise:
     quantization_bits: Optional[int] = None
 
     kind = "band_noise"
-    deterministic = False
 
     def __post_init__(self):
         if not self.mean_intensity > 0:
@@ -208,28 +207,28 @@ class BandNoise:
             raise ValueError("noise cutoff must be positive")
         if self.clip_level is not None and not self.clip_level > 0:
             raise ValueError("clip_level must be positive or None")
-        if self.quantization_bits is not None and self.quantization_bits < 1:
-            raise ValueError("quantization_bits must be at least 1")
+        # a float64 holds 53 significant bits, so a finer step quantizes nothing
+        if self.quantization_bits is not None and not 1 <= self.quantization_bits <= 53:
+            raise ValueError("quantization_bits must lie between 1 and 53")
 
     def check(self, dt, n):
         require_oversampled(dt, 1 / self.cutoff_hz, f"[modulation] cutoff_hz = {self.cutoff_hz:g}")
+        return ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
 
-    def sample(self, t0, dt, n, rng, threads=1):
-        self.check(dt, n)
-        flags = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
-        samples = bandlimited_intensity(
-            n, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng, threads=threads
+    def multiply_into(self, samples, t0, dt, rng, threads=1):
+        drawn = bandlimited_intensity(
+            samples.size, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng, threads=threads
         )
         if self.clip_level is not None:
-            np.minimum(samples, self.clip_level, out=samples)
+            np.minimum(drawn, self.clip_level, out=drawn)
         if self.quantization_bits is not None:
-            top = samples.max()
+            top = drawn.max()
             if top > 0:
                 step = top / (2**self.quantization_bits - 1)
-                samples /= step
-                np.rint(samples, out=samples)
-                samples *= step
-        return samples, flags
+                drawn /= step
+                np.rint(drawn, out=drawn)
+                drawn *= step
+        samples *= drawn
 
     def fit_start(self) -> dict:
         return {"cutoff_hz": (self.cutoff_hz, "cutoff_hz")}
@@ -260,10 +259,6 @@ class EomDrive(_Waveform):
         if self.waveform not in ("sinusoid", "noise"):
             raise ValueError(f"unknown drive waveform {self.waveform!r}")
 
-    @property
-    def deterministic(self) -> bool:
-        return self.vpp == 0.0 or self.waveform == "sinusoid"
-
     def check(self, dt, n):
         require_oversampled(
             dt, 1.0 / self.frequency_hz, f"[modulation] frequency_hz = {self.frequency_hz:g}"
@@ -271,6 +266,7 @@ class EomDrive(_Waveform):
         if self.waveform == "noise" and n * dt * self.frequency_hz < 1:
             # over a shorter trace the band holds only DC, whose spread is rounding
             raise ConfigError(f"noise drive: duration_s must be >= {1 / self.frequency_hz:g} s")
+        return ()
 
     def at(self, t):
         if self.vpp == 0.0:
@@ -279,16 +275,14 @@ class EomDrive(_Waveform):
             v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
         return eom_transfer(v, self.transfer)
 
-    def sample(self, t0, dt, n, rng, threads=1):
-        if self.deterministic:
-            return super().sample(t0, dt, n, rng)
-        self.check(dt, n)
-        v = bandlimited_real_noise(n, dt, self.frequency_hz, rng, threads=threads)
+    def multiply_into(self, samples, t0, dt, rng, threads=1):
+        if self.vpp == 0.0 or self.waveform == "sinusoid":
+            return super().multiply_into(samples, t0, dt, rng)
+        v = bandlimited_real_noise(samples.size, dt, self.frequency_hz, rng, threads=threads)
         v *= self.vpp / 6.0
         np.clip(v, -0.5 * self.vpp, 0.5 * self.vpp, out=v)
-        for s, e in _blocks(n):  # the drive's buffer becomes the intensity's
-            v[s:e] = eom_transfer(v[s:e], self.transfer)
-        return v, ()
+        for s, e in _blocks(samples.size):
+            samples[s:e] *= eom_transfer(v[s:e], self.transfer)
 
     def fit_start(self) -> dict:
         return {
@@ -307,15 +301,13 @@ class IntensityTrace:
     `mean` is the declared mean used downstream to normalize detection
     rates; synthesis sets it to the empirical mean of the samples, but it
     is an independent field so traces can be compared at a common
-    normalization.  `flags` carries synthesis warnings (e.g. a noise trace
-    too short for its correlation time to self-average).
+    normalization.
     """
 
     t0: float
     dt: float
     samples: np.ndarray
     mean: float
-    flags: tuple = ()
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -347,17 +339,17 @@ def sample_intensity(
     """Synthesize `n` intensity samples starting at `t0` with spacing `dt`.
 
     `seed` feeds the stochastic models (BandNoise, noise-driven EomDrive);
-    deterministic models ignore it.  The declared mean of the returned
-    trace is the empirical mean of its samples.
+    waveform models ignore it.  The declared mean of the returned
+    trace is the empirical mean of its samples.  The model multiplies
+    itself into a buffer of ones; as 1.0 * x is x, the samples are its
+    intensity.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if not dt > 0:
         raise ValueError("sample spacing must be positive")
-    samples, flags = model.sample(t0, dt, n, np.random.default_rng(seed))
-    return IntensityTrace(
-        t0=t0, dt=dt, samples=samples, mean=float(samples.mean()), flags=flags
-    )
+    ones = IntensityTrace(t0=t0, dt=dt, samples=np.ones(n), mean=1.0)
+    return modulate_in_place(model, ones, seed)
 
 
 def modulate_in_place(
@@ -367,23 +359,16 @@ def modulate_in_place(
 
     `trace` is consumed: its samples become the product, and the returned
     trace, whose declared mean is the product's empirical mean, shares
-    them.  Draws and flags are those of sample_intensity(model, trace.t0,
-    trace.dt, trace.n, seed), and as IEEE products commute the samples
-    equal those of apply_speckle(that trace, `trace`) bit for bit.  A
-    deterministic model is evaluated per block of `_BLOCK` samples, so it
-    adds no full-length array; a stochastic one synthesizes its whole
-    trace first, on `threads` workers (the same samples for any count).
+    them.  As IEEE products commute, the samples equal those of
+    apply_speckle(sample_intensity(model, trace.t0, trace.dt, trace.n,
+    seed), `trace`) bit for bit.  The model's `check` runs first and its
+    diagnostics are dropped: a caller that reports them calls `check`
+    itself, as `run_pipeline` does.
     """
-    samples, n, t0, dt = trace.samples, trace.n, trace.t0, trace.dt
-    flags = ()
-    if model.deterministic:
-        model.check(dt, n)
-        for s, e in _blocks(n):
-            samples[s:e] *= model.at(t0 + np.arange(s, e) * dt)
-    else:
-        drawn, flags = model.sample(t0, dt, n, np.random.default_rng(seed), threads)
-        samples *= drawn
-    return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=float(samples.mean()), flags=flags)
+    model.check(trace.dt, trace.n)
+    samples, t0, dt = trace.samples, trace.t0, trace.dt
+    model.multiply_into(samples, t0, dt, np.random.default_rng(seed), threads)
+    return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=float(samples.mean()))
 
 
 def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve:
@@ -391,7 +376,7 @@ def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve
 
     Returns the estimator <I(t) I(t+tau)>_t / <I>^2 on the trace's own
     sample grid, computed by FFT over the full overlap at each lag.  The
-    declared statistical error is zero: the curve is a deterministic
+    declared statistical error is zero: the curve is a fixed
     functional of the trace.
     """
     raw = full_overlap_autocorrelation(trace.samples, trace.dt, max_lag)

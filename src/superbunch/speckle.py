@@ -11,12 +11,13 @@ and carried as an intensity trace.  It is the same thermal process as the
 `BandNoise` modulation with `cutoff_hz = bandwidth / (2 pi)`, and both
 draw it from `_spectral.bandlimited_intensity`.
 
-`run_pipeline` draws the speckle before the modulation and multiplies
-the modulation into the speckle's buffer (`signal.modulate_in_place`),
-so the speckle trace becomes the joint one.  Each source draws from its
-own substream of the run seed (`seed` here, "modulation" there), so the
-order of the draws changes no number.  `apply_speckle` is the
-out-of-place product of two separate traces, with the same bits.
+`run_pipeline` draws the speckle before the modulation and has the
+modulation multiply itself into the speckle's buffer
+(`signal.modulate_in_place`), so the speckle trace becomes the joint
+one.  Each source draws from its own substream of the run seed (`seed`
+here, "modulation" there), so the order of the draws changes no number.
+`apply_speckle` is the out-of-place product of two separate traces,
+with the same bits; the pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -77,10 +78,4 @@ def apply_speckle(trace: IntensityTrace, speckle: IntensityTrace) -> IntensityTr
     ):
         raise ValueError("modulation and speckle trace grids do not match")
     samples = trace.samples * speckle.samples
-    return IntensityTrace(
-        t0=trace.t0,
-        dt=trace.dt,
-        samples=samples,
-        mean=float(samples.mean()),
-        flags=trace.flags,
-    )
+    return IntensityTrace(t0=trace.t0, dt=trace.dt, samples=samples, mean=float(samples.mean()))

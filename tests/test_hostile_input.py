@@ -84,6 +84,28 @@ def test_config_value_runs_or_is_refused_by_name(tmp_path, capsys, section, kind
         assert code == 0 or _names(err, section, key), (value, err)
 
 
+# integer values too large for a float, kept out of VALUES: there a float
+# key set to 1100 would start an 1100 s run
+_HUGE = {
+    "resolution_ns": ("sinusoid", "detection", "1" + "0" * 309),
+    "quantization_bits": ("band_noise", "modulation", "1100"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_HUGE))
+def test_integer_too_large_for_a_float_is_refused_by_name(tmp_path, capsys, key):
+    kind, section, value = _HUGE[key]
+    raw = _config(kind)
+    raw.setdefault(section, {})[key] = value
+    path = tmp_path / "run.ini"
+    path.write_text(_ini(raw))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _names(err, section, key), err
+    assert not (out / "photons.txt").exists()
+
+
 @pytest.fixture(scope="module")
 def photons(tmp_path_factory):
     """The lines of a 0.01 s photons.txt and the bytes of the same run's photons.bin."""

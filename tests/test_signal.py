@@ -119,15 +119,16 @@ def test_band_noise_quantization():
 def test_quantization_memory_stays_near_its_output():
     # the sweep_noise_threads modulation: 8-bit band noise at 2M samples;
     # quantizing through temporaries traced 48 MB
+    # (the buffer it multiplies into is allocated before tracing starts)
     n = 2_000_000
     model = BandNoise(1.0, 200.0, quantization_bits=8)
+    samples = np.ones(n)
     tracemalloc.start()
     try:
-        samples, _ = model.sample(0.0, 1e-5, n, np.random.default_rng(1))
+        model.multiply_into(samples, 0.0, 1e-5, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert samples.nbytes == 8 * n
     assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -150,6 +151,26 @@ def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
         tracemalloc.stop()
     assert joint.samples.nbytes == 8 * n
     assert peak < 2.0 * joint.samples.nbytes, f"peak {peak / joint.samples.nbytes:.2f} traces"
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Constant(2.0), Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3), EomDrive(vpp=8.0)],
+    ids=["constant", "sinusoid", "eom_sine"],
+)
+def test_waveform_trace_holds_one_trace_and_its_blocks(model):
+    # a waveform kind evaluated per block into a buffer of ones; evaluated
+    # over the whole grid at once it traced 2.0 (constant), 3.0 (sinusoid)
+    # and 4.0 (eom sine) traces
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        tr = sample_intensity(model, 0.0, 1e-6, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.samples.nbytes == 8 * n
+    assert peak < 1.5 * tr.samples.nbytes, f"peak {peak / tr.samples.nbytes:.2f} traces"
 
 
 def test_wide_noise_drive_adds_no_more_than_its_std_to_the_speckle():
@@ -197,10 +218,15 @@ def test_coarse_dt_names_quantity_and_limit(synthesize, quantity, limit):
 
 
 def test_band_noise_dt_guard_and_flag():
+    model = BandNoise(1.0, 200.0)
     with pytest.raises(ConfigError):
-        sample_intensity(BandNoise(1.0, 200.0), 0.0, 1e-3, 1000, 0)
-    tr = sample_intensity(BandNoise(1.0, 200.0), 0.0, 1e-4, 300, 0)  # 30 ms << 10/cutoff
-    assert "short-trace" in tr.flags
+        sample_intensity(model, 0.0, 1e-3, 1000, 0)
+    # ten correlation times of a 200 Hz band are 50 ms: 500 samples of 0.1 ms
+    assert model.check(1e-4, 499) == ("short-trace",)
+    assert model.check(1e-4, 500) == ()
+    assert model.check(1e-4, 501) == ()
+    for other in (Constant(), Sinusoid(), EomDrive(), EomDrive(waveform="noise")):
+        assert other.check(1e-6, 100) == ()
 
 
 def test_eom_drive_sinusoid_range():

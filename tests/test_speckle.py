@@ -5,7 +5,6 @@ from superbunch import (
     BandNoise,
     ConfigError,
     Constant,
-    IntensityTrace,
     SpeckleParams,
     apply_speckle,
     g2_speckle,
@@ -88,10 +87,3 @@ def test_apply_speckle_rejects_mismatched_grid():
 def test_speckle_params_validation():
     with pytest.raises(ValueError):
         SpeckleParams(bandwidth=-1.0)
-
-
-def test_trace_flags_carried_through():
-    trace = IntensityTrace(0.0, 1e-5, np.ones(2048), 1.0, flags=("short-trace",))
-    speckle = generate_speckle_field(SpeckleParams(bandwidth=BW, seed=4), 0.0, 1e-5, 2048)
-    joint = apply_speckle(trace, speckle)
-    assert "short-trace" in joint.flags
