@@ -1,10 +1,10 @@
 """The one way synthesis, detection and correlation spread work over threads.
 
-Thermal synthesis (`_spectral`) maps its phase batches, detection its
-sample blocks and correlation its slices of the first channel.  Each
-caller splits its work by a rule of its own that does not depend on the
-thread count, or sums exact partial results, so every result is the
-same bits for any `threads`.
+Thermal synthesis (`_spectral`) maps its phase batches, a modulation
+(`signal`) and detection their sample blocks, and correlation its slices
+of the first channel.  Each caller splits its work by a rule of its own
+that does not depend on the thread count, or sums exact partial
+results, so every result is the same bits for any `threads`.
 """
 
 from __future__ import annotations

@@ -19,11 +19,13 @@ which also gives the run's diagnostics (a `short-trace` warning), then
 draws the speckle, then has the modulation multiply itself into the
 speckle's buffer (`signal.modulate_in_place`).  No product trace is
 made, and a waveform kind, evaluated per block, makes no full-length
-trace either.  The order is free because each source has its own
-substream ("speckle", "modulation"): neither draw depends on the other.
-And as IEEE products commute, the joint trace equals
-apply_speckle(sample_intensity(...), generate_speckle_field(...)) bit
-for bit.
+trace either.  With `write_trace` the modulation is synthesized once,
+whole (`signal.sample_intensity`), written, and its trace multiplied
+into the speckle's buffer: the same bits, as 1.0 * x is x.  The order
+is free because each source has its own substream ("speckle",
+"modulation"): neither draw depends on the other.  And as IEEE products
+commute, the joint trace equals apply_speckle(sample_intensity(...),
+generate_speckle_field(...)) bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .detection import (
 )
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
-from .signal import modulate_in_place, sample_intensity, write_intensity_csv
+from .signal import IntensityTrace, modulate_in_place, sample_intensity, write_intensity_csv
 # run_pipeline calls no apply_speckle, but perfbench/tracer.py wraps it by this module's name
 from .speckle import apply_speckle, generate_speckle_field  # noqa: F401
 
@@ -197,8 +199,8 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     Artifacts: photons.txt or photons.bin (by `[output] format`) and
     manifest.json, plus those of analyze_stream.  With output.write_trace
     the source intensity traces go to modulation.csv and speckle.csv
-    (only sensible for short runs: the modulation is synthesized whole
-    for its file).
+    (only sensible for short runs: the modulation is then synthesized
+    whole, and multiplied into the speckle after its file is written).
     """
     _require_modulation(cfg)
     n = cfg.samples
@@ -212,14 +214,18 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     paths: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        if cfg.write_trace:
-            paths["modulation"] = os.path.join(out_dir, "modulation.csv")
-            trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed)
-            write_intensity_csv(trace, paths["modulation"])
-            del trace
-            paths["speckle"] = os.path.join(out_dir, "speckle.csv")
-            write_intensity_csv(speckle, paths["speckle"])
-    joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
+    if out_dir is not None and cfg.write_trace:
+        paths["modulation"] = os.path.join(out_dir, "modulation.csv")
+        trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed, threads=threads)
+        write_intensity_csv(trace, paths["modulation"])
+        paths["speckle"] = os.path.join(out_dir, "speckle.csv")
+        write_intensity_csv(speckle, paths["speckle"])
+        samples = speckle.samples
+        samples *= trace.samples
+        del trace
+        joint = IntensityTrace(speckle.t0, speckle.dt, samples, mean=float(samples.mean()))
+    else:
+        joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
     del speckle  # stale: its buffer now holds the joint trace
 
     stream = detect_photons(

@@ -24,12 +24,15 @@ it (see `analytic.MODELS`).
 A kind whose intensity is a function of time alone states it once in
 `at(t)`: `Constant`, `Sinusoid`, and `EomDrive` with a sine drive or
 `vpp = 0`.  Its `multiply_into` evaluates `at` per block of `_BLOCK`
-samples, so it never holds a full-length array of its own.  A
-stochastic kind (`BandNoise`, the `EomDrive` noise drive) synthesizes
-its whole trace, on `threads` workers with the same samples for any
-count, and multiplies it in.  `modulate_in_place` multiplies a kind
-into the speckle's buffer, and `sample_intensity` into a buffer of
-ones, so both paths draw the same numbers.
+samples, the blocks spread over `threads` workers, so it never holds a
+full-length array of its own.  A stochastic kind (`BandNoise`, the
+`EomDrive` noise drive) synthesizes its whole trace, on `threads`
+workers, and multiplies it in; the noise drive maps its voltage
+through the transfer per block, on the workers too.  Each block writes
+its own slice, so every kind gives the same samples for any `threads`.
+`modulate_in_place` multiplies a kind into the speckle's buffer, and
+`sample_intensity` into a buffer of ones, so both paths draw the same
+numbers.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from ._spectral import (
     full_overlap_autocorrelation,
 )
 from ._text import write_csv
+from ._workers import map_blocks
 from .correlator import G2Curve
 from .errors import ConfigError
 
@@ -101,17 +105,25 @@ def eom_transfer(v, transfer: EomTransfer = DEFAULT_TRANSFER):
     return float(out) if arr.ndim == 0 else out
 
 
-def _blocks(n: int):
-    """[s, e) of each block of `_BLOCK` samples of an n-sample trace, in order."""
-    return ((s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
+def _per_block(fn, n: int, threads: int) -> None:
+    """fn(s, e) for each block [s, e) of `_BLOCK` samples of an n-sample trace.
+
+    The blocks go to `threads` workers.  Each writes its own disjoint
+    slice by the same arithmetic, so the result is the same bits for
+    any `threads`.
+    """
+    starts = range(0, n, _BLOCK)
+    map_blocks(fn, starts, [min(s + _BLOCK, n) for s in starts], threads=threads)
 
 
 class _Waveform:
     """A waveform kind: `at(t)` is its intensity at the times `t`."""
 
     def multiply_into(self, samples, t0, dt, rng, threads=1):
-        for s, e in _blocks(samples.size):
+        def block(s, e):
             samples[s:e] *= self.at(t0 + np.arange(s, e) * dt)
+
+        _per_block(block, samples.size, threads)
 
 
 @dataclass(frozen=True)
@@ -277,12 +289,15 @@ class EomDrive(_Waveform):
 
     def multiply_into(self, samples, t0, dt, rng, threads=1):
         if self.vpp == 0.0 or self.waveform == "sinusoid":
-            return super().multiply_into(samples, t0, dt, rng)
+            return super().multiply_into(samples, t0, dt, rng, threads)
         v = bandlimited_real_noise(samples.size, dt, self.frequency_hz, rng, threads=threads)
         v *= self.vpp / 6.0
         np.clip(v, -0.5 * self.vpp, 0.5 * self.vpp, out=v)
-        for s, e in _blocks(samples.size):
+
+        def block(s, e):
             samples[s:e] *= eom_transfer(v[s:e], self.transfer)
+
+        _per_block(block, samples.size, threads)
 
     def fit_start(self) -> dict:
         return {
@@ -334,7 +349,7 @@ class IntensityTrace:
 
 
 def sample_intensity(
-    model: ModulationModel, t0: float, dt: float, n: int, seed
+    model: ModulationModel, t0: float, dt: float, n: int, seed, *, threads: int = 1
 ) -> IntensityTrace:
     """Synthesize `n` intensity samples starting at `t0` with spacing `dt`.
 
@@ -342,14 +357,14 @@ def sample_intensity(
     waveform models ignore it.  The declared mean of the returned
     trace is the empirical mean of its samples.  The model multiplies
     itself into a buffer of ones; as 1.0 * x is x, the samples are its
-    intensity.
+    intensity, the same bits for any `threads`.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if not dt > 0:
         raise ValueError("sample spacing must be positive")
     ones = IntensityTrace(t0=t0, dt=dt, samples=np.ones(n), mean=1.0)
-    return modulate_in_place(model, ones, seed)
+    return modulate_in_place(model, ones, seed, threads=threads)
 
 
 def modulate_in_place(

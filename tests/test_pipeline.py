@@ -13,7 +13,7 @@ from superbunch import (
     run_pipeline,
     run_sweep,
 )
-from superbunch import _corr_np, _spectral, detection
+from superbunch import _corr_np, _spectral, detection, signal, speckle
 from superbunch.analytic import NoiseSpeckle, SinusoidSpeckle, SpeckleOnly
 from superbunch.config import _MODULATION, INIT
 from superbunch.detection import detect_photons
@@ -172,6 +172,44 @@ def test_in_place_chain_equals_the_out_of_place_product(monkeypatch, kind):
         assert getattr(joint, name) == getattr(want, name), name
     seed = substream_seed(cfg.seed, "detection")
     assert _stream_digest(stream) == _stream_digest(detect_photons(want, cfg.detection, seed))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_write_trace_leaves_the_joint_trace_alone(tmp_path, monkeypatch, kind):
+    # with write_trace the modulation's written trace is multiplied into
+    # the speckle; without, the kind multiplies itself in
+    cfg = build_config(_raw(run={"duration_s": "0.1"}, modulation=_KINDS[kind]))
+    joints = []
+
+    def detect(joint, *args, **kwargs):
+        joints.append((joint.samples.tobytes(), joint.mean))
+        return detect_photons(joint, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "detect_photons", detect)
+    run_pipeline(cfg)
+    traced = dataclasses.replace(cfg, write_trace=True)
+    run_pipeline(traced, threads=2, out_dir=tmp_path)
+    assert joints[0] == joints[1]
+
+
+def test_write_trace_synthesizes_a_stochastic_modulation_once(tmp_path, monkeypatch):
+    calls = []
+    synthesize = _spectral.bandlimited_intensity
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return synthesize(*args, **kwargs)
+
+    # speckle.py and signal.py hold the function by their own names
+    for module in (_spectral, speckle, signal):
+        monkeypatch.setattr(module, "bandlimited_intensity", counted)
+    raw = _raw(
+        run={"duration_s": "0.05"},
+        modulation=_KINDS["band_noise_8bit"],
+        output={"write_trace": "yes"},
+    )
+    run_pipeline(build_config(raw), out_dir=tmp_path)
+    assert len(calls) == 2  # the speckle, then the modulation
 
 
 def test_seed_changes_stream():

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from superbunch import (
     sample_intensity,
     write_intensity_csv,
 )
+from superbunch import signal
 from superbunch.signal import modulate_in_place
 from superbunch.speckle import SpeckleParams, generate_speckle_field
 
@@ -161,16 +164,69 @@ def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
 def test_waveform_trace_holds_one_trace_and_its_blocks(model):
     # a waveform kind evaluated per block into a buffer of ones; evaluated
     # over the whole grid at once it traced 2.0 (constant), 3.0 (sinusoid)
-    # and 4.0 (eom sine) traces
+    # and 4.0 (eom sine) traces.  On two threads two blocks are in flight.
     n = 2_000_000
-    tracemalloc.start()
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            if threads == 1:
+                tr = sample_intensity(model, 0.0, 1e-6, n, 0)
+            else:
+                ones = IntensityTrace(0.0, 1e-6, np.ones(n), 1.0)
+                tr = modulate_in_place(model, ones, 0, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.samples.nbytes == 8 * n
+        assert peak < 1.5 * tr.samples.nbytes, (
+            f"threads={threads}: peak {peak / tr.samples.nbytes:.2f} traces"
+        )
+        del tr
+
+
+_BLOCKED = {
+    "constant": Constant(2.0),
+    "sinusoid": Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3),
+    "eom_sine": EomDrive(vpp=8.0),
+    "eom_noise": EomDrive(vpp=8.0, frequency_hz=20e3, waveform="noise"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCKED))
+def test_blocks_give_the_same_bits_on_any_thread_count(kind):
+    # eight workers, more than the cores, switching often: each block
+    # writes its own slice of the shared buffer, so none can be lost
+    n = 3 * signal._BLOCK + 12345  # a partial last block
+    speckle = np.random.default_rng(5).random(n) + 0.5
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        tr = sample_intensity(model, 0.0, 1e-6, n, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        for threads in (1, 2, 8):
+            samples = speckle.copy()
+            _BLOCKED[kind].multiply_into(samples, 2.5e-4, 1e-6, np.random.default_rng(7), threads)
+            out.append(samples.tobytes())
     finally:
-        tracemalloc.stop()
-    assert tr.samples.nbytes == 8 * n
-    assert peak < 1.5 * tr.samples.nbytes, f"peak {peak / tr.samples.nbytes:.2f} traces"
+        sys.setswitchinterval(interval)
+    assert out[0] == out[1] == out[2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["eom_sine", "eom_noise"])
+def test_blocks_run_on_the_workers_only_when_threaded(monkeypatch, kind, threads):
+    # both EOM drives map each block through the transfer
+    seen = []
+    transfer = signal.eom_transfer
+
+    def spy(v, *args):
+        seen.append(threading.get_ident())
+        return transfer(v, *args)
+
+    monkeypatch.setattr(signal, "eom_transfer", spy)
+    monkeypatch.setattr(signal, "_BLOCK", 1000)
+    _BLOCKED[kind].multiply_into(np.ones(10_000), 0.0, 1e-6, np.random.default_rng(7), threads)
+    assert len(seen) == 10
+    assert (threading.get_ident() in seen) == (threads == 1)
 
 
 def test_wide_noise_drive_adds_no_more_than_its_std_to_the_speckle():
