@@ -52,7 +52,6 @@ from .signal import (
     IntensityTrace,
     Sinusoid,
     eom_transfer,
-    modulation_autocorrelation,
     sample_intensity,
     write_intensity_csv,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "generate_speckle_field",
     "load_config",
     "merge",
-    "modulation_autocorrelation",
     "normalize_g2",
     "peak_background_ratio",
     "read_photon_stream",

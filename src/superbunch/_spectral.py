@@ -31,18 +31,20 @@ s0 < n / n_c), and seven steps add at most a few units in the last
 place: the samples move by about 1e-15 of the largest from evaluating
 every start by `exp`.  The rule depends on the batch index alone.
 
-Threads.  `threads` workers take contiguous runs of batches, so each
-steps through its own starts; one that begins between anchors first
-steps up from the anchor below, as a single worker would have.  Every
-batch is therefore the same arithmetic on the same numbers for any
-thread count, and so are the samples.  Each worker holds a batch
-(about `_BATCH` complex values, or n_c when that is more), one start
-vector, and a stage of its phases for one write: the workers share
-eight phases of n_c floats, but each stages at least one batch.  All
-are allocated up front on the calling thread, and the workers write
-their stages to the output one at a time.  For the 2M-sample 10 kHz
-speckle at dt = 10 us (n_c = 250000, L = 8) at two workers that is
-4 MB + 1.6 MB + 8 MB per worker, beside the 16 MB output.
+Threads.  The workers (`_workers.worker_count` of `threads` and the
+batches) take contiguous runs of batches, so each steps through its own
+starts; one that begins between anchors first steps up from the anchor
+below, as a single worker would have.  Every batch is therefore the
+same arithmetic on the same numbers for any thread count, and so are
+the samples.  Each worker holds a batch (about `_BATCH` complex values,
+or n_c when that is more), one start vector, and a stage of its phases
+for one write: the workers share eight phases of n_c floats, but each
+stages at least one batch.  All are allocated up front on the calling
+thread, and the workers write their stages to the output one at a
+time.  For the 2M-sample 10 kHz speckle at dt = 10 us (n_c = 250000,
+L = 8) at two workers that is 4 MB + 1.6 MB + 8 MB per worker, beside
+the 16 MB output; as the workers are never more than the CPUs, `-j 8`
+on two CPUs holds the same.
 
 That intensity is thermal light, and the package uses it twice: as the
 rotating ground-glass speckle and as the noise modulation.  Both draw it
@@ -55,7 +57,7 @@ import threading
 
 import numpy as np
 
-from ._workers import map_blocks
+from ._workers import map_blocks, worker_count
 
 _BATCH = 1 << 18  # complex values transformed at once
 _ANCHOR = 8  # a batch start is evaluated directly once per this many batches
@@ -94,8 +96,8 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     mean is left to the caller to normalize).  `reduce(batch, out)` writes
     floats for a batch of complex samples into `out`.  Draw order is fixed
     (real parts first, then imaginary) so results are reproducible for a
-    given generator state.  `threads` workers share the batches, and the
-    samples are the same bits for any count.
+    given generator state.  Up to `threads` workers share the batches, each
+    with its workspace, and the samples are the same bits for any count.
     """
     if n < 2:
         raise ValueError("need at least 2 samples for spectral synthesis")
@@ -124,7 +126,7 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     signed = np.concatenate([np.arange(p), np.arange(-q, 0)])
     twiddle = np.exp((2j * np.pi / n) * np.outer(np.arange(1, rows), signed))
     del signed
-    workers = min(threads, batches)
+    workers = worker_count(threads, batches)
     # a phase's samples sit `phases` apart in the output, so phases are
     # staged and written eight (a 64-byte line of floats) at a time: fewer
     # per pass would touch every line of the output more often.  The
@@ -228,19 +230,3 @@ def bandlimited_real_noise(
     v /= sd
     return v
 
-
-def full_overlap_autocorrelation(samples: np.ndarray, dt: float, max_lag: float) -> np.ndarray:
-    """<x(t) x(t + k dt)>_t of a real record over the full overlap, k = 0..max_lag/dt.
-
-    One zero-padded real FFT; `max_lag` must span a sample and stay below half the record.
-    """
-    n = samples.size
-    k_max = int(np.floor(max_lag / dt + 1e-9))
-    if k_max < 1:
-        raise ValueError("max_lag shorter than one sample interval")
-    if max_lag >= n * dt / 2:
-        raise ValueError("max_lag must be below half the trace duration")
-    size = 1 << int(np.ceil(np.log2(n + k_max + 1)))
-    spec = np.fft.rfft(samples, size)
-    raw = np.fft.irfft(np.abs(spec) ** 2, size)[: k_max + 1]
-    return raw / (n - np.arange(k_max + 1))

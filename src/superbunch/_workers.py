@@ -5,25 +5,43 @@ Thermal synthesis (`_spectral`) maps its phase batches, a modulation
 of the first channel.  Each caller splits its work by a rule of its own
 that does not depend on the thread count, or sums exact partial
 results, so every result is the same bits for any `threads`.
+
+How many workers a stage starts is decided by `worker_count` alone:
+`threads` (the `-j` bound), the stage's blocks and the CPUs the process
+may run on, whichever is fewest.  More workers than CPUs would only add
+their buffers and scratch to the peak memory.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-def map_blocks(fn, *blocks, threads: int) -> list:
-    """`list(map(fn, *blocks))`, spread over at most `threads` worker threads.
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    The pool has no more workers than blocks.  One worker runs the
-    blocks inline on the calling thread: a pool worker would get its own
-    malloc arena, and its temporaries would land on fresh pages instead
-    of reusing the caller's heap.  The results come back in block order
-    either way.
+
+def worker_count(threads: int, blocks: int) -> int:
+    """Workers for `blocks` blocks under `-j threads`: min(threads, blocks, CPUs), at least 1."""
+    return max(1, min(threads, blocks, _cpus()))
+
+
+def map_blocks(fn, *blocks, threads: int) -> list:
+    """`list(map(fn, *blocks))`, spread over `worker_count(threads, blocks)` threads.
+
+    One worker runs the blocks inline on the calling thread: a pool
+    worker would get its own malloc arena, and its temporaries would
+    land on fresh pages instead of reusing the caller's heap.  The
+    results come back in block order either way.
     """
     blocks = [list(b) for b in blocks]
-    workers = min(threads, min(len(b) for b in blocks))
-    if workers <= 1:
+    workers = worker_count(threads, min(len(b) for b in blocks))
+    if workers == 1:
         return list(map(fn, *blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *blocks))

@@ -37,7 +37,7 @@ def _run_flags(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
         "--out", "-o", metavar="DIR", default=None, help="output directory"
     )
     parser.add_argument(
-        "--threads", "-j", type=int, default=1, help="worker threads (default 1)"
+        "--threads", "-j", type=int, default=1, help="upper bound on worker threads (default 1)"
     )
     parser.add_argument(
         "--format",

@@ -21,8 +21,15 @@ import numpy as np
 
 from . import _corr_np, _kernels
 from ._text import write_csv
-from ._workers import map_blocks
+from ._workers import map_blocks, worker_count
 from .errors import DataError
+
+
+# Every window is shorter than this many nanoseconds.  The correlator adds
+# its window to int64 timestamps, so a photon file's timestamps stay this
+# far below 2**63 (`detection.TIMESTAMP_END_NS`), and a 1 ns bin keeps the
+# counts addressable.
+WINDOW_LIMIT_NS = 2**58
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +130,10 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
     """The bin width in whole nanoseconds and the bins per side, (dtau_ns, half_bins).
 
     The window is rounded to a whole number of bins.  Raises ValueError
-    when the window reaches 2**58 ns (lags are int64 nanoseconds, and a
-    1 ns bin must leave the int64 counts addressable), spans fewer than
-    ten bins per side, or the bin is narrower than the timestamp
-    resolution.
+    when the window reaches WINDOW_LIMIT_NS, spans fewer than ten bins
+    per side, or the bin is narrower than the timestamp resolution.
     """
-    if not window_s * 1e9 < 2**58:
+    if not window_s * 1e9 < WINDOW_LIMIT_NS:
         raise ValueError("window_s must be shorter than 2**58 ns")
     half_bins = int(round(window_s / bin_s))
     if half_bins < 10:
@@ -153,19 +158,18 @@ def coincidence_histogram(
     an empty channel raises DataError.  The bins are those of
     histogram_geometry at the stream's resolution.  `d1_range` restricts
     counting to a slice of the first channel (used for partial histograms;
-    see merge()).  `threads` splits the first channel across workers, in
-    at most one slice per `_corr_np._BLOCK` events; the result is
-    bit-identical for any thread count because partial counts are summed
-    exactly.
+    see merge()).  `threads` splits the first channel into one slice per
+    worker, `worker_count` of `threads` and its `_corr_np._BLOCK`-event
+    blocks; the result is bit-identical for any thread count because
+    partial counts are summed exactly.
     """
-    d1 = np.ascontiguousarray(stream.d1, dtype=np.int64)
-    d2 = np.ascontiguousarray(stream.d2, dtype=np.int64)
+    d1, d2 = stream.d1, stream.d2
     dtau_ns, half_bins = histogram_geometry(bin_s, window_s, stream.resolution_ns)
     i0, i1 = d1_range if d1_range is not None else (0, d1.size)
     if not (0 <= i0 <= i1 <= d1.size):
         raise ValueError("d1_range out of bounds")
     # each slice holds a partial histogram: no more of them than the work fills
-    slices = max(1, min(threads, (i1 - i0) // _corr_np._BLOCK))
+    slices = worker_count(threads, (i1 - i0) // _corr_np._BLOCK)
     edges = np.linspace(i0, i1, slices + 1).astype(int)
     count = partial(_kernels.pair_histogram, d1, d2, dtau_ns, half_bins)
     parts = map_blocks(count, edges[:-1], edges[1:], threads=slices)

@@ -38,6 +38,7 @@ import numpy as np
 
 from ._text import line_of, read_csv, write_csv
 from ._workers import map_blocks
+from .correlator import WINDOW_LIMIT_NS
 from .errors import ConfigError, DataError, ResolutionError
 from .seeding import substream, substream_seed
 from .signal import IntensityTrace
@@ -60,7 +61,7 @@ class DetectorConfig:
         if not (isinstance(self.resolution_ns, int) and self.resolution_ns >= 1):
             raise ValueError("resolution_ns must be a whole number, at least 1")
         # the correlator's window limit; a larger tick overflows a float below
-        if self.resolution_ns >= 2**58:
+        if self.resolution_ns >= WINDOW_LIMIT_NS:
             raise ValueError("resolution_ns must be below 2**58")
         # detect_photons' pile-up bound, for the dark counts of both detectors alone
         if not 0 <= 2 * self.dark_rate_hz * (self.resolution_ns * 1e-9) <= 0.1:
@@ -82,7 +83,7 @@ class PhotonStream:
             object.__setattr__(self, name, arr)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D")
-            if arr.size > 1 and np.any(np.diff(arr) < 0):
+            if np.any(arr[1:] < arr[:-1]):
                 raise ValueError(f"{name} timestamps are not sorted")
         if self.resolution_ns < 1:
             raise ValueError("resolution must be at least 1 ns")
@@ -225,10 +226,12 @@ def detect_photons(
 # binary: little-endian records of (uint64 timestamp_ns, uint8 channel),
 #       no header
 # Both hold timestamps in [0, TIMESTAMP_END_NS): the correlator adds its
-# window, below 2**58 ns (histogram_geometry), to int64 timestamps.
+# window, below WINDOW_LIMIT_NS, to int64 timestamps.  `_check_records`
+# holds both the writer and the reader to that, so every file the package
+# writes reads back.
 # ---------------------------------------------------------------------------
 
-TIMESTAMP_END_NS = 2**63 - 2**58
+TIMESTAMP_END_NS = 2**63 - WINDOW_LIMIT_NS
 
 _BINARY_DTYPE = np.dtype([("timestamp_ns", "<u8"), ("channel", "u1")])
 
@@ -250,18 +253,49 @@ def _format_for(path, fmt: str | None) -> str:
 
 
 def _interleave(stream: PhotonStream) -> tuple[np.ndarray, np.ndarray]:
+    """Both channels' records by timestamp, channel 1 first at a tie."""
     ts = np.concatenate([stream.d1, stream.d2])
-    ch = np.concatenate(
-        [np.ones(stream.n1, dtype=np.uint8), np.full(stream.n2, 2, dtype=np.uint8)]
-    )
-    order = np.lexsort((ch, ts))
-    return ts[order], ch[order]
+    # stable: a tie keeps D1's events, which come first, ahead of D2's
+    order = np.argsort(ts, kind="stable")
+    return ts[order], (order >= stream.n1).astype(np.uint8) + 1
+
+
+def _record(i: int) -> str:
+    return f"record {i + 1}"
+
+
+def _check_records(path, ts: np.ndarray, ch: np.ndarray, at) -> None:
+    """Raise DataError unless every record is in the file formats' domain.
+
+    Each channel must be 1 or 2 and each timestamp in [0,
+    TIMESTAMP_END_NS), in ascending order.  The error names `path` and
+    `at(i)`, the line or record of the first record i at fault.
+    """
+    bad = (ch != 1) & (ch != 2)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise DataError(f"{path}: invalid channel {int(ch[pos])} at {at(pos)}")
+    # a uint64 of 2**63 or more reads as a negative int64
+    bad = (ts < 0) | (ts >= TIMESTAMP_END_NS)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise DataError(f"{path}: timestamp outside [0, 2**63 - 2**58) ns at {at(pos)}")
+    bad = ts[1:] < ts[:-1]
+    if bad.any():
+        raise DataError(f"{path}: timestamps not sorted at {at(int(np.argmax(bad)) + 1)}")
 
 
 def write_photon_stream(stream: PhotonStream, path, fmt: str | None = None) -> None:
-    """Write both channels to one file, text or binary by extension."""
+    """Write both channels to one file, text or binary by extension.
+
+    The records pass the reader's check before the file is opened: a
+    timestamp outside [0, TIMESTAMP_END_NS) raises DataError naming the
+    path and the line or record, and writes nothing.
+    """
     kind = _format_for(path, fmt)
     ts, ch = _interleave(stream)
+    # no header: record i is line i + 1 of a text file
+    _check_records(path, ts, ch, (lambda i: f"line {i + 1}") if kind == "text" else _record)
     if kind == "text":
         write_csv(path, None, ch, ts)
     else:
@@ -285,9 +319,9 @@ def read_photon_stream(
     inferred as the last timestamp plus one resolution tick).  A
     `duration_s` that is not positive or not below the 2**63 ns int64
     timestamps can reach raises ConfigError; one shorter than the span of
-    the timestamps, DataError.  A missing or malformed file, or a
-    timestamp outside [0, TIMESTAMP_END_NS), raises DataError naming the
-    path and the line or record at fault.
+    the timestamps, DataError.  A missing or malformed file, or a record
+    `_check_records` refuses (the writer's own check), raises DataError
+    naming the path and the line or record at fault.
     """
     if duration_s is not None and not 0 < duration_s * 1e9 < 2**63:
         raise ConfigError(f"--duration-s must be positive and below 2**63 ns, got {duration_s!r}")
@@ -297,19 +331,8 @@ def read_photon_stream(
         at = lambda i: f"line {line_of(path, i)}"
     else:
         ts, ch = _read_binary(path)
-        at = lambda i: f"record {i + 1}"
-    bad = (ch != 1) & (ch != 2)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise DataError(f"{path}: invalid channel {int(ch[pos])} at {at(pos)}")
-    # a uint64 of 2**63 or more reads as a negative int64
-    bad = (ts < 0) | (ts >= TIMESTAMP_END_NS)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise DataError(f"{path}: timestamp outside [0, 2**63 - 2**58) ns at {at(pos)}")
-    if np.any(np.diff(ts) < 0):
-        pos = int(np.argmax(np.diff(ts) < 0)) + 1
-        raise DataError(f"{path}: timestamps not sorted at {at(pos)}")
+        at = _record
+    _check_records(path, ts, ch, at)
     d1, d2 = ts[ch == 1], ts[ch == 2]
     if not (d1.size and d2.size):
         raise DataError(f"{path}: no events on channel {2 if d1.size else 1}")

@@ -42,14 +42,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._spectral import (
-    bandlimited_intensity,
-    bandlimited_real_noise,
-    full_overlap_autocorrelation,
-)
+from ._spectral import bandlimited_intensity, bandlimited_real_noise
 from ._text import write_csv
 from ._workers import map_blocks
-from .correlator import G2Curve
 from .errors import ConfigError
 
 _BLOCK = 1 << 16  # samples of a waveform kind evaluated at once
@@ -108,7 +103,7 @@ def eom_transfer(v, transfer: EomTransfer = DEFAULT_TRANSFER):
 def _per_block(fn, n: int, threads: int) -> None:
     """fn(s, e) for each block [s, e) of `_BLOCK` samples of an n-sample trace.
 
-    The blocks go to `threads` workers.  Each writes its own disjoint
+    The blocks go to at most `threads` workers.  Each writes its own disjoint
     slice by the same arithmetic, so the result is the same bits for
     any `threads`.
     """
@@ -281,10 +276,8 @@ class EomDrive(_Waveform):
         return ()
 
     def at(self, t):
-        if self.vpp == 0.0:
-            v = np.zeros(t.shape)
-        else:
-            v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
+        # at vpp = 0 the drive is +-0 V, and eom_transfer maps both to its value at 0 V
+        v = 0.5 * self.vpp * np.sin(2 * np.pi * self.frequency_hz * t)
         return eom_transfer(v, self.transfer)
 
     def multiply_into(self, samples, t0, dt, rng, threads=1):
@@ -357,12 +350,9 @@ def sample_intensity(
     waveform models ignore it.  The declared mean of the returned
     trace is the empirical mean of its samples.  The model multiplies
     itself into a buffer of ones; as 1.0 * x is x, the samples are its
-    intensity, the same bits for any `threads`.
+    intensity, the same bits for any `threads`.  The trace built on that
+    buffer refuses an empty grid or a `dt` that is not positive.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if not dt > 0:
-        raise ValueError("sample spacing must be positive")
     ones = IntensityTrace(t0=t0, dt=dt, samples=np.ones(n), mean=1.0)
     return modulate_in_place(model, ones, seed, threads=threads)
 
@@ -384,20 +374,6 @@ def modulate_in_place(
     samples, t0, dt = trace.samples, trace.t0, trace.dt
     model.multiply_into(samples, t0, dt, np.random.default_rng(seed), threads)
     return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=float(samples.mean()))
-
-
-def modulation_autocorrelation(trace: IntensityTrace, max_lag: float) -> G2Curve:
-    """Normalized intensity autocorrelation of a trace for lags in [0, max_lag].
-
-    Returns the estimator <I(t) I(t+tau)>_t / <I>^2 on the trace's own
-    sample grid, computed by FFT over the full overlap at each lag.  The
-    declared statistical error is zero: the curve is a fixed
-    functional of the trace.
-    """
-    raw = full_overlap_autocorrelation(trace.samples, trace.dt, max_lag)
-    gamma = raw / trace.samples.mean() ** 2
-    tau = np.arange(gamma.size) * trace.dt
-    return G2Curve(tau=tau, value=gamma, stderr=np.zeros_like(gamma))
 
 
 def write_intensity_csv(trace: IntensityTrace, path) -> None:

@@ -13,6 +13,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from superbunch import (
     DetectorConfig,
@@ -37,8 +38,8 @@ from superbunch import (
 )
 from superbunch.cli import main
 from superbunch.seeding import substream_seed
-from superbunch.signal import modulation_autocorrelation
 
+from autocorrelation import modulation_autocorrelation
 from test_correlator import brute_force  # the all-pairs oracle
 
 BW = 2 * np.pi * 1e4  # speckle bandwidth used throughout
@@ -358,6 +359,7 @@ def test_09_fit_round_trips():
             f"(want <=1e-6)")
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_10_thread_determinism(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

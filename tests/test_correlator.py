@@ -107,6 +107,7 @@ def test_merge_rejects_mismatched_metadata():
         merge(a, b)
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_threads_do_not_change_counts(monkeypatch):
     # a slice per 1000 D1 events, so three threads get three slices
     monkeypatch.setattr(_corr_np, "_BLOCK", 1000)
@@ -117,6 +118,7 @@ def test_threads_do_not_change_counts(monkeypatch):
     assert np.array_equal(a.counts, b.counts)
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("threads", [1, 3])
 def test_kernel_runs_on_the_calling_thread_only_when_serial(monkeypatch, threads):
     # one thread starts no worker; the kernel is looked up per call
@@ -155,6 +157,7 @@ class _Pools:
         return map(fn, *blocks)
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("n1, slices", [(1000, 1), (3 * _corr_np._BLOCK + 7, 3)])
 def test_slices_never_outnumber_the_work(monkeypatch, n1, slices):
     # a slice per _BLOCK D1 events at most, however many threads are asked for
@@ -176,12 +179,28 @@ def test_slices_never_outnumber_the_work(monkeypatch, n1, slices):
     assert many.counts.tobytes() == one.counts.tobytes()
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_a_pool_has_no_more_workers_than_blocks(monkeypatch):
     pools = _Pools()
     monkeypatch.setattr(_workers, "ThreadPoolExecutor", pools)
     assert _workers.map_blocks(str, range(3), threads=5000) == ["0", "1", "2"]
     assert _workers.map_blocks(str, [7], threads=5000) == ["7"]  # inline: no pool
     assert pools.workers == [3]
+
+
+def test_workers_are_the_fewest_of_threads_blocks_and_cpus(monkeypatch):
+    monkeypatch.setattr(_workers, "_cpus", lambda: 2)
+    assert _workers.worker_count(8, 5) == 2
+    assert _workers.worker_count(8, 1) == 1
+    assert _workers.worker_count(1, 5) == 1
+    assert _workers.worker_count(8, 0) == 1  # no work still runs inline
+    pools = _Pools()
+    monkeypatch.setattr(_workers, "ThreadPoolExecutor", pools)
+    assert _workers.map_blocks(str, range(3), threads=5000) == ["0", "1", "2"]
+    n1 = 3 * _corr_np._BLOCK + 7
+    stream = _random_stream(np.random.default_rng(23), n1=n1, n2=1000, span=10**9)
+    coincidence_histogram(stream, 1e-6, 30e-6, threads=5000)
+    assert pools.workers == [2, 2]
 
 
 def test_uncorrelated_stream_normalizes_to_unity():

@@ -37,6 +37,7 @@ def test_total_rate_and_split():
     assert abs(stream.d1.size - stream.d2.size) < 5 * np.sqrt(total)
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_blocks_run_on_the_calling_thread_only_when_serial(monkeypatch, threads):
     # one thread starts no worker: every block's draws run on the caller
@@ -79,6 +80,7 @@ def test_timestamps_quantized_and_in_range():
     assert stream.resolution_ns == 10
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_thread_count_does_not_change_results():
     trace = _constant_trace(30.0, 1e-5)  # 3e6 samples: several blocks
     cfg = DetectorConfig(rate_hz=2e4, resolution_ns=1)
@@ -95,7 +97,8 @@ def test_seed_changes_results():
     assert not np.array_equal(a.d1, b.d1)
 
 
-def test_monotone_coupling_without_a_ceiling():
+@pytest.mark.usefixtures("many_cpus")
+def test_monotone_coupling_across_blocks_and_threads():
     # under a shared seed the dimmer trace's events are a subset of the
     # brighter one's, across blocks of different peaks and thread counts
     rng = np.random.default_rng(8)
@@ -127,7 +130,7 @@ def _stream_digest(stream):
 
 
 _GOLDEN = {
-    "default_ceiling": (
+    "default_detector": (
         dict(cfg=DetectorConfig(rate_hz=1e5), kwargs={}),
         "5e6c56d89f7fbfc4eaa66af2c3d5eadc6826ce1ee2a87a8bb542b0a5e56bbfd6",
     ),
@@ -353,6 +356,27 @@ def test_binary_format_layout(tmp_path):
     rec = np.frombuffer(blob, dtype=[("timestamp_ns", "<u8"), ("channel", "u1")])
     assert list(rec["timestamp_ns"]) == [100, 200, 300]
     assert list(rec["channel"]) == [1, 2, 1]
+
+
+_LAST_NS = 2**63 - 2**58 - 1  # the last timestamp a photon file holds
+
+
+@pytest.mark.parametrize("fmt, unit", [("txt", "line"), ("bin", "record")])
+def test_timestamp_domain_edges_write_and_read_back(tmp_path, fmt, unit):
+    path = tmp_path / f"photons.{fmt}"
+    stream = PhotonStream(np.array([0, _LAST_NS]), np.array([5]), 1, 1.0)
+    write_photon_stream(stream, path)
+    back = read_photon_stream(path)
+    assert np.array_equal(back.d1, stream.d1) and np.array_equal(back.d2, stream.d2)
+    # what the reader would refuse is not written: -1 is record 1, and
+    # 2**63 - 2**58 record 3, after channel 2's 7
+    outside = "timestamp outside [0, 2**63 - 2**58) ns at"
+    for d1, at in (([-1, 5], 1), ([5, _LAST_NS + 1], 3)):
+        path = tmp_path / f"outside.{fmt}"
+        with pytest.raises(DataError) as err:
+            write_photon_stream(PhotonStream(np.array(d1), np.array([7]), 1, 1.0), path)
+        assert str(err.value) == f"{path}: {outside} {unit} {at}"
+        assert not path.exists()
 
 
 def test_duration_inferred_when_absent(tmp_path):

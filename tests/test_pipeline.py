@@ -219,7 +219,7 @@ def test_seed_changes_stream():
     assert not np.array_equal(a.stream.d1, b.stream.d1)
 
 
-def test_initial_model_from_config():
+def test_fit_start_from_config():
     model = build_config(_raw(analysis={"model": "sinusoid_speckle"})).fit_start
     assert isinstance(model, SinusoidSpeckle)
     assert model.mod_omega == pytest.approx(2 * np.pi * 50e3)
@@ -228,7 +228,7 @@ def test_initial_model_from_config():
     assert model.bandwidth == pytest.approx(62831.853)
 
 
-def test_initial_model_inits_override():
+def test_fit_start_inits_override():
     analysis = {"model": "noise_speckle", "init_cutoff_hz": "300", "init_bandwidth_rad_s": "1000"}
     model = build_config(_raw(analysis=analysis)).fit_start
     assert isinstance(model, NoiseSpeckle)
@@ -236,7 +236,7 @@ def test_initial_model_inits_override():
     assert model.bandwidth == 1000.0
 
 
-def test_initial_model_requires_frequency_for_mismatched_modulation():
+def test_fit_start_requires_frequency_for_mismatched_modulation():
     raw = _raw(analysis={"model": "sinusoid_speckle"})
     raw["modulation"] = {"kind": "constant", "intensity": "1.0"}
     with pytest.raises(ConfigError, match="init_frequency_hz"):
@@ -283,7 +283,7 @@ def test_bad_analysis_section_fails_before_reading(tmp_path, case):
         pipeline.run_analysis(build_config(_raw(**overrides)), tmp_path / "missing.txt")
 
 
-def test_initial_model_speckle_only():
+def test_fit_start_speckle_only():
     assert isinstance(build_config(_raw(analysis={"model": "speckle"})).fit_start, SpeckleOnly)
     assert build_config(_raw()).fit_start is None
 
@@ -372,6 +372,7 @@ def test_sweep_points_use_distinct_seeds(tmp_path):
     assert pa != pb
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_sweep_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
     # a short sweep_noise_threads: 8-bit band noise swept over its clip level;
     # smaller batches, blocks and slices make two threads split every stage

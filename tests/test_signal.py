@@ -14,13 +14,14 @@ from superbunch import (
     IntensityTrace,
     Sinusoid,
     eom_transfer,
-    modulation_autocorrelation,
     sample_intensity,
     write_intensity_csv,
 )
 from superbunch import signal
 from superbunch.signal import modulate_in_place
 from superbunch.speckle import SpeckleParams, generate_speckle_field
+
+from autocorrelation import modulation_autocorrelation
 
 
 def test_eom_transfer_reference_points():
@@ -161,6 +162,7 @@ def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
     [Constant(2.0), Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3), EomDrive(vpp=8.0)],
     ids=["constant", "sinusoid", "eom_sine"],
 )
+@pytest.mark.usefixtures("many_cpus")
 def test_waveform_trace_holds_one_trace_and_its_blocks(model):
     # a waveform kind evaluated per block into a buffer of ones; evaluated
     # over the whole grid at once it traced 2.0 (constant), 3.0 (sinusoid)
@@ -192,6 +194,7 @@ _BLOCKED = {
 }
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("kind", sorted(_BLOCKED))
 def test_blocks_give_the_same_bits_on_any_thread_count(kind):
     # eight workers, more than the cores, switching often: each block
@@ -211,6 +214,7 @@ def test_blocks_give_the_same_bits_on_any_thread_count(kind):
     assert out[0] == out[1] == out[2]
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["eom_sine", "eom_noise"])
 def test_blocks_run_on_the_workers_only_when_threaded(monkeypatch, kind, threads):

@@ -9,9 +9,10 @@ from superbunch import (
     apply_speckle,
     g2_speckle,
     generate_speckle_field,
-    modulation_autocorrelation,
     sample_intensity,
 )
+
+from autocorrelation import modulation_autocorrelation
 
 
 BW = 2 * np.pi * 10e3  # default speckle bandwidth used throughout

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superbunch import _spectral
+from superbunch import _spectral, _workers
 
 
 def _one_shot(n, dt, half_band_hz, seed):
@@ -73,6 +73,7 @@ _THREAD_GRIDS = {
 }
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("grid", sorted(_THREAD_GRIDS))
 def test_thread_count_does_not_change_samples(monkeypatch, grid):
     # three workers start at batches 26 and 53 (or 9 and 18), between the
@@ -145,6 +146,7 @@ def test_synthesis_memory_stays_near_its_output():
     assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_two_workers_trace_no_more_than_one_did():
     # the sweep_noise_threads speckle: 200001 modes, n_c 250000 and eight
     # phases of one batch each; one worker with a twiddle table and an
@@ -160,6 +162,32 @@ def test_two_workers_trace_no_more_than_one_did():
         tracemalloc.stop()
     assert samples.nbytes == 8 * n
     assert peak <= 56.8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_threads_beyond_the_cpus_cost_what_the_cpus_do(monkeypatch):
+    # the same speckle: eight batches, so eight threads would each hold a
+    # workspace; on two CPUs two workers hold what threads=2's do
+    monkeypatch.setattr(_workers, "_cpus", lambda: 2)
+    n = 2_000_000
+
+    def draw(threads):
+        tracemalloc.start()
+        try:
+            samples = _spectral.bandlimited_intensity(
+                n, 1e-5, 5e3, 1.0, np.random.default_rng(1), threads=threads
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return samples.tobytes(), peak
+
+    one, _ = draw(1)
+    _, peak_two = draw(2)
+    eight, peak_eight = draw(8)
+    assert eight == one
+    # the pool's own frames and futures move the peak by some hundred
+    # bytes from run to run; eight workspaces would add 34 MB
+    assert peak_eight <= peak_two + 2**16, f"{peak_eight / 1e6:.2f} against {peak_two / 1e6:.2f} MB"
 
 
 def test_synthesis_rejects_degenerate_input():
