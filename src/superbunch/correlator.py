@@ -31,6 +31,10 @@ from .errors import DataError
 # counts addressable.
 WINDOW_LIMIT_NS = 2**58
 
+# The most bins per side: 16 MB of int64 counts, so a window too wide for
+# its bins is refused before the histogram is allocated.
+HALF_BINS_LIMIT = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class G2Curve:
@@ -130,14 +134,17 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
     """The bin width in whole nanoseconds and the bins per side, (dtau_ns, half_bins).
 
     The window is rounded to a whole number of bins.  Raises ValueError
-    when the window reaches WINDOW_LIMIT_NS, spans fewer than ten bins
-    per side, or the bin is narrower than the timestamp resolution.
+    when the window reaches WINDOW_LIMIT_NS, spans fewer than ten or more
+    than HALF_BINS_LIMIT bins per side, or the bin is narrower than the
+    timestamp resolution.
     """
     if not window_s * 1e9 < WINDOW_LIMIT_NS:
         raise ValueError("window_s must be shorter than 2**58 ns")
     half_bins = int(round(window_s / bin_s))
     if half_bins < 10:
         raise ValueError("window_s must span at least ten bins of bin_s")
+    if half_bins > HALF_BINS_LIMIT:
+        raise ValueError("window_s must span at most 2**20 bins of bin_s per side")
     dtau_ns = int(round(bin_s * 1e9))
     if dtau_ns < max(1, resolution_ns):
         raise ValueError("bin_s must not be below resolution_ns, the timestamp resolution")

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import line_of, read_csv, write_csv
+from . import _text
+from ._text import line_of, read_csv
 from ._workers import map_blocks
 from .correlator import WINDOW_LIMIT_NS
 from .errors import ConfigError, DataError, ResolutionError
@@ -222,7 +223,9 @@ def detect_photons(
 # timestamp files
 #
 # text: one "channel,timestamp_ns" record per line, channels 1 and 2,
-#       sorted by timestamp, no header
+#       sorted by timestamp, no header; `_text_rows` encodes the records
+#       only after `_check_records` has passed them, so it formats ascending
+#       non-negative timestamps alone
 # binary: little-endian records of (uint64 timestamp_ns, uint8 channel),
 #       no header
 # Both hold timestamps in [0, TIMESTAMP_END_NS): the correlator adds its
@@ -285,6 +288,35 @@ def _check_records(path, ts: np.ndarray, ch: np.ndarray, at) -> None:
         raise DataError(f"{path}: timestamps not sorted at {at(int(np.argmax(bad)) + 1)}")
 
 
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # t < _POW10[k] has at most k + 1 digits
+_QUADS = np.array([b"%04d" % q for q in range(10**4)], dtype="S4").view(np.uint32)
+
+
+def _text_rows(ts: np.ndarray, ch: np.ndarray):
+    """The text records of checked (ts, ch), as uint8 matrices of ASCII bytes.
+
+    Ascending timestamps in [0, 2**63) change digit count only at a power
+    of ten, so the rows between two powers are one matrix of equal width:
+    the channel digit, a comma, the timestamp's digits and a newline, the
+    bytes "%d,%d\\n" gives.  At most `_text._CHUNK_ROWS` rows at a time.
+    """
+    cuts = [0, *np.searchsorted(ts, _POW10), ts.size]
+    for digits, (start, stop) in enumerate(zip(cuts, cuts[1:]), 1):
+        for a in range(start, stop, _text._CHUNK_ROWS):
+            b = min(stop, a + _text._CHUNK_ROWS)
+            t = ts[a:b]
+            quads = np.empty((b - a, -(-digits // 4)), np.uint32)
+            for g in range(quads.shape[1] - 1, -1, -1):
+                t, q = np.divmod(t, 10**4)
+                quads[:, g] = _QUADS.take(q)
+            rows = np.empty((b - a, digits + 3), np.uint8)
+            rows[:, 0] = ch[a:b] + ord("0")
+            rows[:, 1] = ord(",")
+            rows[:, 2:-1] = quads.view(np.uint8)[:, -digits:]
+            rows[:, -1] = ord("\n")
+            yield rows
+
+
 def write_photon_stream(stream: PhotonStream, path, fmt: str | None = None) -> None:
     """Write both channels to one file, text or binary by extension.
 
@@ -296,14 +328,15 @@ def write_photon_stream(stream: PhotonStream, path, fmt: str | None = None) -> N
     ts, ch = _interleave(stream)
     # no header: record i is line i + 1 of a text file
     _check_records(path, ts, ch, (lambda i: f"line {i + 1}") if kind == "text" else _record)
-    if kind == "text":
-        write_csv(path, None, ch, ts)
-    else:
-        rec = np.empty(ts.size, dtype=_BINARY_DTYPE)
-        rec["timestamp_ns"] = ts.astype(np.uint64)
-        rec["channel"] = ch
-        with open(path, "wb") as fh:
-            fh.write(rec.tobytes())
+    with open(path, "wb") as fh:
+        if kind == "text":
+            for rows in _text_rows(ts, ch):
+                fh.write(rows)
+        else:
+            rec = np.empty(ts.size, dtype=_BINARY_DTYPE)
+            rec["timestamp_ns"] = ts
+            rec["channel"] = ch
+            fh.write(rec)
 
 
 def read_photon_stream(

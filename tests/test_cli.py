@@ -348,6 +348,35 @@ def test_sweep_cli_failed_point_exit_code(tmp_path, config_path, capsys):
     assert ",error:" in lines[2]
 
 
+@pytest.mark.parametrize("bin_s", ["1e-9", "1e-6"])
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_a_window_of_too_many_bins_exits_2_and_writes_nothing(tmp_path, capsys, command, bin_s):
+    # 10**10 or 10**7 bins per side: refused before the histogram is allocated
+    path = tmp_path / "wide.ini"
+    path.write_text(CONFIG.replace("bin_s = 1e-6\nwindow_s = 1e-4", f"bin_s = {bin_s}\nwindow_s = 10"))
+    photons = tmp_path / "photons.txt"
+    photons.write_text("1,100\n2,200\n")
+    out = tmp_path / "out"
+    args = ["simulate"] if command == "simulate" else ["analyze", str(photons)]
+    assert main([*args, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [correlator] window_s must span at most 2**20 bins of bin_s" in err
+    assert not out.exists()
+
+
+def test_a_sweep_point_of_too_many_bins_fails_alone(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    text = CONFIG.replace("duration_s = 0.5", "duration_s = 0.2")
+    path.write_text(text + "\n[sweep]\nparameter = correlator.window_s\nvalues = 1e-4, 10\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    assert "2 points, 1 failed" in capsys.readouterr().out
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1].startswith("correlator.window_s,1e-4,ok,")
+    assert lines[2].startswith("correlator.window_s,10,error: [correlator] window_s must span")
+    assert not (out / "point_001").exists()
+
+
 def test_sweep_cli_modulation_kind(tmp_path):
     # a constant laser against a modulated one: the sinusoid's keys must not
     # reach the constant point

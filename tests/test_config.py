@@ -205,6 +205,8 @@ def test_model_value_errors_become_config_errors(tmp_path):
             r"\[correlator\] window_s must span at least ten bins of bin_s",
         ),
         ("bin_s = 1e-6", "bin_s = 1e-9", r"\[correlator\] bin_s must not be below"),
+        # 10**7 bins per side: a histogram too large to allocate
+        ("window_s = 5e-4", "window_s = 10", r"\[correlator\] window_s must span at most 2\*\*20"),
     ]:
         assert old in FULL
         with pytest.raises(ConfigError, match=match):

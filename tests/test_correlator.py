@@ -18,6 +18,7 @@ from superbunch import (
     write_histogram_csv,
 )
 from superbunch import _corr_np, _kernels, _workers
+from superbunch.correlator import histogram_geometry
 
 
 def brute_force(d1, d2, dtau_ns, half_bins):
@@ -54,6 +55,15 @@ def test_matches_brute_force_random_streams():
         expected = brute_force(stream.d1, stream.d2, 100, 20)
         assert np.array_equal(hist.counts, expected), f"trial {trial}"
         assert hist.counts.sum() > 0
+
+
+def test_histogram_geometry_bounds_the_bins_per_side():
+    # a +-1 ms window at 1 ns bins fits; 2**20 bins per side is the most
+    assert histogram_geometry(1e-9, 1e-3, 1) == (1, 10**6)
+    assert histogram_geometry(1e-9, 2**20 * 1e-9, 1) == (1, 2**20)
+    for window_s in ((2**20 + 1) * 1e-9, 10.0):
+        with pytest.raises(ValueError, match="window_s must span at most 2\\*\\*20 bins of bin_s"):
+            histogram_geometry(1e-9, window_s, 1)
 
 
 def test_exact_window_edge_inclusive():

@@ -361,10 +361,36 @@ def test_binary_format_layout(tmp_path):
 _LAST_NS = 2**63 - 2**58 - 1  # the last timestamp a photon file holds
 
 
+# every digit count of a timestamp, each side of each power of ten, the
+# last timestamp the files hold, and a run of 24 rows about 10**6
+_EDGES = np.unique(
+    [0, _LAST_NS]
+    + [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+    + list(range(10**6 - 12, 10**6 + 12))
+)
+
+
+def _edge_stream() -> PhotonStream:
+    # every other edge on both channels, so D1 and D2 tie there
+    return PhotonStream(_EDGES, _EDGES[::2], 1, 9e9)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_text_edges_match_percent_d(tmp_path, monkeypatch, chunk_rows):
+    # 7-row chunks end both inside a run of one digit count and between two
+    if chunk_rows is not None:
+        monkeypatch.setattr("superbunch._text._CHUNK_ROWS", chunk_rows)
+    stream = _edge_stream()
+    path = tmp_path / "p.txt"
+    write_photon_stream(stream, path)
+    records = sorted([(t, 1) for t in stream.d1.tolist()] + [(t, 2) for t in stream.d2.tolist()])
+    assert path.read_bytes() == "".join("%d,%d\n" % (ch, t) for t, ch in records).encode()
+
+
 @pytest.mark.parametrize("fmt, unit", [("txt", "line"), ("bin", "record")])
 def test_timestamp_domain_edges_write_and_read_back(tmp_path, fmt, unit):
     path = tmp_path / f"photons.{fmt}"
-    stream = PhotonStream(np.array([0, _LAST_NS]), np.array([5]), 1, 1.0)
+    stream = _edge_stream()
     write_photon_stream(stream, path)
     back = read_photon_stream(path)
     assert np.array_equal(back.d1, stream.d1) and np.array_equal(back.d2, stream.d2)
