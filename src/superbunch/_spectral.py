@@ -12,12 +12,11 @@ of n, so the Fourier sum is evaluated interleaved (polyphase) rather than
 as one n-point transform.  With n_c the smallest divisor of n that is at
 least m and L = n / n_c, the samples s, s+L, s+2L, ... of phase s < L are
 one n_c-point inverse FFT of c_k e^{2 pi i k s / n}, each signed mode k
-placed at k mod n_c (m <= n_c keeps them apart).  Phases run in batches of
-about `_BATCH` complex values, each reduced to floats at once and written
-out at least eight phases at a time, so no n-length complex array exists.
-The sum is the same one the n-point transform evaluates, so the samples
-agree with it up to rounding; when n has no such divisor (a prime n, say)
-L = 1 and it is that transform.
+placed at k mod n_c (m <= n_c keeps them apart).  The phases fall in
+batches of r = `_BATCH` // n_c phases (at least one), which share one
+start of the twiddle rule below.  The sum is the same one the n-point
+transform evaluates, so the samples agree with it up to rounding; when n
+has no such divisor (a prime n, say) L = 1 and it is that transform.
 
 Twiddle rule.  A batch of phases s0..s0+r-1 needs e^{2 pi i k s0 / n}
 for its first phase, times e^{2 pi i k j / n} (one table, rows j >= 1)
@@ -36,15 +35,31 @@ batches) take contiguous runs of batches, so each steps through its own
 starts; one that begins between anchors first steps up from the anchor
 below, as a single worker would have.  Every batch is therefore the
 same arithmetic on the same numbers for any thread count, and so are
-the samples.  Each worker holds a batch (about `_BATCH` complex values,
-or n_c when that is more), one start vector, and a stage of its phases
-for one write: the workers share eight phases of n_c floats, but each
-stages at least one batch.  All are allocated up front on the calling
-thread, and the workers write their stages to the output one at a
-time.  For the 2M-sample 10 kHz speckle at dt = 10 us (n_c = 250000,
-L = 8) at two workers that is 4 MB + 1.6 MB + 8 MB per worker, beside
-the 16 MB output; as the workers are never more than the CPUs, `-j 8`
-on two CPUs holds the same.
+the samples.
+
+Memory.  A worker's scratch is sized in bytes against
+`_workers.SCRATCH_BYTES`, not in samples, so it does not grow with n.
+The worker transforms a block of a batch's rows at a time, each row the
+same transform, bit for bit, as in the whole batch: the most rows whose
+complex samples (16 bytes each) fit the budget.  It stages the blocks'
+floats (8 bytes each) and writes them to the output together, at least
+eight phases at a time where they fit, so a write fills whole 64-byte
+lines of the output.  A stage holds at most the budget, or, when that
+is more, its share of an eighth of the output: written a phase at a
+time, an output too large for the cache is passed over once per phase
+(at the README 20 s speckle, L = 80, that doubled the synthesis time).
+Where not even two phases fit the stage, the worker has none: it
+reduces each phase straight into its strided samples of the output,
+through a cache-sized piece of floats at a time.  So it is for the
+2M-sample 10 kHz speckle at dt = 10 us (n_c = 250000, L = 8): a worker
+holds one 4 MB row, a 1.6 MB start vector and a 128 kB piece beside the
+16 MB output.  One phase is the floor, so a prime n still holds one
+n-point transform.  The buffers are allocated on the calling thread
+(`_workers.map_runs`), and the workers write to the output one at a
+time.  The workers share the m coefficients, the steps and the twiddle
+table, which holds fewer than `_BATCH` complex values.  As the workers
+are never more than the CPUs, `-j 8` on two CPUs holds what `-j 2`
+does.
 
 That intensity is thermal light, and the package uses it twice: as the
 rotating ground-glass speckle and as the noise modulation.  Both draw it
@@ -57,9 +72,9 @@ import threading
 
 import numpy as np
 
-from ._workers import map_blocks, worker_count
+from ._workers import SCRATCH_BYTES, map_runs, worker_count
 
-_BATCH = 1 << 18  # complex values transformed at once
+_BATCH = 1 << 18  # complex samples of the phases that share one start
 _ANCHOR = 8  # a batch start is evaluated directly once per this many batches
 
 
@@ -93,11 +108,12 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     """reduce(field) for the flat-band circular Gaussian field of n samples.
 
     The field has unit mean intensity in expectation (the exact empirical
-    mean is left to the caller to normalize).  `reduce(batch, out)` writes
-    floats for a batch of complex samples into `out`.  Draw order is fixed
-    (real parts first, then imaginary) so results are reproducible for a
-    given generator state.  Up to `threads` workers share the batches, each
-    with its workspace, and the samples are the same bits for any count.
+    mean is left to the caller to normalize).  `reduce(block, out)` writes
+    floats for complex samples into `out`, of their shape.  Draw order is
+    fixed (real parts first, then imaginary) so results are reproducible
+    for a given generator state.  Up to `threads` workers share the
+    batches, each with its scratch, and the samples are the same bits for
+    any count.
     """
     if n < 2:
         raise ValueError("need at least 2 samples for spectral synthesis")
@@ -117,6 +133,7 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     phases = n // n_c
     rows = max(1, min(phases, _BATCH // n_c))
     batches = -(-phases // rows)
+    height, staged = _block_shape(n_c, rows, phases, worker_count(threads, batches))
     # e^{2 pi i k s / n} of mode -k is the conjugate of mode k's, so only
     # k = 0..max(p - 1, q) are evaluated
     k = np.arange(max(p - 1, q) + 1, dtype=float)
@@ -126,63 +143,91 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     signed = np.concatenate([np.arange(p), np.arange(-q, 0)])
     twiddle = np.exp((2j * np.pi / n) * np.outer(np.arange(1, rows), signed))
     del signed
-    workers = worker_count(threads, batches)
-    # a phase's samples sit `phases` apart in the output, so phases are
-    # staged and written eight (a 64-byte line of floats) at a time: fewer
-    # per pass would touch every line of the output more often.  The
-    # workers share those eight, so the stages hold as much at any count
-    per_group = -(-8 // (rows * workers))  # batches a worker writes at once
-    edges = np.linspace(0, batches, workers + 1).astype(int)
-    staged = min(phases, rows * min(per_group, int(np.diff(edges).max())))
-    # every worker's buffers, allocated here: a pool thread's own
-    # temporaries would land in its own malloc arena and stay there
-    workspaces = [
-        (
-            np.empty(k.size, dtype=np.complex128),
-            np.empty((rows, n_c), dtype=np.complex128),
-            np.empty((staged, n_c)),
-        )
-        for _ in range(workers)
-    ]
     grid = out.reshape(n_c, phases)  # grid[r, s] is sample s + phases * r
-    lock = threading.Lock()  # two workers' stages may share the output's lines
+    lock = threading.Lock()  # two workers' phases share the output's lines
+    # with no stage, a phase goes to its strided samples a piece at a
+    # time, through floats that stay in cache: a 16th of the budget
+    piece = max(1, min(n_c, SCRATCH_BYTES // 128))
+
+    def scratch():
+        start = np.empty(k.size, dtype=np.complex128)
+        stage = np.empty((staged, n_c)) if staged else np.empty(piece)
+        return start, np.empty((height, n_c), dtype=np.complex128), stage
+
+    def write(stage, s, h):
+        # the stage's first h phases are the phases s..s+h-1
+        with lock:
+            grid[:, s : s + h] = stage[:h].T
 
     def run(buffers, b0, b1):
         start, buffer, stage = buffers
-        for c0 in range(b0, b1, per_group):
-            c1 = min(c0 + per_group, b1)
-            for b in range(c0, c1):
-                # e^{2 pi i k s0 / n} at the batch's first phase s0: evaluated
-                # at every _ANCHOR-th batch and stepped from it in between, so
-                # each batch's start depends on its index alone
-                if b == b0 or b % _ANCHOR == 0:
-                    a = b - b % _ANCHOR
-                    _phasors(k, a * rows, n, out=start)
-                    for _ in range(b - a):
-                        start *= step
-                else:
+        held = 0  # phases in the stage
+        for b in range(b0, b1):
+            # e^{2 pi i k s0 / n} at the batch's first phase s0: evaluated
+            # at every _ANCHOR-th batch and stepped from it in between, so
+            # each batch's start depends on its index alone
+            if b == b0 or b % _ANCHOR == 0:
+                a = b - b % _ANCHOR
+                _phasors(k, a * rows, n, out=start)
+                for _ in range(b - a):
                     start *= step
-                batch = buffer[: min(rows, phases - b * rows)]
-                # modes k >= 0 sit at k, mode -k at n_c - k
-                first = batch[0]
+            else:
+                start *= step
+            s0 = b * rows
+            size = min(rows, phases - s0)
+            for j0 in range(0, size, height):
+                block = buffer[: min(height, size - j0)]  # rows j0.. of the batch
+                # the first phase's modes, k >= 0 at k and -k at n_c - k
+                first = block[0]
                 np.multiply(coef[:p], start[:p], out=first[:p])
                 first[p : n_c - q] = 0
                 np.conjugate(start[q:0:-1], out=first[n_c - q :])
                 first[n_c - q :] *= coef[p:]
-                tw = twiddle[: len(batch) - 1]
-                batch[1:, p : n_c - q] = 0
-                np.multiply(tw[:, :p], first[:p], out=batch[1:, :p])
-                np.multiply(tw[:, p:], first[n_c - q :], out=batch[1:, n_c - q :])
-                # in place (`out` needs numpy 2): a fresh array per batch is slower
-                np.fft.ifft(batch, axis=1, norm="forward", out=batch)
-                s = (b - c0) * rows
-                reduce(batch, stage[s : s + len(batch)])
-            s0, s1 = c0 * rows, min(c1 * rows, phases)
-            with lock:
-                grid[:, s0:s1] = stage[: s1 - s0].T
+                block[1:, p : n_c - q] = 0
+                # row j of the batch is those modes times twiddle row j - 1;
+                # the block's first row last, as the others read it
+                for r in range(len(block) - 1, -1, -1):
+                    if j0 + r:
+                        tw = twiddle[j0 + r - 1]
+                        np.multiply(tw[:p], first[:p], out=block[r, :p])
+                        np.multiply(tw[p:], first[n_c - q :], out=block[r, n_c - q :])
+                # in place (`out` needs numpy 2): a fresh array per block is slower
+                np.fft.ifft(block, axis=1, norm="forward", out=block)
+                s = s0 + j0
+                if not staged:
+                    for r0 in range(0, n_c, piece):
+                        floats = stage[: min(piece, n_c - r0)]
+                        reduce(first[r0 : r0 + piece], floats)
+                        with lock:
+                            grid[r0 : r0 + piece, s] = floats
+                    continue
+                if held + len(block) > staged:
+                    write(stage, s - held, held)
+                    held = 0
+                reduce(block, stage[held : held + len(block)])
+                held += len(block)
+        if held:
+            write(stage, min(b1 * rows, phases) - held, held)
 
-    map_blocks(run, workspaces, edges[:-1], edges[1:], threads=workers)
+    map_runs(run, batches, scratch, threads=threads)
     return out
+
+
+def _block_shape(n_c: int, rows: int, phases: int, workers: int) -> tuple[int, int]:
+    """(rows a worker transforms at once, phases it stages per write).
+
+    The block's complex samples, 16 bytes each, fit SCRATCH_BYTES unless
+    one row alone is more.  The stage holds whole blocks, enough to cover
+    eight phases where they fit: the workers' stages together take at
+    most an eighth of the output (8 bytes a sample), or each the budget
+    when that is more.  A stage of one phase is none (0), which happens
+    only with blocks of one row: a worker then reduces each row straight
+    into the output.
+    """
+    height = max(1, min(rows, SCRATCH_BYTES // (16 * n_c)))
+    room = max(SCRATCH_BYTES, n_c * phases // workers) // (8 * n_c)  # phases
+    staged = min(phases, height * min(room // height, -(-8 // height)))
+    return height, staged if staged > 1 else 0
 
 
 def _phasors(k, s, n, out=None):

@@ -10,12 +10,20 @@ How many workers a stage starts is decided by `worker_count` alone:
 `threads` (the `-j` bound), the stage's blocks and the CPUs the process
 may run on, whichever is fewest.  More workers than CPUs would only add
 their buffers and scratch to the peak memory.
+
+What a worker holds beyond a stage's inputs and outputs is sized in
+bytes against `SCRATCH_BYTES`, not in samples, and allocated on the
+calling thread (`map_runs`): a pool thread's own temporaries would land
+in a malloc arena of its own and stay there.  Thermal synthesis states
+the two cases where its buffers may be larger (see `_spectral`).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+SCRATCH_BYTES = 1 << 21  # the most one scratch buffer of a worker may hold
 
 
 def _cpus() -> int:
@@ -45,3 +53,16 @@ def map_blocks(fn, *blocks, threads: int) -> list:
         return list(map(fn, *blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *blocks))
+
+
+def map_runs(fn, blocks: int, scratch, *, threads: int) -> list:
+    """fn(buffers, b0, b1) for contiguous runs [b0, b1) of range(blocks), one run per worker.
+
+    There are `worker_count(threads, blocks)` runs of as equal a length
+    as can be, in order, and each run gets its own `scratch()`, called
+    here on the calling thread.  The results come back in run order.
+    """
+    workers = worker_count(threads, blocks)
+    edges = [blocks * w // workers for w in range(workers + 1)]
+    buffers = [scratch() for _ in range(workers)]
+    return map_blocks(fn, buffers, edges[:-1], edges[1:], threads=workers)

@@ -134,18 +134,23 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
     """The bin width in whole nanoseconds and the bins per side, (dtau_ns, half_bins).
 
     The window is rounded to a whole number of bins.  Raises ValueError
-    when the window reaches WINDOW_LIMIT_NS, spans fewer than ten or more
-    than HALF_BINS_LIMIT bins per side, or the bin is narrower than the
+    when the window, requested or as rounded to half_bins * dtau_ns,
+    reaches WINDOW_LIMIT_NS, spans fewer than ten or more than
+    HALF_BINS_LIMIT bins per side, or the bin is narrower than the
     timestamp resolution.
     """
+    too_wide = "window_s must be shorter than 2**58 ns"
     if not window_s * 1e9 < WINDOW_LIMIT_NS:
-        raise ValueError("window_s must be shorter than 2**58 ns")
+        raise ValueError(too_wide)
     half_bins = int(round(window_s / bin_s))
     if half_bins < 10:
         raise ValueError("window_s must span at least ten bins of bin_s")
     if half_bins > HALF_BINS_LIMIT:
         raise ValueError("window_s must span at most 2**20 bins of bin_s per side")
     dtau_ns = int(round(bin_s * 1e9))
+    # the correlator adds this window to the timestamps: rounding may widen it
+    if dtau_ns * half_bins >= WINDOW_LIMIT_NS:
+        raise ValueError(too_wide)
     if dtau_ns < max(1, resolution_ns):
         raise ValueError("bin_s must not be below resolution_ns, the timestamp resolution")
     return dtau_ns, half_bins

@@ -11,8 +11,8 @@ generator `substream(seed, "detect", b)`, and the photons of global
 sample i hang off a hash of i alone, so the result does not depend on
 how many workers process the blocks.  Within a block the draws are:
 
-1. one uniform u_i per sample, in sample order, read `_CHUNK` samples at
-   a time (each uniform is one 64-bit output, so the chunking does not
+1. one uniform u_i per sample, in sample order, read a chunk of samples
+   at a time (each uniform is one 64-bit output, so the chunking does not
    change the values); the count is the inverse-CDF Poisson k_i, the
    smallest k with u_i < F(k; mu_i);
 2. when the dark rate is nonzero, for D1 and then D2: a Poisson dark
@@ -22,6 +22,12 @@ Photon j (0 <= j < k_i) of global sample i takes the 64-bit word
 w = mix(key ^ (mix(i) + j)), with `mix` the splitmix64 finalizer and
 key = substream_seed(seed, "detect-offsets") mod 2**64.  Its time is
 t0 + (i + (w >> 11) * 2**-53) * dt, and it goes to D1 iff w & 1 == 0.
+
+A chunk's uniforms, mu, CDF and the comparison u >= F(0; mu) take
+`_SAMPLE_SCRATCH` bytes a sample, and a chunk is as many samples as fill
+`_workers.SCRATCH_BYTES`, not a fixed count: each worker holds one set,
+allocated on the calling thread (`_workers.map_runs`).  Apart from
+these, a block holds only its photons.
 
 For a fixed u_i the count is non-decreasing in mu_i, and the photons of
 a sample are the first k_i of a fixed per-sample sequence.  So under a
@@ -38,14 +44,14 @@ import numpy as np
 
 from . import _text
 from ._text import line_of, read_csv
-from ._workers import map_blocks
+from ._workers import SCRATCH_BYTES, map_runs
 from .correlator import WINDOW_LIMIT_NS
 from .errors import ConfigError, DataError, ResolutionError
 from .seeding import substream, substream_seed
 from .signal import IntensityTrace
 
 _BLOCK = 1 << 20
-_CHUNK = 1 << 18
+_SAMPLE_SCRATCH = 25  # bytes per sample of a chunk: its uniform, mu, CDF, u >= CDF
 
 
 @dataclass(frozen=True)
@@ -124,21 +130,24 @@ def _mix(z) -> np.ndarray:
     return z
 
 
-def _poisson_levels(u: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+def _poisson_levels(u, mu, cdf, above) -> list[np.ndarray]:
     """Inverse-CDF Poisson draws, as levels of the counts.
 
     The count of element i is k_i, the smallest k with u_i < F(k; mu_i);
     level j lists, ascending, the i with k_i > j, so photon j of every
-    sample in it exists.  Only the elements still at or above the CDF are
-    walked on.  Past the mode the walk stops once a term no longer changes
-    the CDF, so a u within rounding of 1 cannot run on.  The terms are
-    formed as exp(j log mu - mu - log j!), so a large mu whose exp(-mu)
-    underflows still climbs to its mode.  The count is non-decreasing in
-    mu for a fixed u, except where u lies within rounding of 1: there the
-    CDF's own rounding decides where the walk ends.
+    sample in it exists.  `cdf` (floats) and `above` (booleans), of u's
+    length, are scratch: they take F(0; mu) = exp(-mu) and u >= F(0; mu).
+    Only the elements still at or above the CDF are walked on.  Past the
+    mode the walk stops once a term no longer changes the CDF, so a u
+    within rounding of 1 cannot run on.  The terms are formed as exp(j
+    log mu - mu - log j!), so a large mu whose exp(-mu) underflows still
+    climbs to its mode.  The count is non-decreasing in mu for a fixed u,
+    except where u lies within rounding of 1: there the CDF's own
+    rounding decides where the walk ends.
     """
-    cdf = np.exp(-mu)
-    idx = np.flatnonzero(u >= cdf)
+    np.negative(mu, out=cdf)
+    np.exp(cdf, out=cdf)
+    idx = np.flatnonzero(np.greater_equal(u, cdf, out=above))
     u, mu, cdf = u.take(idx), mu.take(idx), cdf.take(idx)
     log_mu = np.log(mu)
     levels = []
@@ -178,17 +187,23 @@ def detect_photons(
     nblocks = (n + _BLOCK - 1) // _BLOCK
     mu_scale = scale * trace.dt
     key = np.uint64(substream_seed(seed, "detect-offsets") % (1 << 64))
+    # a worker's uniforms, mu, CDF and comparison of a chunk fill its scratch
+    chunk = max(1, min(n, _BLOCK, SCRATCH_BYTES // _SAMPLE_SCRATCH))
 
-    def run_block(b: int) -> tuple[np.ndarray, np.ndarray]:
+    def scratch():
+        u, mu, cdf = np.empty((3, chunk))
+        return u, mu, cdf, np.empty(chunk, dtype=bool)
+
+    def run_block(b: int, u, mu, cdf, above):
         rng = substream(seed, "detect", b)
         i0 = b * _BLOCK
         i1 = min(n, i0 + _BLOCK)
         parts_ts, parts_ch1 = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
-        u = np.empty(min(_CHUNK, i1 - i0))
-        for c0 in range(i0, i1, _CHUNK):
-            m = min(_CHUNK, i1 - c0)
+        for c0 in range(i0, i1, chunk):
+            m = min(chunk, i1 - c0)
             rng.random(out=u[:m])
-            levels = _poisson_levels(u[:m], trace.samples[c0:c0 + m] * mu_scale)
+            np.multiply(trace.samples[c0 : c0 + m], mu_scale, out=mu[:m])
+            levels = _poisson_levels(u[:m], mu[:m], cdf[:m], above[:m])
             if not levels:
                 continue
             # photon j of sample i, for every i in level j
@@ -212,8 +227,11 @@ def detect_photons(
         ts, ch1 = ts[order], ch1[order]
         return ts[ch1], ts[~ch1]
 
-    parts = map_blocks(run_block, range(nblocks), threads=threads)
-    d1, d2 = (np.concatenate(channel) for channel in zip(*parts))
+    def run(buffers, b0, b1):
+        return [run_block(b, *buffers) for b in range(b0, b1)]
+
+    runs = map_runs(run, nblocks, scratch, threads=threads)
+    d1, d2 = (np.concatenate(channel) for channel in zip(*(p for r in runs for p in r)))
     # both ends are whole nanoseconds, so this is the decimal duration
     # (samples * dt need not be: 200000 * 1e-6 = 0.19999999999999998)
     return PhotonStream(d1=d1, d2=d2, resolution_ns=res_ns, duration_s=(end_ns - t0_ns) / 1e9)

@@ -338,6 +338,8 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
             row.update(fit)
             header += [key for key in fit if key not in header]
         rows.append(row)
+        # the next point synthesizes without this one's photon stream
+        del result
     for row in rows:
         for key in header:
             row.setdefault(key, None)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from superbunch import PhotonStream, analytic, pipeline, write_photon_stream
+from superbunch import PhotonStream, analytic, detection, pipeline, write_photon_stream
 from superbunch.cli import main
 
 CONFIG = """
@@ -361,6 +361,24 @@ def test_a_window_of_too_many_bins_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert main([*args, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: [correlator] window_s must span at most 2**20 bins of bin_s" in err
+    assert not out.exists()
+
+
+def test_a_window_rounded_past_the_timestamp_limit_exits_2_and_writes_nothing(tmp_path, capsys):
+    # 2.88e8 s asks for less than 2**58 ns, but 29 bins of 1e7 s are more;
+    # with events 1 ns apart at the end of the timestamp domain, adding
+    # that window to a timestamp would wrap int64 and count no pair
+    path = tmp_path / "wide.ini"
+    text = CONFIG.replace("bin_s = 1e-6\nwindow_s = 1e-4", "bin_s = 1e7\nwindow_s = 2.88e8")
+    path.write_text(text.replace("model = sinusoid_speckle", "model = none"))
+    end = detection.TIMESTAMP_END_NS
+    photons = tmp_path / "photons.bin"
+    stream = PhotonStream(np.array([end - 1]), np.array([end - 2]), 1, end * 1e-9)
+    write_photon_stream(stream, str(photons))
+    out = tmp_path / "out"
+    assert main(["analyze", str(photons), "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [correlator] window_s must be shorter than 2**58 ns" in err
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from superbunch import (
     write_histogram_csv,
 )
 from superbunch import _corr_np, _kernels, _workers
-from superbunch.correlator import histogram_geometry
+from superbunch.correlator import WINDOW_LIMIT_NS, histogram_geometry
 
 
 def brute_force(d1, d2, dtau_ns, half_bins):
@@ -64,6 +64,16 @@ def test_histogram_geometry_bounds_the_bins_per_side():
     for window_s in ((2**20 + 1) * 1e-9, 10.0):
         with pytest.raises(ValueError, match="window_s must span at most 2\\*\\*20 bins of bin_s"):
             histogram_geometry(1e-9, window_s, 1)
+
+
+def test_histogram_geometry_refuses_a_window_rounded_past_the_limit():
+    # 2.88e8 ns is below 2**58 ns (about 2.882e17), but rounds to 29 bins
+    # of 1e16 ns: a 2.9e17 ns window the int64 timestamps cannot hold
+    assert 2.88e8 * 1e9 < WINDOW_LIMIT_NS < 29 * 10**16
+    with pytest.raises(ValueError, match="window_s must be shorter than 2\\*\\*58 ns"):
+        histogram_geometry(1e7, 2.88e8, 1)
+    # 28 bins of 1e16 ns stay below it
+    assert histogram_geometry(1e7, 2.8e8, 1) == (10**16, 28)
 
 
 def test_exact_window_edge_inclusive():

@@ -44,9 +44,9 @@ def test_blocks_run_on_the_calling_thread_only_when_serial(monkeypatch, threads)
     seen = []
     levels = detection._poisson_levels
 
-    def spy(u, mu):
+    def spy(*args):
         seen.append(threading.get_ident())
-        return levels(u, mu)
+        return levels(*args)
 
     monkeypatch.setattr(detection, "_poisson_levels", spy)
     monkeypatch.setattr(detection, "_BLOCK", 1000)
@@ -168,7 +168,8 @@ def test_sample_chunks_do_not_change_events(monkeypatch, chunk):
     ]
     trace = _short_trace()
     expected = [detect_photons(trace, cfg, seed=7, **kw) for cfg, kw in cases]
-    monkeypatch.setattr("superbunch.detection._CHUNK", chunk)
+    # a chunk of `chunk` samples fills the scratch
+    monkeypatch.setattr(detection, "SCRATCH_BYTES", chunk * detection._SAMPLE_SCRATCH)
     for (cfg, kw), want in zip(cases, expected):
         got = detect_photons(trace, cfg, seed=7, **kw)
         assert want.n1 > 1000 and want.n2 > 1000
@@ -176,26 +177,50 @@ def test_sample_chunks_do_not_change_events(monkeypatch, chunk):
         assert np.array_equal(got.d2, want.d2)
 
 
-def test_detection_memory_is_bounded_by_the_sample_chunk():
-    # one block of 2**20 samples at about 0.04 expected photons each
-    trace = IntensityTrace(0.0, 1e-6, np.ones(1 << 20), 1.0)
-    cfg = DetectorConfig(rate_hz=2e4)
+def _detection_peak(n, rate_hz, threads=1):
+    """(traced peak bytes of detect_photons on n unit samples, events)."""
+    trace = IntensityTrace(0.0, 1e-6, np.ones(n), 1.0)
     tracemalloc.start()
     try:
-        stream = detect_photons(trace, cfg, seed=2)
+        stream = detect_photons(trace, DetectorConfig(rate_hz=rate_hz), seed=2, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    events = stream.n1 + stream.n2
+    return peak, stream.n1 + stream.n2
+
+
+def test_detection_memory_is_bounded_by_the_sample_chunk():
+    # one block of 2**20 samples at about 0.04 expected photons each
+    peak, events = _detection_peak(1 << 20, 2e4)
     assert 3e4 < events < 5e4
-    bound = 80 * detection._CHUNK + 64 * events
+    bound = detection.SCRATCH_BYTES + 64 * events
     assert peak < bound, f"peak {peak / 1e6:.1f} MB"
     # holding a whole block's uniforms, mu and CDF would not fit
     assert 3 * 8 * detection._BLOCK > bound
 
 
+@pytest.mark.usefixtures("many_cpus")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_detection_scratch_does_not_grow_with_the_trace(monkeypatch, threads):
+    # 2**20 and 2**22 samples at 0.004 expected photons each: apart from
+    # the photons, 64 bytes each at most, the peak is a chunk per worker
+    # and does not grow with the trace, which a float per sample would
+    # (8 MB to 32 MB); blocks of 2**18 samples give both lengths as many
+    # workers as threads
+    monkeypatch.setattr(detection, "_BLOCK", 1 << 18)
+    assert detection.SCRATCH_BYTES // detection._SAMPLE_SCRATCH < detection._BLOCK
+    scratch = {}
+    for n in (1 << 20, 1 << 22):
+        peak, events = _detection_peak(n, 2e3, threads)
+        assert 0.8 * 4e-3 * n < events < 1.2 * 4e-3 * n
+        scratch[n] = peak - 64 * events
+        assert scratch[n] <= threads * detection.SCRATCH_BYTES, f"{scratch[n] / 1e6:.2f} MB"
+    grown = scratch[1 << 22] - scratch[1 << 20]
+    assert grown <= 2**16, f"grew by {grown / 1e6:.2f} MB"
+
+
 def _counts(u, mu):
-    levels = detection._poisson_levels(u, mu)
+    levels = detection._poisson_levels(u, mu, np.empty(u.size), np.empty(u.size, dtype=bool))
     for lo, hi in zip(levels, levels[1:]):
         assert np.all(np.isin(hi, lo))  # each level is within the one below
     return np.bincount(np.concatenate([[]] + levels).astype(int), minlength=u.size)

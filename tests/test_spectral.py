@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,54 @@ def test_thread_count_does_not_change_samples(monkeypatch, grid):
         assert draw(threads) == want, f"threads={threads}"
 
 
+# (grid, _BATCH, SCRATCH_BYTES) and the (rows transformed at once, phases
+# staged) one worker takes on them.  On "L>1", one batch of all 80 phases
+# or 27 of three: blocks that end short of a batch's end (80 = 13 * 6 +
+# 2, 3 = 2 + 1), one row at a time, and stages of phases from three
+# batches.  On "n_c_equals_m", four batches of two phases whose stage
+# would be as large as the output: each phase goes straight into it,
+# eight samples at a time
+_BLOCK_SHAPES = {
+    "one_batch_rows_of_1": ("L>1", _spectral._BATCH, 2**12, (1, 8)),
+    "one_batch_blocks_of_6": ("L>1", _spectral._BATCH, 2**18, (6, 12)),
+    "one_batch_blocks_of_26": ("L>1", _spectral._BATCH, 2**20, (26, 26)),
+    "batches_of_3_blocks_of_2": ("L>1", 3 * 2500, 100_000, (2, 8)),
+    "batches_of_3_staged_across": ("L>1", 3 * 2500, 2**18, (3, 9)),
+    "straight_to_the_output": ("n_c_equals_m", 2 * 125, 2**10, (1, 0)),
+}
+
+
+@pytest.mark.usefixtures("many_cpus")
+@pytest.mark.parametrize("shape", sorted(_BLOCK_SHAPES))
+def test_block_shape_does_not_change_samples(monkeypatch, shape):
+    # each row is the same transform in a block as in its whole batch, so
+    # the budget changes no bit, at any thread count
+    case, batch, budget, blocks = _BLOCK_SHAPES[shape]
+    monkeypatch.setattr(_spectral, "_BATCH", batch)
+    n, dt, half_band = _CASES[case]
+
+    def draw(threads):
+        rng = np.random.default_rng(6)
+        intensity = _spectral.bandlimited_intensity(n, dt, half_band, 1.0, rng, threads=threads)
+        noise = _spectral.bandlimited_real_noise(n, dt, half_band, rng, threads=threads)
+        return intensity.tobytes(), noise.tobytes()
+
+    want = draw(1)
+    monkeypatch.setattr(_spectral, "SCRATCH_BYTES", budget)
+    m = sum(_spectral._band_modes(n, dt, half_band))
+    n_c = _spectral._transform_length(n, m)
+    assert _spectral._block_shape(n_c, min(n // n_c, batch // n_c), n // n_c, 1) == blocks
+    assert draw(1) == want
+    # three workers share the output's lines: a write lost between them
+    # would show, the more often the interpreter switches threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert draw(3) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_case_geometry():
     # the cases above cover what their names say
     def geometry(n, dt, half_band):
@@ -146,11 +195,57 @@ def test_synthesis_memory_stays_near_its_output():
     assert peak < 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
+# the benchmark's syntheses at 2M samples: (n, dt, half band)
+_BENCHMARK_GEOMETRIES = {
+    "readme_speckle": (2_000_000, 1e-6, 5e3),  # 20001 modes, n_c 25000, batches of 10 phases
+    "sweep_speckle": (2_000_000, 1e-5, 5e3),  # 200001 modes, n_c 250000: a 4 MB row
+    "sweep_noise": (2_000_000, 1e-5, 100.0),  # 4001 modes, n_c 5000, batches of 52 phases
+}
+
+
+@pytest.mark.usefixtures("many_cpus")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("geometry", sorted(_BENCHMARK_GEOMETRIES))
+def test_synthesis_scratch_is_a_budget_per_worker(geometry, threads):
+    # the traced peak beyond the output: per worker a block and a stage
+    # of at most the budget each (an eighth of these 16 MB outputs is
+    # less; one phase's row and the piece that takes it to the output in
+    # place of both, when the row alone is more), its start vector and
+    # 2**18 bytes of numpy's temporaries; shared by the workers the
+    # coefficients and twiddle table (16 bytes per mode and phase of a
+    # batch) and the modes' k and steps (24 bytes each)
+    n, dt, half_band = _BENCHMARK_GEOMETRIES[geometry]
+    p, q = _spectral._band_modes(n, dt, half_band)
+    m, starts = p + q, max(p - 1, q) + 1
+    n_c = _spectral._transform_length(n, m)
+    rows = max(1, _spectral._BATCH // n_c)
+    tracemalloc.start()
+    try:
+        samples = _spectral.bandlimited_intensity(
+            n, dt, half_band, 1.0, np.random.default_rng(1), threads=threads
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = _workers.SCRATCH_BYTES
+    worker = max(2 * budget, 16 * n_c + budget // 16) + 16 * starts + 2**18
+    bound = threads * worker + 16 * m * rows + 24 * starts
+    scratch = peak - samples.nbytes
+    assert scratch <= bound, f"{scratch / 1e6:.2f} MB against {bound / 1e6:.2f} MB"
+    # the rows transformed at once fit the budget, unless one row alone is
+    # more, and so does the stage
+    height, staged = _spectral._block_shape(n_c, rows, n // n_c, threads)
+    assert 16 * height * n_c <= max(budget, 16 * n_c) and 8 * staged * n_c <= budget
+
+
 @pytest.mark.usefixtures("many_cpus")
 def test_two_workers_trace_no_more_than_one_did():
     # the sweep_noise_threads speckle: 200001 modes, n_c 250000 and eight
     # phases of one batch each; one worker with a twiddle table and an
-    # exponential per mode and batch traced 56.8 MB
+    # exponential per mode and batch traced 56.8 MB.  Two that reduce each
+    # phase straight into the output trace 33.1 MB: the 16 MB output,
+    # 3.2 MB of coefficients, 2.4 MB of k and steps, and each worker's
+    # 4 MB row, 1.6 MB start vector and 128 kB piece; 0.7 MB of slack
     n = 2_000_000
     tracemalloc.start()
     try:
@@ -161,7 +256,7 @@ def test_two_workers_trace_no_more_than_one_did():
     finally:
         tracemalloc.stop()
     assert samples.nbytes == 8 * n
-    assert peak <= 56.8e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 33.8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_threads_beyond_the_cpus_cost_what_the_cpus_do(monkeypatch):
