@@ -35,7 +35,8 @@ batches) take contiguous runs of batches, so each steps through its own
 starts; one that begins between anchors first steps up from the anchor
 below, as a single worker would have.  Every batch is therefore the
 same arithmetic on the same numbers for any thread count, and so are
-the samples.
+the samples.  A worker writes only the samples of its own phases, and
+no worker reads the output, so the writes take no lock.
 
 Memory.  A worker's scratch is sized in bytes against
 `_workers.SCRATCH_BYTES`, not in samples, so it does not grow with n.
@@ -49,17 +50,15 @@ is more, its share of an eighth of the output: written a phase at a
 time, an output too large for the cache is passed over once per phase
 (at the README 20 s speckle, L = 80, that doubled the synthesis time).
 Where not even two phases fit the stage, the worker has none: it
-reduces each phase straight into its strided samples of the output,
-through a cache-sized piece of floats at a time.  So it is for the
-2M-sample 10 kHz speckle at dt = 10 us (n_c = 250000, L = 8): a worker
-holds one 4 MB row, a 1.6 MB start vector and a 128 kB piece beside the
-16 MB output.  One phase is the floor, so a prime n still holds one
+reduces each phase straight into its strided samples of the output.
+So it is for the 2M-sample 10 kHz speckle at dt = 10 us (n_c = 250000,
+L = 8): a worker holds one 4 MB row and a 1.6 MB start vector beside
+the 16 MB output.  One phase is the floor, so a prime n still holds one
 n-point transform.  The buffers are allocated on the calling thread
-(`_workers.map_runs`), and the workers write to the output one at a
-time.  The workers share the m coefficients, the steps and the twiddle
-table, which holds fewer than `_BATCH` complex values.  As the workers
-are never more than the CPUs, `-j 8` on two CPUs holds what `-j 2`
-does.
+(`_workers.map_runs`).  The workers share the m coefficients, the steps
+and the twiddle table, which holds fewer than `_BATCH` complex values.
+As the workers are never more than the CPUs, `-j 8` on two CPUs holds
+what `-j 2` does.
 
 That intensity is thermal light, and the package uses it twice: as the
 rotating ground-glass speckle and as the noise modulation.  Both draw it
@@ -68,7 +67,6 @@ the two are the same samples.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -143,21 +141,13 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     signed = np.concatenate([np.arange(p), np.arange(-q, 0)])
     twiddle = np.exp((2j * np.pi / n) * np.outer(np.arange(1, rows), signed))
     del signed
-    grid = out.reshape(n_c, phases)  # grid[r, s] is sample s + phases * r
-    lock = threading.Lock()  # two workers' phases share the output's lines
-    # with no stage, a phase goes to its strided samples a piece at a
-    # time, through floats that stay in cache: a 16th of the budget
-    piece = max(1, min(n_c, SCRATCH_BYTES // 128))
+    # grid[r, s] is sample s + phases * r; a worker writes only the
+    # columns of its own phases, and no worker reads the output
+    grid = out.reshape(n_c, phases)
 
     def scratch():
         start = np.empty(k.size, dtype=np.complex128)
-        stage = np.empty((staged, n_c)) if staged else np.empty(piece)
-        return start, np.empty((height, n_c), dtype=np.complex128), stage
-
-    def write(stage, s, h):
-        # the stage's first h phases are the phases s..s+h-1
-        with lock:
-            grid[:, s : s + h] = stage[:h].T
+        return start, np.empty((height, n_c), dtype=np.complex128), np.empty((staged, n_c))
 
     def run(buffers, b0, b1):
         start, buffer, stage = buffers
@@ -195,19 +185,17 @@ def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
                 np.fft.ifft(block, axis=1, norm="forward", out=block)
                 s = s0 + j0
                 if not staged:
-                    for r0 in range(0, n_c, piece):
-                        floats = stage[: min(piece, n_c - r0)]
-                        reduce(first[r0 : r0 + piece], floats)
-                        with lock:
-                            grid[r0 : r0 + piece, s] = floats
+                    reduce(first, grid[:, s])
                     continue
+                # the stage's `held` phases are the phases s - held..s - 1
                 if held + len(block) > staged:
-                    write(stage, s - held, held)
+                    grid[:, s - held : s] = stage[:held].T
                     held = 0
                 reduce(block, stage[held : held + len(block)])
                 held += len(block)
         if held:
-            write(stage, min(b1 * rows, phases) - held, held)
+            s = min(b1 * rows, phases)
+            grid[:, s - held : s] = stage[:held].T
 
     map_runs(run, batches, scratch, threads=threads)
     return out
@@ -221,8 +209,8 @@ def _block_shape(n_c: int, rows: int, phases: int, workers: int) -> tuple[int, i
     eight phases where they fit: the workers' stages together take at
     most an eighth of the output (8 bytes a sample), or each the budget
     when that is more.  A stage of one phase is none (0), which happens
-    only with blocks of one row: a worker then reduces each row straight
-    into the output.
+    only with blocks of one row: a worker then reduces each phase
+    straight into its strided samples of the output.
     """
     height = max(1, min(rows, SCRATCH_BYTES // (16 * n_c)))
     room = max(SCRATCH_BYTES, n_c * phases // workers) // (8 * n_c)  # phases

@@ -200,8 +200,6 @@ def _dispatch(args) -> int:
         print(f"{len(rows)} points, {failures} failed; summary in {out_dir}/summary.csv")
         return 5 if failures else 0
 
-    raise ConfigError(f"unknown command {args.command!r}")
-
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)

@@ -326,14 +326,9 @@ def build_config(raw: dict) -> RunConfig:
     modulation = _build_modulation(raw["modulation"]) if "modulation" in raw else None
 
     speckle = _build("speckle", SpeckleParams, bandwidth=section("speckle")["bandwidth_rad_s"])
+    # [detection]'s keys are DetectorConfig's fields
     det = section("detection")
-    detection = _build(
-        "detection",
-        DetectorConfig,
-        rate_hz=det["rate_hz"],
-        resolution_ns=det["resolution_ns"],
-        dark_rate_hz=det["dark_rate_hz"],
-    )
+    detection = _build("detection", DetectorConfig, **det)
 
     corr = section("correlator")
     window_s = corr["window_s"]

@@ -48,7 +48,7 @@ from ._workers import SCRATCH_BYTES, map_runs
 from .correlator import WINDOW_LIMIT_NS
 from .errors import ConfigError, DataError, ResolutionError
 from .seeding import substream, substream_seed
-from .signal import IntensityTrace
+from .signal import IntensityTrace, require_finite
 
 _BLOCK = 1 << 20
 _SAMPLE_SCRATCH = 25  # bytes per sample of a chunk: its uniform, mu, CDF, u >= CDF
@@ -63,6 +63,7 @@ class DetectorConfig:
     dark_rate_hz: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if not self.rate_hz > 0:
             raise ValueError("count rate must be positive")
         if not (isinstance(self.resolution_ns, int) and self.resolution_ns >= 1):
@@ -170,11 +171,16 @@ def detect_photons(
 ) -> PhotonStream:
     """Sample photon timestamps from an intensity trace (see module docstring).
 
-    Raises ResolutionError when the peak total (pre-split) rate and the
-    timestamp resolution imply more than 0.1 expected events per tick.
+    Raises ValueError when a sample is infinite, and ResolutionError when
+    the peak total (pre-split) rate and the timestamp resolution imply
+    more than 0.1 expected events per tick.
     """
+    top = float(trace.samples.max())
+    # the trace refused nan and negative samples, so this refuses the infinite ones
+    if not np.isfinite(top):
+        raise ValueError(f"intensity must be finite, got a peak of {top!r}")
     scale = 2.0 * cfg.rate_hz / trace.mean
-    lam_top = scale * float(trace.samples.max())
+    lam_top = scale * top
     res_ns = cfg.resolution_ns
     if lam_top * (res_ns * 1e-9) > 0.1:
         raise ResolutionError(

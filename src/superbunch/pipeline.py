@@ -20,12 +20,12 @@ draws the speckle, then has the modulation multiply itself into the
 speckle's buffer (`signal.modulate_in_place`).  No product trace is
 made, and a waveform kind, evaluated per block, makes no full-length
 trace either.  With `write_trace` the modulation is synthesized once,
-whole (`signal.sample_intensity`), written, and its trace multiplied
-into the speckle's buffer: the same bits, as 1.0 * x is x.  The order
-is free because each source has its own substream ("speckle",
-"modulation"): neither draw depends on the other.  And as IEEE products
-commute, the joint trace equals apply_speckle(sample_intensity(...),
-generate_speckle_field(...)) bit for bit.
+whole (`signal.sample_intensity`), both traces are written, and the
+joint trace is their out-of-place product (`speckle.apply_speckle`):
+three traces at once, for the short runs `write_trace` is meant for.
+As 1.0 * x is x and IEEE products commute, both paths give the same
+bits.  The order is free because each source has its own substream
+("speckle", "modulation"): neither draw depends on the other.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ from .detection import (
 )
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
-from .signal import IntensityTrace, modulate_in_place, sample_intensity, write_intensity_csv
-# run_pipeline calls no apply_speckle, but perfbench/tracer.py wraps it by this module's name
-from .speckle import apply_speckle, generate_speckle_field  # noqa: F401
+from .signal import modulate_in_place, sample_intensity, write_intensity_csv
+from .speckle import apply_speckle, generate_speckle_field
 
 
 # diagnostic -> the warning it gives; artifacts do not record these
@@ -200,7 +199,8 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     manifest.json, plus those of analyze_stream.  With output.write_trace
     the source intensity traces go to modulation.csv and speckle.csv
     (only sensible for short runs: the modulation is then synthesized
-    whole, and multiplied into the speckle after its file is written).
+    whole, and the speckle, the modulation and their product are held at
+    once).
     """
     _require_modulation(cfg)
     n = cfg.samples
@@ -220,13 +220,11 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
         write_intensity_csv(trace, paths["modulation"])
         paths["speckle"] = os.path.join(out_dir, "speckle.csv")
         write_intensity_csv(speckle, paths["speckle"])
-        samples = speckle.samples
-        samples *= trace.samples
+        joint = apply_speckle(trace, speckle)
         del trace
-        joint = IntensityTrace(speckle.t0, speckle.dt, samples, mean=float(samples.mean()))
     else:
         joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
-    del speckle  # stale: its buffer now holds the joint trace
+    del speckle  # without write_trace, stale: its buffer now holds the joint trace
 
     stream = detect_photons(
         joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads

@@ -37,7 +37,7 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -62,6 +62,18 @@ def require_oversampled(dt: float, timescale: float, what: str) -> None:
         raise ConfigError(f"dt={dt:g} too coarse for {what} (need dt <= {limit:g})")
 
 
+def require_finite(params) -> None:
+    """Raise ValueError naming the first float field of a dataclass that is nan or infinite.
+
+    The config refuses such numbers as it parses them; a model or
+    detector built in code refuses them here, before any other check.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EomTransfer:
     """Measured modulator response: drive voltage in, detector signal out.
@@ -77,6 +89,7 @@ class EomTransfer:
     center_v: float = 0.49
 
     def __post_init__(self):
+        require_finite(self)
         if self.period_v <= 0:
             raise ValueError("transfer period must be positive")
         if self.offset < abs(self.amplitude):
@@ -130,6 +143,7 @@ class Constant(_Waveform):
     kind = "constant"
 
     def __post_init__(self):
+        require_finite(self)
         if not self.base_intensity > 0:
             raise ValueError("base intensity must be positive")
 
@@ -159,14 +173,13 @@ class Sinusoid(_Waveform):
     kind = "sinusoid"
 
     def __post_init__(self):
+        require_finite(self)
         if not self.base_intensity > 0:
             raise ValueError("base intensity must be positive")
         if not 0.0 <= self.depth <= 1.0:
             raise ValueError("depth must lie in [0, 1]")
         if not self.omega > 0:
             raise ValueError("drive frequency must be positive")
-        if not np.isfinite(self.phase):
-            raise ValueError("phase must be finite")
 
     def check(self, dt, n):
         require_oversampled(
@@ -208,6 +221,7 @@ class BandNoise:
     kind = "band_noise"
 
     def __post_init__(self):
+        require_finite(self)
         if not self.mean_intensity > 0:
             raise ValueError("mean intensity must be positive")
         if not self.cutoff_hz > 0:
@@ -259,6 +273,7 @@ class EomDrive(_Waveform):
     kind = "eom"
 
     def __post_init__(self):
+        require_finite(self)
         if self.vpp < 0:
             raise ValueError("vpp cannot be negative")
         if not self.frequency_hz > 0:
@@ -309,7 +324,9 @@ class IntensityTrace:
     `mean` is the declared mean used downstream to normalize detection
     rates; synthesis sets it to the empirical mean of the samples, but it
     is an independent field so traces can be compared at a common
-    normalization.
+    normalization.  No sample may be negative or nan, and the declared
+    mean must be positive and finite; an infinite sample is left to
+    detection, which refuses it from the maximum it reads anyway.
     """
 
     t0: float
@@ -324,10 +341,11 @@ class IntensityTrace:
             raise ValueError("samples must be a non-empty 1-D array")
         if not self.dt > 0:
             raise ValueError("sample spacing must be positive")
-        if samples.min() < 0:
-            raise ValueError("intensity must be nonnegative")
-        if not self.mean > 0:
-            raise ValueError("declared mean must be positive")
+        # min propagates nan, so one comparison refuses negative and nan samples
+        if not samples.min() >= 0:
+            raise ValueError("intensity must be nonnegative (and not nan)")
+        if not 0 < self.mean < np.inf:
+            raise ValueError("declared mean must be positive and finite")
 
     @property
     def n(self) -> int:

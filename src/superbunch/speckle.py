@@ -17,7 +17,8 @@ modulation multiply itself into the speckle's buffer
 one.  Each source draws from its own substream of the run seed (`seed`
 here, "modulation" there), so the order of the draws changes no number.
 `apply_speckle` is the out-of-place product of two separate traces,
-with the same bits; the pipeline does not call it.
+with the same bits; the pipeline calls it only under `write_trace`,
+whose two source traces are written before they are multiplied.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spectral import bandlimited_intensity
-from .signal import IntensityTrace, require_oversampled
+from .signal import IntensityTrace, require_finite, require_oversampled
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class SpeckleParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 

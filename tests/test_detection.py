@@ -315,6 +315,15 @@ def test_pileup_guard():
         detect_photons(_constant_trace(0.1, 1e-7), cfg, seed=0)
 
 
+def test_an_infinite_sample_is_refused_before_the_resolution_check():
+    samples = np.ones(1000)
+    samples[500] = np.inf
+    trace = IntensityTrace(0.0, 1e-6, samples, 1.0)
+    with pytest.raises(ValueError, match="finite") as info:
+        detect_photons(trace, DetectorConfig(rate_hz=1e3), seed=0)
+    assert not isinstance(info.value, ResolutionError)
+
+
 def test_dark_counts():
     trace = _constant_trace(20.0)
     cfg = DetectorConfig(rate_hz=1e-3, resolution_ns=1, dark_rate_hz=1e3)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ from superbunch import (
     BandNoise,
     ConfigError,
     Constant,
+    DetectorConfig,
     EomDrive,
     EomTransfer,
     IntensityTrace,
@@ -341,6 +343,45 @@ def test_intensity_trace_validation():
         IntensityTrace(0.0, 1e-6, np.array([1.0, -0.5]), 0.25)
     with pytest.raises(ValueError):
         IntensityTrace(0.0, -1e-6, np.array([1.0, 1.0]), 1.0)
+
+
+def test_intensity_trace_refuses_nan_samples_and_a_non_finite_mean():
+    samples = np.ones(1000)
+    samples[500] = np.nan
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntensityTrace(0.0, 1e-6, samples, 1.0)
+    for mean in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="declared mean"):
+            IntensityTrace(0.0, 1e-6, np.ones(1000), mean)
+
+
+# every float field of each model and of the detector: the config refuses
+# a non-finite number as it parses it, and a constructor does the same
+_FLOAT_FIELDS = {
+    EomTransfer: ("offset", "amplitude", "period_v", "center_v"),
+    EomDrive: ("vpp", "frequency_hz"),
+    BandNoise: ("mean_intensity", "cutoff_hz", "clip_level"),
+    Sinusoid: ("base_intensity", "depth", "omega", "phase"),
+    Constant: ("base_intensity",),
+    DetectorConfig: ("rate_hz", "dark_rate_hz"),
+    SpeckleParams: ("bandwidth",),
+}
+
+
+def test_float_fields_are_listed():
+    for cls, names in _FLOAT_FIELDS.items():
+        assert names == tuple(f.name for f in dataclasses.fields(cls) if "float" in str(f.type))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls, names in _FLOAT_FIELDS.items() for name in names],
+    ids=[f"{cls.__name__}.{name}" for cls, names in _FLOAT_FIELDS.items() for name in names],
+)
+def test_model_refuses_a_non_finite_field_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        cls(**{name: value})
 
 
 def test_intensity_csv(tmp_path):
