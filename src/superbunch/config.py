@@ -10,11 +10,12 @@ the config builds with `modulation = None`, which analysis accepts and
 
 `build_config` checks the whole run before any work.  An unknown section
 or key, or a value that does not parse, is not finite or, for a
-`_positive` key, is not positive, raises ConfigError naming the section,
-the key and the value.  So does, naming the section and key, a [run]
-duration whose timestamps a photon file cannot hold, a [correlator]
-whose bins `histogram_geometry` rejects and an [analysis] section whose
-fit start `_fit_start` rejects.  The fit start, the fit model at its
+`_positive` key, is not positive (for an `intensity`, not within
+1e±100), raises ConfigError naming the section, the key and the
+value.  So does, naming the section and key, a [run] duration whose
+timestamps a photon file cannot hold, a [correlator] whose bins
+`histogram_geometry` rejects and an [analysis] section whose fit start
+`_fit_start` rejects.  The fit start, the fit model at its
 starting point, is built here once and kept in `RunConfig.fit_start`.
 Inline `;` and `#` comments are allowed.  See README for the schema.
 """
@@ -52,6 +53,24 @@ def _positive(text: str) -> float:
     value = _number(text)
     if not value > 0:
         raise ValueError(f"not a positive number: {text!r}")
+    return value
+
+
+def _intensity(text: str) -> float:
+    """A positive number within 1e±100: an intensity sets only the unit of
+    the traces, and in this range their product and its sum over a run
+    stay normal floats, where 1e308 would overflow to inf."""
+    value = _positive(text)
+    if not 1e-100 <= value <= 1e100:
+        raise ValueError(f"not within [1e-100, 1e100]: {text!r}")
+    return value
+
+
+def _frequency(text: str) -> float:
+    """A positive frequency in Hz whose angular frequency is finite."""
+    value = _positive(text)
+    if not 2 * np.pi * value < np.inf:
+        raise ValueError(f"2 pi times it overflows: {text!r}")
     return value
 
 
@@ -104,14 +123,14 @@ def _band_noise(v: dict) -> BandNoise:
 # kind -> ({key: (parser, default)}, builder of the model from the parsed keys)
 _MODULATION = {
     Constant.kind: (
-        {"intensity": (_positive, 1.0)},
+        {"intensity": (_intensity, 1.0)},
         lambda v: Constant(base_intensity=v["intensity"]),
     ),
     Sinusoid.kind: (
         {
-            "intensity": (_positive, 1.0),
+            "intensity": (_intensity, 1.0),
             "depth": (_number, 1.0),
-            "frequency_hz": (_positive, 50e3),
+            "frequency_hz": (_frequency, 50e3),
             "phase_rad": (_number, 0.0),
         },
         lambda v: Sinusoid(
@@ -123,7 +142,7 @@ _MODULATION = {
     ),
     BandNoise.kind: (
         {
-            "intensity": (_positive, 1.0),
+            "intensity": (_intensity, 1.0),
             "cutoff_hz": (_positive, 200.0),
             "clip_level": (_or_none(_clip_level), None),
             "quantization_bits": (_or_none(_integer), None),
@@ -276,9 +295,10 @@ def _fit_start(model: str, init: dict, modulation, bandwidth: float, half_bins: 
                 "when the modulation does not define one"
             )
         (value, key), (lo, hi) = start[name], _BOUNDS[name]
-        if not lo <= value <= hi:
+        if not lo <= value <= hi or value == np.inf:
             raise ConfigError(
                 f"{key}: the fit start {name} = {value:g} is outside its bounds [{lo:g}, {hi:g}]"
+                + (" or infinite" if value == np.inf else "")
             )
     if cls is None:
         return None

@@ -13,7 +13,7 @@ import pytest
 from superbunch.cli import main
 from superbunch.config import _MODULATION, _SCHEMA, INIT
 
-VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e308", "1e-300")
 
 # each kind is probed under a fit model its physics starts
 _MODEL = {
@@ -82,6 +82,20 @@ def test_config_value_runs_or_is_refused_by_name(tmp_path, capsys, section, kind
             continue
         assert code in (0, 2, 3), (value, code, err)
         assert code == 0 or _names(err, section, key), (value, err)
+
+
+def test_an_intensity_that_overflows_fails_its_sweep_point_alone(tmp_path, capsys):
+    # 1e308 is finite, but the joint trace of such a source overflows
+    raw = _config("sinusoid")
+    raw["sweep"] = {"parameter": "modulation.intensity", "values": "1.0, 1e308"}
+    path = tmp_path / "run.ini"
+    path.write_text(_ini(raw))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    assert "Traceback" not in capsys.readouterr().err
+    ok, refused = (out / "summary.csv").read_text().splitlines()[1:]
+    assert ",ok," in ok and (out / "point_000" / "photons.txt").exists()
+    assert _names(refused, "modulation", "intensity"), refused
 
 
 # integer values too large for a float, kept out of VALUES: there a float

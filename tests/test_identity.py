@@ -1,39 +1,20 @@
 """The byte-identity audit, tools/identity.py, kept working on one tiny config."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
 
 # 0.02 s of 8-bit band noise with its traces written, and a two-point sweep
-TINY = """[run]
-duration_s = 0.02
-dt_s = 1e-6
-
-[modulation]
-kind = band_noise
-cutoff_hz = 2000
-quantization_bits = 8
-
-[detection]
-rate_hz = 3e4
-
-[correlator]
-bin_s = 1e-5
-window_s = 1e-3
-
-[analysis]
-model = noise_speckle
-
-[output]
-write_trace = yes
-
-[sweep]
-parameter = modulation.clip_level
-values = none, 3.0
-"""
+TINY_SECTIONS = {
+    "run": {"duration_s": "0.02", "dt_s": "1e-6"},
+    "modulation": {"kind": "band_noise", "cutoff_hz": "2000", "quantization_bits": "8"},
+    "detection": {"rate_hz": "3e4"},
+    "correlator": {"bin_s": "1e-5", "window_s": "1e-3"},
+    "analysis": {"model": "noise_speckle"},
+    "output": {"write_trace": "yes"},
+    "sweep": {"parameter": "modulation.clip_level", "values": "none, 3.0"},
+}
 
 
 def _identity():
@@ -44,13 +25,10 @@ def _identity():
 
 
 def test_tiny_config_gives_the_same_bytes_at_every_j_and_format(tmp_path):
-    config = tmp_path / "tiny.ini"
-    config.write_text(TINY)
-    argv = [sys.executable, str(TOOL), "--check", "--config", str(config)]
-    done = subprocess.run(argv, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    lines = dict(line.split("  ") for line in done.stdout.splitlines())
-    assert list(lines) == sorted(lines)
+    # the commands run as CLI subprocesses, as in the fixed matrix
+    identity = _identity()
+    lines = identity.run_matrix(identity.ROOT, tmp_path, {"tiny": TINY_SECTIONS})
+    assert identity.check(lines) == []
     runs = {"/".join(key.split("/")[:3]) for key in lines}
     assert runs == {f"tiny/s{s}/j{j}" for s in (1000, 1001) for j in (1, 2, 64)}
     for run in runs:

@@ -246,8 +246,11 @@ def test_two_workers_trace_no_more_than_one_did():
     # exponential per mode and batch traced 56.8 MB.  Two that reduce each
     # phase straight into the output trace 33.0 MB: the 16 MB output,
     # 3.2 MB of coefficients, 2.4 MB of k and steps, each worker's 4 MB
-    # row and 1.6 MB start vector, and 0.2 MB of numpy's temporaries;
-    # 0.5 MB of slack
+    # row and 1.6 MB start vector, and 0.2 MB of numpy's temporaries
+    # (numpy 2.4; the peak on the numpy 2.0 floor is unmeasured).  The
+    # bound is the 33.8 MB that held when each worker also had a 128 kB
+    # piece, less those 0.26 MB, so any numpy keeps the slack it had
+    # under that bound: 0.54 MB on numpy 2.4
     n = 2_000_000
     tracemalloc.start()
     try:
@@ -258,7 +261,7 @@ def test_two_workers_trace_no_more_than_one_did():
     finally:
         tracemalloc.stop()
     assert samples.nbytes == 8 * n
-    assert peak <= 33.5e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 33.54e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_threads_beyond_the_cpus_cost_what_the_cpus_do(monkeypatch):

@@ -1,8 +1,7 @@
 """Byte-identity audit: run a fixed matrix of CLI commands and hash what they leave.
 
-The matrix is every config below (or the `--config` files given) times
-the seeds 1000 and 1001 times `-j` 1, 2 and 64, and for each of these the
-commands
+The matrix is every config below times the seeds 1000 and 1001 times
+`-j` 1, 2 and 64, and for each of these the commands
 
   simulate-text     simulate --format text
   simulate-binary   simulate --format binary
@@ -34,7 +33,6 @@ checkout's `src` with the interpreter that runs this script.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import io
 import os
@@ -137,19 +135,12 @@ def _ini(sections: dict) -> str:
     )
 
 
-def _read(path: Path) -> dict:
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
-    parser.optionxform = str
-    parser.read_string(path.read_text())
-    return {name: dict(parser[name]) for name in parser.sections()}
-
-
 def _commands(sections: dict, seed: int, threads: int) -> list:
     """(name, argv) of a run's commands, in order; the config is ../../../config.ini."""
     config = ["--config", "../../../config.ini", "-j", str(threads), "--out", "out"]
     run = [*config, "--seed", str(seed)]
     # analyze normalizes as the simulation did
-    duration = ["--duration-s", sections.get("run", {}).get("duration_s", "100.0")]
+    duration = ["--duration-s", sections["run"]["duration_s"]]
     out = [
         ("simulate-text", ["simulate", *run, "--format", "text"]),
         ("simulate-binary", ["simulate", *run, "--format", "binary"]),
@@ -244,16 +235,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", help="diff this checkout's lines with REV's")
     parser.add_argument("--check", action="store_true", help="compare -j values and formats")
-    parser.add_argument(
-        "--config", nargs="+", metavar="FILE", type=Path,
-        help="run the matrix over these INI files instead of the fixed configs",
-    )
     args = parser.parse_args(argv)
-    configs = {path.stem: _read(path) for path in args.config} if args.config else CONFIGS
 
     work = Path(tempfile.mkdtemp(prefix="identity-"))
     try:
-        lines = run_matrix(ROOT, work / "ours", configs)
+        lines = run_matrix(ROOT, work / "ours", CONFIGS)
         for key in sorted(lines):
             print(f"{key}  {lines[key]}")
         faults = []
@@ -264,7 +250,7 @@ def main(argv=None) -> int:
             print(f"check: {len(lines)} lines, {len(faults)} faults", file=sys.stderr)
         if args.against:
             tree = _unpack(args.against, work / "tree")
-            theirs = run_matrix(tree, work / "theirs", configs)
+            theirs = run_matrix(tree, work / "theirs", CONFIGS)
             changed = diff(lines, theirs)
             for key in changed:
                 print(f"differs: {key}  {theirs.get(key)} -> {lines.get(key)}", file=sys.stderr)
