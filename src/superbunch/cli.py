@@ -24,7 +24,7 @@ import numpy as np
 from ._text import read_csv
 from .config import apply_override, build_config, read_raw
 from .errors import ConfigError, DataError
-from .pipeline import run_analysis, run_pipeline, run_sweep
+from .pipeline import make_out_dir, run_analysis, run_pipeline, run_sweep
 
 
 def _run_flags(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
@@ -119,7 +119,7 @@ def _cmd_plot(args) -> int:
     data = read_csv(args.data, 2, header="tau_s")
     have_err = data.shape[1] >= 3 and bool(np.any(data[:, 2] > 0))
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     script = os.path.join(out_dir, "plot.gp")
 
     lines = [

@@ -195,6 +195,12 @@ _SCHEMA = {
     "sweep": {"parameter": (str.strip, _REQUIRED), "values": (str.strip, _REQUIRED)},
 }
 
+# [sweep] parameter -> why a sweep over it would not change what a point runs
+_UNSWEPT = {
+    "run.seed": "each point takes a seed derived from [run] seed and its index",
+    "output.directory": "each point writes to its own point_NNN directory",
+}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -376,10 +382,9 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(f"[sweep] parameter: no such key in [{name}]: {parameter!r}")
         if not values:
             raise ConfigError("[sweep] values: empty list")
-        if parameter == "run.seed":
+        if parameter in _UNSWEPT:
             raise ConfigError(
-                "[sweep] parameter: run.seed cannot be swept; each point takes "
-                "a seed derived from [run] seed and its index"
+                f"[sweep] parameter: {parameter} cannot be swept; {_UNSWEPT[parameter]}"
             )
         sweep = SweepSpec(parameter=parameter, values=values)
 

@@ -6,6 +6,8 @@ start (`RunConfig.fit_start`) included, so a run adds only the checks
 that its kind of work needs: simulation needs a [modulation] whose
 timescales the sample grid resolves (checked before any synthesis;
 analysis samples nothing), and a stream needs events in both channels.
+A run makes its output directory (`make_out_dir`) once its input has
+passed these checks and before its expensive work.
 
 Every stochastic stage draws from its own derived substream (see
 seeding.py), so results are reproducible bit-for-bit from (config, seed)
@@ -141,6 +143,19 @@ def _write_fit_report(path, fit: analytic.FitResult) -> None:
             fh.write(f"{name},{fit.params[name]!r},{fit.sigmas[name]!r}\n")
 
 
+def make_out_dir(path) -> None:
+    """Make the output directory `path`, or raise ConfigError naming it.
+
+    Each command calls this once its input has passed its checks and
+    before its expensive work, so a path that names a file, or lies
+    under one, fails at once and writes nothing.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+
+
 def analyze_stream(
     cfg: RunConfig, stream: PhotonStream, *, threads: int = 1, out_dir=None
 ) -> RunResult:
@@ -152,6 +167,8 @@ def analyze_stream(
     streams share this one path, so a stream gives the same files from
     either source.
     """
+    if out_dir is not None:
+        make_out_dir(out_dir)
     hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
     curve = normalize_g2(hist)
     zero, zero_err = g2_zero_estimate(hist)
@@ -160,7 +177,6 @@ def analyze_stream(
 
     paths: dict = {}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         paths["histogram"] = os.path.join(out_dir, "histogram.csv")
         write_histogram_csv(hist, paths["histogram"])
         paths["g2"] = os.path.join(out_dir, "g2.csv")
@@ -206,14 +222,14 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     n = cfg.samples
     # before the speckle is drawn, so a grid too coarse for both names the modulation
     warnings = tuple(WARNINGS[name] for name in cfg.modulation.check(cfg.dt_s, n))
+    if out_dir is not None:
+        make_out_dir(out_dir)
     modulation_seed = substream_seed(cfg.seed, "modulation")
 
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
     speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n, threads=threads)
 
     paths: dict = {}
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     if out_dir is not None and cfg.write_trace:
         paths["modulation"] = os.path.join(out_dir, "modulation.csv")
         trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed, threads=threads)
@@ -287,15 +303,15 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
 
     Each point runs in out_dir/point_NNN with its own seed derived from
     the master seed, and a row is appended to out_dir/summary.csv.  A
-    point whose config or data is rejected (ConfigError, DataError) is
-    recorded in its row's status column and the sweep continues; any
-    other exception is a bug and propagates.  The fit columns are those
-    of the points' own fits, in order of first appearance, so
-    `analysis.model` can be swept too.  Each row's `warnings` holds its
-    run's RunResult.warnings; summary.csv omits them.  `cfg` is
-    `build_config(raw)`, so the base config, fit start included, has
-    passed every check before any point runs; `threads` below 1 raises
-    ValueError before any point runs.
+    point whose config, data or point_NNN directory is rejected
+    (ConfigError, DataError) is recorded in its row's status column and
+    the sweep continues; any other exception is a bug and propagates.
+    The fit columns are those of the points' own fits, in order of first
+    appearance, so `analysis.model` can be swept too.  Each row's
+    `warnings` holds its run's RunResult.warnings; summary.csv omits
+    them.  `cfg` is `build_config(raw)`, so the base config, fit start
+    included, has passed every check before any point runs; `threads`
+    below 1 raises ValueError before any point runs.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -303,7 +319,7 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
     if cfg.sweep is None:
         raise ConfigError("missing required section [sweep]")
     sweep = cfg.sweep
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
 
     header = ["parameter", "value", "status", "g2_zero", "g2_zero_err"]
     rows = []

@@ -287,6 +287,25 @@ def test_analyze_unknown_extension_exit_code(tmp_path, capsys):
     assert f"config error: cannot infer photon file format from '{path}'" in err
 
 
+def test_analyze_format_flag_reads_a_file_whose_extension_names_no_format(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG.replace("duration_s = 0.5", "duration_s = 0.2"))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--format", "binary", "--out", str(sim)]) == 0
+    photons = tmp_path / "photons.dat"
+    photons.write_bytes((sim / "photons.bin").read_bytes())
+    argv = ["analyze", str(photons), "--config", str(path), "--duration-s", "0.2"]
+    ana = tmp_path / "ana"
+    assert main([*argv, "--format", "binary", "--out", str(ana)]) == 0
+    for name in ("g2.csv", "fit.txt"):
+        assert (ana / name).read_bytes() == (sim / name).read_bytes(), name
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "inferred")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot infer photon file format from '{photons}'" in err
+    assert not (tmp_path / "inferred").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 def test_unconverged_fit_exits_4_and_writes_artifacts(
     tmp_path, config_path, monkeypatch, capsys, command
@@ -395,6 +414,49 @@ def test_a_sweep_point_of_too_many_bins_fails_alone(tmp_path, capsys):
     assert not (out / "point_001").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep", "plot"])
+def test_an_output_path_taken_by_a_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, short_photons, command, under
+):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output directory was made")
+
+    monkeypatch.setattr(pipeline, "generate_speckle_field", work)
+    monkeypatch.setattr(pipeline, "coincidence_histogram", work)
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "out" if under else taken
+    argv = {
+        "simulate": ["simulate", "--config", str(path)],
+        "analyze": ["analyze", str(short_photons), "--duration-s", "0.2"],
+        "sweep": ["sweep", "--config", str(path)],
+        "plot": ["plot", str(short_photons.parent / "g2.csv")],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"config error: cannot make output directory {out}: " in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+def test_a_sweep_point_whose_directory_is_a_file_fails_alone(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    text = CONFIG.replace("duration_s = 0.5", "duration_s = 0.2")
+    path.write_text(text + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2, 1.0\n")
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "point_000").write_text("kept\n")
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    assert "2 points, 1 failed" in capsys.readouterr().out
+    lines = (out / "summary.csv").read_text().splitlines()
+    point = out / "point_000"
+    assert lines[1].startswith(f"modulation.depth,0.2,error: cannot make output directory {point}")
+    assert lines[2].startswith("modulation.depth,1.0,ok,")
+    assert point.read_text() == "kept\n"
+    assert (out / "point_001" / "g2.csv").exists()
+
+
 def test_sweep_cli_modulation_kind(tmp_path):
     # a constant laser against a modulated one: the sinusoid's keys must not
     # reach the constant point
@@ -419,14 +481,22 @@ def test_sweep_undeclared_parameter_fails_before_any_point(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_over_run_seed_fails_before_any_point(tmp_path, capsys):
-    # points take derived seeds, so a swept run.seed would be ignored
+@pytest.mark.parametrize(
+    "parameter,values",
+    [("run.seed", "1, 2"), ("output.directory", "a, b")],
+    ids=["run.seed", "output.directory"],
+)
+def test_sweep_over_run_seed_fails_before_any_point(tmp_path, capsys, parameter, values):
+    # points take derived seeds and write to point_NNN, so a swept run.seed
+    # or output.directory would be ignored
     path = tmp_path / "sweep.ini"
-    path.write_text(CONFIG + "\n[sweep]\nparameter = run.seed\nvalues = 1, 2\n")
+    path.write_text(CONFIG + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
-    assert "run.seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: [sweep] parameter: {parameter} cannot be swept" in err
     assert not out.exists()
+    assert not (tmp_path / "a").exists()
 
 
 def test_sweep_with_a_bad_base_fit_start_fails_before_any_point(tmp_path, capsys):

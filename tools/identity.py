@@ -52,8 +52,8 @@ JOBS = 2  # runs at once: each is a chain of commands, run one after another
 ANALYSIS = ("histogram.csv", "g2.csv", "theory.csv", "fit.txt")
 _FROM_PHOTONS = ("simulate-text", "simulate-binary", "analyze-text", "analyze-binary")
 
-# the CI configs: 0.2 s at dt = 1 us with their traces written
-_CI = {
+# the short configs: 0.2 s at dt = 1 us with their traces written
+_SHORT = {
     "run": {"duration_s": "0.2", "dt_s": "1e-6"},
     "detection": {"rate_hz": "3e4"},
     "correlator": {"bin_s": "1e-5", "window_s": "1e-3"},
@@ -61,8 +61,8 @@ _CI = {
 }
 
 
-def _ci(model: str, **modulation) -> dict:
-    return {**_CI, "modulation": modulation, "analysis": {"model": model}}
+def _short(model: str, **modulation) -> dict:
+    return {**_SHORT, "modulation": modulation, "analysis": {"model": model}}
 
 
 # README physics: a full-depth 50 kHz sinusoid on 10 kHz speckle
@@ -74,12 +74,14 @@ _README = {
 }
 _DETECTION = {"resolution_ns": "1", "dark_rate_hz": "0"}
 
-# name -> {section: {key: value}}: the CI round-trip, noise and EOM
-# configs and the benchmark's three workload configs, of which
-# sim_sinusoid_text is also the README config at 2 s
+# name -> {section: {key: value}}: the short round-trip (a sinusoid),
+# noise and four EOM configs, and the benchmark's three workload configs,
+# of which sim_sinusoid_text is also the README config at 2 s.  This is
+# the one place they are declared: CI's round trip through the installed
+# script writes its config with `ini(CONFIGS["roundtrip"])`
 CONFIGS = {
-    "roundtrip": _ci("sinusoid_speckle", kind="sinusoid", depth="0.9", frequency_hz="5e3"),
-    "noise": _ci(
+    "roundtrip": _short("sinusoid_speckle", kind="sinusoid", depth="0.9", frequency_hz="5e3"),
+    "noise": _short(
         "noise_speckle",
         kind="band_noise",
         cutoff_hz="2000",
@@ -87,7 +89,7 @@ CONFIGS = {
         clip_level="realistic",
     ),
     **{
-        f"eom_{waveform}_vpp{vpp}": _ci(
+        f"eom_{waveform}_vpp{vpp}": _short(
             f"{'noise' if waveform == 'noise' else 'sinusoid'}_speckle",
             kind="eom",
             vpp=str(vpp),
@@ -128,7 +130,7 @@ CONFIGS = {
 }
 
 
-def _ini(sections: dict) -> str:
+def ini(sections: dict) -> str:
     return "\n".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in entries.items())
         for name, entries in sections.items()
@@ -182,7 +184,7 @@ def run_matrix(tree: Path, work: Path, configs: dict) -> dict:
     runs = []
     for name, sections in configs.items():
         (work / name).mkdir(parents=True)
-        (work / name / "config.ini").write_text(_ini(sections))
+        (work / name / "config.ini").write_text(ini(sections))
         runs += [(f"{name}/s{s}/j{j}", sections, s, j) for s in SEEDS for j in THREADS]
     lines = {}
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
