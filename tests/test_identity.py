@@ -59,7 +59,14 @@ def test_check_and_diff_name_what_differs():
     assert identity.check(lines) == []
     moved = dict(lines, **{"c/s1/j2/simulate-text/<exit>": "4"})
     assert identity.check(moved) == [
-        "c/s1/*/simulate-text/<exit>: differs across -j: {'j1': '0', 'j2': '4'}"
+        "c/s1/j2/simulate-text/<exit>: exits 4",
+        "c/s1/*/simulate-text/<exit>: differs across -j: {'j1': '0', 'j2': '4'}",
+    ]
+    # a command that fails the same way at every -j
+    failed = {k: ("4" if k.endswith("simulate-text/<exit>") else v) for k, v in lines.items()}
+    assert identity.check(failed) == [
+        "c/s1/j1/simulate-text/<exit>: exits 4",
+        "c/s1/j2/simulate-text/<exit>: exits 4",
     ]
     # a file that one -j leaves and another does not
     extra = dict(lines, **{"c/s1/j1/simulate-text/fit.txt": "f"})

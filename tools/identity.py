@@ -18,9 +18,10 @@ paths, so the one stdout line that prints a path (sweep's summary line)
 reads the same in any checkout and at any `-j`: nothing is normalized.
 
   python3 tools/identity.py                 print the lines of this checkout
-  python3 tools/identity.py --check         also require -j 2 and -j 64 to give
-                                            -j 1's lines, and every command of a
-                                            run to give the same analysis files
+  python3 tools/identity.py --check         also require every command to exit 0,
+                                            -j 2 and -j 64 to give -j 1's lines,
+                                            and every command of a run to give the
+                                            same analysis files
   python3 tools/identity.py --against REV   run the matrix on REV too (unpacked
                                             with `git archive`) and list every
                                             line that differs
@@ -194,8 +195,15 @@ def run_matrix(tree: Path, work: Path, configs: dict) -> dict:
 
 
 def check(lines: dict) -> list:
-    """What differs within one checkout: across -j, and across a run's commands."""
-    faults = []
+    """What fails or differs within one checkout: a command's exit, and across
+    -j and across a run's commands."""
+    # every command of the matrix succeeds, so a failure that each -j
+    # shares is still a fault
+    faults = [
+        f"{key}: exits {value}"
+        for key, value in sorted(lines.items())
+        if key.endswith("/<exit>") and value != "0"
+    ]
     threads = {key.split("/")[2] for key in lines}
     across = {}  # CONFIG/sSEED/*/COMMAND/FILE -> {jTHREADS: value}
     for key, value in lines.items():
