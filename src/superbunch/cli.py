@@ -119,7 +119,7 @@ def _cmd_plot(args) -> int:
     data = read_csv(args.data, 2, header="tau_s")
     have_err = data.shape[1] >= 3 and bool(np.any(data[:, 2] > 0))
     out_dir = args.out or "."
-    make_out_dir(out_dir)
+    make_out_dir(out_dir, ("plot.gp",))
     script = os.path.join(out_dir, "plot.gp")
 
     lines = [

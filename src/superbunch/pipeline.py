@@ -3,10 +3,11 @@
 A run is driven by a RunConfig and a master seed.  `build_config` has
 checked every setting of the RunConfig before a run starts, the fit
 start (`RunConfig.fit_start`) included, so a run adds only the checks
-that its kind of work needs: simulation needs a [modulation] whose
-timescales the sample grid resolves (checked before any synthesis;
-analysis samples nothing), and a stream needs events in both channels.
-A run makes its output directory (`make_out_dir`) once its input has
+that its kind of work needs: simulation needs a [modulation] and a
+[speckle] whose timescales the sample grid resolves (checked before any
+synthesis; analysis samples nothing), and a stream needs events in both
+channels.  A run makes its output directory (`make_out_dir`), and
+refuses an artifact path that a directory takes, once its input has
 passed these checks and before its expensive work.
 
 Every stochastic stage draws from its own derived substream (see
@@ -17,11 +18,11 @@ as thread counts, paths and wall-clock times so that repeated runs
 produce identical files.
 
 Draw order: `run_pipeline` checks the modulation against the grid,
-which also gives the run's diagnostics (a `short-trace` warning), then
-draws the speckle, then has the modulation multiply itself into the
-speckle's buffer (`signal.modulate_in_place`).  No product trace is
-made, and a waveform kind, evaluated per block, makes no full-length
-trace either.  With `write_trace` the modulation is synthesized once,
+which also gives the run's diagnostics (a `short-trace` warning), and
+then the speckle; it draws the speckle, then has the modulation
+multiply itself into the speckle's buffer (`signal.modulate_in_place`).
+No product trace is made, and a waveform kind, evaluated per block,
+makes no full-length trace either.  With `write_trace` the modulation is synthesized once,
 whole (`signal.sample_intensity`), both traces are written, and the
 joint trace is their out-of-place product (`speckle.apply_speckle`):
 three traces at once, for the short runs `write_trace` is meant for.
@@ -143,17 +144,28 @@ def _write_fit_report(path, fit: analytic.FitResult) -> None:
             fh.write(f"{name},{fit.params[name]!r},{fit.sigmas[name]!r}\n")
 
 
-def make_out_dir(path) -> None:
-    """Make the output directory `path`, or raise ConfigError naming it.
+def make_out_dir(path, files) -> None:
+    """Make the output directory `path` for the artifacts `files`, or raise ConfigError.
 
     Each command calls this once its input has passed its checks and
-    before its expensive work, so a path that names a file, or lies
-    under one, fails at once and writes nothing.
+    before its expensive work, so a directory that cannot be made (the
+    message gives the reason), or an artifact path that a directory
+    already takes, fails at once, by name, and writes nothing.
     """
+    for name in files:
+        artifact = os.path.join(path, name)
+        if os.path.isdir(artifact):
+            raise ConfigError(f"cannot write {artifact}: it is a directory")
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+
+
+def _analysis_files(cfg: RunConfig) -> tuple:
+    """The artifacts analyze_stream writes for `cfg`."""
+    fit = ("theory.csv", "fit.txt") if cfg.fit_start is not None else ()
+    return ("histogram.csv", "g2.csv", *fit)
 
 
 def analyze_stream(
@@ -168,7 +180,7 @@ def analyze_stream(
     either source.
     """
     if out_dir is not None:
-        make_out_dir(out_dir)
+        make_out_dir(out_dir, _analysis_files(cfg))
     hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
     curve = normalize_g2(hist)
     zero, zero_err = g2_zero_estimate(hist)
@@ -220,10 +232,13 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     """
     _require_modulation(cfg)
     n = cfg.samples
-    # before the speckle is drawn, so a grid too coarse for both names the modulation
+    # before the speckle's, so a grid too coarse for both names the modulation
     warnings = tuple(WARNINGS[name] for name in cfg.modulation.check(cfg.dt_s, n))
+    cfg.speckle.check(cfg.dt_s, n)
+    ext = "txt" if cfg.output_format == "text" else "bin"
+    traces = ("modulation.csv", "speckle.csv") if cfg.write_trace else ()
     if out_dir is not None:
-        make_out_dir(out_dir)
+        make_out_dir(out_dir, (f"photons.{ext}", "manifest.json", *traces, *_analysis_files(cfg)))
     modulation_seed = substream_seed(cfg.seed, "modulation")
 
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
@@ -248,7 +263,6 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     del joint
 
     if out_dir is not None:
-        ext = "txt" if cfg.output_format == "text" else "bin"
         paths["photons"] = os.path.join(out_dir, f"photons.{ext}")
         write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
 
@@ -319,7 +333,7 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
     if cfg.sweep is None:
         raise ConfigError("missing required section [sweep]")
     sweep = cfg.sweep
-    make_out_dir(out_dir)
+    make_out_dir(out_dir, ("summary.csv",))
 
     header = ["parameter", "value", "status", "g2_zero", "g2_zero_err"]
     rows = []

@@ -47,19 +47,28 @@ class SpeckleParams:
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 
+    def check(self, dt, n):
+        """Raise ConfigError unless dt is at most 2 pi / (10 * bandwidth).
+
+        The same check as the modulation kinds', which the pipeline makes
+        before any work; the speckle gives no diagnostics.
+        """
+        require_oversampled(
+            dt, 2 * np.pi / self.bandwidth, f"[speckle] bandwidth_rad_s = {self.bandwidth:g}"
+        )
+        return ()
+
 
 def generate_speckle_field(
     params: SpeckleParams, t0: float, dt: float, n: int, *, threads: int = 1
 ) -> IntensityTrace:
     """Synthesize `n` speckle intensity samples with empirical mean 1.
 
-    Requires the grid to oversample the coherence time: dt must be at most
-    2 pi / (10 * bandwidth).  `threads` workers share the synthesis; the
+    Requires the grid to oversample the coherence time
+    (`SpeckleParams.check`).  `threads` workers share the synthesis; the
     samples are the same for any count.
     """
-    require_oversampled(
-        dt, 2 * np.pi / params.bandwidth, f"[speckle] bandwidth_rad_s = {params.bandwidth:g}"
-    )
+    params.check(dt, n)
     rng = np.random.default_rng(params.seed)
     # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
     samples = bandlimited_intensity(

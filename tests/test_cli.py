@@ -457,6 +457,84 @@ def test_a_sweep_point_whose_directory_is_a_file_fails_alone(tmp_path, capsys):
     assert (out / "point_001" / "g2.csv").exists()
 
 
+def test_a_grid_too_coarse_for_the_speckle_leaves_no_output(tmp_path, capsys):
+    # dt = 2e-5 s suits a constant laser but not the 10 kHz speckle (dt <= 1e-5 s)
+    old = "kind = sinusoid\nintensity = 1.0\ndepth = 0.9\nfrequency_hz = 50e3"
+    text = (
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.2")
+        .replace(old, "kind = constant")
+        .replace("model = sinusoid_speckle", "model = speckle")
+    )
+    message = "dt=2e-05 too coarse for [speckle] bandwidth_rad_s = 62831.9"
+    path = tmp_path / "coarse.ini"
+    path.write_text(text.replace("dt_s = 1e-6", "dt_s = 2e-5"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    # a sweep point on that grid fails its own row and leaves no point_NNN
+    path.write_text(text + "\n[sweep]\nparameter = run.dt_s\nvalues = 1e-6, 2e-5\n")
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1].startswith("run.dt_s,1e-6,ok,")
+    assert lines[2].startswith(f"run.dt_s,2e-5,error: {message}")
+    assert (out / "point_000").is_dir() and not (out / "point_001").exists()
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        ("simulate", "photons.txt"),
+        ("simulate", "manifest.json"),
+        ("simulate", "g2.csv"),
+        ("sweep", "summary.csv"),
+        ("plot", "plot.gp"),
+    ],
+)
+def test_an_artifact_path_taken_by_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, short_photons, command, name
+):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the artifact paths were checked")
+
+    monkeypatch.setattr(pipeline, "generate_speckle_field", work)
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2\n")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = {
+        "simulate": ["simulate", "--config", str(path)],
+        "sweep": ["sweep", "--config", str(path)],
+        "plot": ["plot", str(short_photons.parent / "g2.csv")],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"config error: cannot write {out / name}: it is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_a_sweep_point_whose_artifact_path_is_a_directory_fails_alone(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    text = CONFIG.replace("duration_s = 0.5", "duration_s = 0.2")
+    path.write_text(text + "\n[sweep]\nparameter = modulation.depth\nvalues = 0.2, 1.0\n")
+    out = tmp_path / "sweep"
+    taken = out / "point_000" / "g2.csv"
+    taken.mkdir(parents=True)
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    assert "2 points, 1 failed" in capsys.readouterr().out
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1].startswith(f"modulation.depth,0.2,error: cannot write {taken}: it is a ")
+    assert lines[2].startswith("modulation.depth,1.0,ok,")
+    assert [p.name for p in (out / "point_000").iterdir()] == ["g2.csv"]
+    assert (out / "point_001" / "g2.csv").is_file()
+
+
+def test_a_malformed_config_file_exits_2_and_names_it(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[run]\nseed\n")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 def test_sweep_cli_modulation_kind(tmp_path):
     # a constant laser against a modulated one: the sinusoid's keys must not
     # reach the constant point

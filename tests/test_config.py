@@ -250,6 +250,8 @@ def test_sweep_validation(tmp_path):
         load_config(_write(tmp_path, FULL + "\n[sweep]\nparameter = nodots\nvalues = 1\n"))
     with pytest.raises(ConfigError, match="values"):
         load_config(_write(tmp_path, FULL + "\n[sweep]\nparameter = run.seed\nvalues = ,\n"))
+    with pytest.raises(ConfigError, match=re.escape("[sweep] missing required key 'values'")):
+        load_config(_write(tmp_path, FULL + "\n[sweep]\nparameter = modulation.depth\n"))
 
 
 def test_analysis_model_choices(tmp_path):

@@ -1,9 +1,13 @@
-"""The byte-identity audit, tools/identity.py, kept working on one tiny config."""
+"""The byte-identity audit, tools/identity.py: its matrix holds the benchmark's own
+workload configs, and it keeps working on one tiny config."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "identity.py"
 
 # 0.02 s of 8-bit band noise with its traces written, and a two-point sweep
 TINY_SECTIONS = {
@@ -22,6 +26,18 @@ def _identity():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_workload_configs_are_the_benchmarks_own(monkeypatch):
+    identity = _identity()
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", identity.WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert names
+    for name in names:
+        assert identity.CONFIGS[name] == workloads.WORKLOADS[name].sections, name
 
 
 def test_tiny_config_gives_the_same_bytes_at_every_j_and_format(tmp_path):

@@ -26,15 +26,18 @@ reads the same in any checkout and at any `-j`: nothing is normalized.
                                             with `git archive`) and list every
                                             line that differs
 
-The exit code is 1 when a check fails or a line differs, else 0.  Only
-the standard library and git are used; the package runs from the
-checkout's `src` with the interpreter that runs this script.
+The exit code is 1 when a check fails or a line differs, else 0.  The
+benchmark's workload configs are read from perfbench/workloads.py, so
+the audit imports that module and, through it, the checkout's package
+from `src` (and numpy); the commands run the package from `src` with the
+interpreter that runs this script.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import os
 import shutil
@@ -46,6 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEEDS = (1000, 1001)
 THREADS = (1, 2, 64)
 JOBS = 2  # runs at once: each is a chain of commands, run one after another
@@ -66,20 +70,24 @@ def _short(model: str, **modulation) -> dict:
     return {**_SHORT, "modulation": modulation, "analysis": {"model": model}}
 
 
-# README physics: a full-depth 50 kHz sinusoid on 10 kHz speckle
-_README = {
-    "modulation": {"kind": "sinusoid", "intensity": "1.0", "depth": "1.0", "frequency_hz": "50e3"},
-    "speckle": {"bandwidth_rad_s": "62831.853"},
-    "correlator": {"bin_s": "0.5e-6", "window_s": "2.5e-4"},
-    "analysis": {"model": "sinusoid_speckle"},
-}
-_DETECTION = {"resolution_ns": "1", "dark_rate_hz": "0"}
+def _workloads():
+    """perfbench/workloads.py, loaded by path, with the checkout's `src` on sys.path."""
+    src = str(ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
 
 # name -> {section: {key: value}}: the short round-trip (a sinusoid),
-# noise and four EOM configs, and the benchmark's three workload configs,
-# of which sim_sinusoid_text is also the README config at 2 s.  This is
-# the one place they are declared: CI's round trip through the installed
-# script writes its config with `ini(CONFIGS["roundtrip"])`
+# noise and four EOM configs, then the benchmark's workload configs, read
+# from perfbench/workloads.py (sim_sinusoid_text is the README config at
+# 2 s).  CI's round trip through the installed script writes its config
+# with `ini(CONFIGS["roundtrip"])`
 CONFIGS = {
     "roundtrip": _short("sinusoid_speckle", kind="sinusoid", depth="0.9", frequency_hz="5e3"),
     "noise": _short(
@@ -100,34 +108,7 @@ CONFIGS = {
         for waveform in ("sinusoid", "noise")
         for vpp in (8, 0)
     },
-    "sim_sinusoid_text": {
-        "run": {"duration_s": "2.0", "dt_s": "1e-6"},
-        **_README,
-        "detection": {"rate_hz": "3e4", **_DETECTION},
-        "output": {"format": "text"},
-    },
-    "analyze_dense_binary": {
-        "run": {"duration_s": "1.0", "dt_s": "1e-6"},
-        **_README,
-        "detection": {"rate_hz": "3e5", **_DETECTION},
-        "output": {"format": "binary"},
-    },
-    "sweep_noise_threads": {
-        "run": {"duration_s": "20.0", "dt_s": "1e-5"},
-        "modulation": {
-            "kind": "band_noise",
-            "intensity": "1.0",
-            "cutoff_hz": "200",
-            "clip_level": "none",
-            "quantization_bits": "8",
-        },
-        "speckle": {"bandwidth_rad_s": "62831.853"},
-        "detection": {"rate_hz": "1e4", **_DETECTION},
-        "correlator": {"bin_s": "1e-5", "window_s": "1e-2"},
-        "analysis": {"model": "noise_speckle"},
-        "output": {"format": "binary"},
-        "sweep": {"parameter": "modulation.clip_level", "values": "none, 3.0, realistic"},
-    },
+    **{name: workload.sections for name, workload in _workloads().WORKLOADS.items()},
 }
 
 
