@@ -10,10 +10,8 @@ fitting and validation.
 from ._version import __version__
 from ._kernels import COMPILED
 from .analytic import (
+    FitModel,
     FitResult,
-    NoiseSpeckle,
-    SinusoidSpeckle,
-    SpeckleOnly,
     fit_g2,
     g2_noise,
     g2_sinusoid,
@@ -68,18 +66,16 @@ __all__ = [
     "DetectorConfig",
     "EomDrive",
     "EomTransfer",
+    "FitModel",
     "FitResult",
     "G2Curve",
     "IntensityTrace",
-    "NoiseSpeckle",
     "PeakBackground",
     "PhotonStream",
     "ResolutionError",
     "RunConfig",
     "RunResult",
     "Sinusoid",
-    "SinusoidSpeckle",
-    "SpeckleOnly",
     "SpeckleParams",
     "SweepSpec",
     "apply_speckle",

@@ -17,13 +17,14 @@ with sinc(x) = sin(x)/x and one modulation factor per fit model:
 around a mean of 1.  The noise curve peaks at 4 over a background of 1.
 
 Each factor is written once, as a function of (tau, *parameters) that
-returns its value and one derivative column per parameter.  A fit model
-is a frozen dataclass whose fields are its modulation factor's parameters
-followed by `bandwidth`; `_Product` turns the two factors into the curve
-and, by the product rule, its Jacobian.  A new modulation therefore
-slots in as one factor function plus one model class that names the
-factor, its `[analysis] model` name and its parameter bounds, listed in
-MODELS.
+returns its value and one derivative column per parameter.  MODELS
+lists each `[analysis] model` with its modulation factor and its
+parameter names, the speckle's `bandwidth` last, and BOUNDS gives each
+parameter's bounds once, for every model that has it.  One type,
+FitModel, is a model at a point: its name and one value per parameter.
+It forms the curve and, by the product rule, its Jacobian.  A new
+modulation therefore slots in as one factor function plus one MODELS
+row (and a BOUNDS entry for each new parameter).
 
 Fitting uses damped Gauss-Newton steps on weighted residuals with these
 analytic Jacobians; an overall amplitude and offset ride along as
@@ -32,8 +33,7 @@ nuisance parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,91 +110,70 @@ def _speckle(tau, bw, outer=1.0):
     return _thermal(tau * bw / 2.0, tau / 2.0, outer)
 
 
-class _Product:
-    """g2 = factor(tau, *fields before bandwidth) * speckle(tau, bandwidth)."""
+# fit parameter -> its (lower, upper) bound, the same in every model
+# that has it; amplitude and offset are the nuisance parameters of every fit
+BOUNDS = {
+    "contrast": (0.0, 1.0),
+    "mod_omega": (1e-12, np.inf),
+    "cutoff_hz": (1e-12, np.inf),
+    "bandwidth": (1e-12, np.inf),
+    "amplitude": (1e-12, np.inf),
+    "offset": (-np.inf, np.inf),
+}
 
-    names: tuple = ()  # the dataclass fields, in order; set by _fit_model
-    factor = staticmethod(_unmodulated)
+# [analysis] model name -> (modulation factor, the model's parameters:
+# the factor's, then the speckle's bandwidth)
+MODELS = {
+    "speckle": (_unmodulated, ("bandwidth",)),
+    "sinusoid_speckle": (_sinusoid, ("contrast", "mod_omega", "bandwidth")),
+    "noise_speckle": (_noise, ("cutoff_hz", "bandwidth")),
+}
 
-    def start(self):
-        return [getattr(self, k) for k in self.names]
 
-    @classmethod
-    def min_points(cls) -> int:
+@dataclass(frozen=True)
+class FitModel:
+    """A fit model at a point: its MODELS name and one value per parameter.
+
+    g2 = factor(tau, *values[:-1]) * speckle(tau, values[-1]).
+    """
+
+    name: str
+    values: tuple  # in the order of `names`
+
+    def __post_init__(self):
+        if len(self.values) != len(self.names):
+            raise ValueError(f"{self.name} takes the values of {', '.join(self.names)}")
+
+    @property
+    def names(self) -> tuple:
+        return MODELS[self.name][1]
+
+    def min_points(self) -> int:
         """Curve points a fit needs: five per parameter, amplitude and offset included."""
-        return 5 * (len(cls.names) + 2)
+        return 5 * (len(self.names) + 2)
 
-    @classmethod
-    def curve(cls, tau, theta):
+    def curve(self, tau):
         tau_arr = np.asarray(tau, dtype=float)
-        *args, bw = theta
-        mod = cls.factor(tau_arr, *args)[0]
+        *args, bw = self.values
+        mod = MODELS[self.name][0](tau_arr, *args)[0]
         return _scalar_ok(mod * _speckle(tau_arr, bw)[0], tau)
 
-    @classmethod
-    def jacobian(cls, tau, theta):
-        *args, bw = theta
-        mod, d_mod = cls.factor(tau, *args)
+    def jacobian(self, tau):
+        """One column per parameter: the product rule over the two factors."""
+        *args, bw = self.values
+        mod, d_mod = MODELS[self.name][0](tau, *args)
         spk, d_bw = _speckle(tau, bw, mod)
         return np.column_stack([d * spk for d in d_mod] + [d_bw])
 
 
-def _fit_model(cls):
-    """Freeze a model class into a dataclass whose fields name its parameters."""
-    cls = dataclass(frozen=True)(cls)
-    cls.names = tuple(f.name for f in fields(cls))
-    return cls
-
-
-@_fit_model
-class SpeckleOnly(_Product):
-    """Free parameter: speckle bandwidth (rad/s)."""
-
-    bandwidth: float
-
-    name = "speckle"
-    bounds = ((1e-12, np.inf),)
-
-
-@_fit_model
-class SinusoidSpeckle(_Product):
-    """Free parameters: contrast, drive angular frequency, bandwidth."""
-
-    contrast: float
-    mod_omega: float
-    bandwidth: float
-
-    name = "sinusoid_speckle"
-    bounds = ((0.0, 1.0), (1e-12, np.inf), (1e-12, np.inf))
-    factor = staticmethod(_sinusoid)
-
-
-@_fit_model
-class NoiseSpeckle(_Product):
-    """Free parameters: noise cutoff (Hz) and bandwidth (rad/s)."""
-
-    cutoff_hz: float
-    bandwidth: float
-
-    name = "noise_speckle"
-    bounds = ((1e-12, np.inf), (1e-12, np.inf))
-    factor = staticmethod(_noise)
-
-
-TheoryModel = Union[SpeckleOnly, SinusoidSpeckle, NoiseSpeckle]
-
-# [analysis] model name -> fit model class
-MODELS = {cls.name: cls for cls in (SpeckleOnly, SinusoidSpeckle, NoiseSpeckle)}
-
-
 def g2_speckle(tau, bandwidth):
     """Unmodulated pseudothermal curve, peak 2 over background 1."""
-    return SpeckleOnly.curve(tau, (bandwidth,))
+    return FitModel("speckle", (bandwidth,)).curve(tau)
 
 
 def g2_sinusoid(tau, contrast, mod_omega, bandwidth):
     """Sinusoidally modulated curve; `contrast` in [0, 1]."""
-    return SinusoidSpeckle.curve(tau, (contrast, mod_omega, bandwidth))
+    return FitModel("sinusoid_speckle", (contrast, mod_omega, bandwidth)).curve(tau)
 
 
 def g2_zero_sinusoid(contrast):
@@ -209,7 +188,7 @@ def gamma_noise(tau, cutoff_hz):
 
 def g2_noise(tau, cutoff_hz, bandwidth):
     """Noise modulation on speckle: peak 4 over background 1."""
-    return NoiseSpeckle.curve(tau, (cutoff_hz, bandwidth))
+    return FitModel("noise_speckle", (cutoff_hz, bandwidth)).curve(tau)
 
 
 @dataclass(frozen=True)
@@ -219,12 +198,11 @@ class FitResult:
     rss: float
     converged: bool
     iterations: int
-    model: type  # the fitted model class
+    model: FitModel  # at the fitted values
 
     def g2_model(self, tau):
         """Evaluate the fitted physics curve (amplitude and offset applied)."""
-        theta = [self.params[k] for k in self.model.names]
-        base = self.model.curve(np.asarray(tau, dtype=float), theta)
+        base = self.model.curve(np.asarray(tau, dtype=float))
         return self.params["offset"] + self.params["amplitude"] * base
 
 
@@ -242,12 +220,12 @@ def _bounded_step(damped, grad, theta, lo, hi):
     return delta
 
 
-def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float = 1e-6) -> FitResult:
+def fit_g2(curve: G2Curve, model: FitModel, max_iter: int = 200, tol: float = 1e-6) -> FitResult:
     """Weighted least squares with damped Gauss-Newton steps.
 
     Weights are 1/stderr^2 (unit weights when the curve carries no
-    errors).  The model's field values are the starting point and must lie
-    inside its bounds; a parameter on a bound that a step pushes against
+    errors).  The model's values are the starting point and must lie
+    inside their BOUNDS; a parameter on a bound that a step pushes against
     is held there for that step.  An overall amplitude and offset are
     fitted along with the physics parameters.  Convergence is declared
     when the relative parameter change drops below `tol`; exhausted
@@ -262,9 +240,8 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
         raise ValueError(
             f"need at least {model.min_points()} points to fit {n_par} parameters"
         )
-    bounds = list(model.bounds) + [(1e-12, np.inf), (-np.inf, np.inf)]
-    lo, hi = np.array(bounds).T
-    theta = np.concatenate([np.asarray(model.start(), dtype=float), [1.0, 0.0]])
+    lo, hi = np.array([BOUNDS[name] for name in names]).T
+    theta = np.concatenate([np.asarray(model.values, dtype=float), [1.0, 0.0]])
     if not np.all((lo <= theta) & (theta <= hi)):
         raise ValueError("initial guess outside parameter bounds")
 
@@ -281,11 +258,12 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
     scales = np.maximum(np.abs(theta), 1.0)
 
     def residual(th):
-        return y - (th[n_phys + 1] + th[n_phys] * model.curve(tau, th[:n_phys]))
+        return y - (th[n_phys + 1] + th[n_phys] * FitModel(model.name, th[:n_phys]).curve(tau))
 
     def jacobian(th):
-        base = model.curve(tau, th[:n_phys])
-        cols = th[n_phys] * model.jacobian(tau, th[:n_phys])
+        at = FitModel(model.name, th[:n_phys])
+        base = at.curve(tau)
+        cols = th[n_phys] * at.jacobian(tau)
         return np.column_stack([cols, base, np.ones_like(tau)])
 
     r = residual(theta)
@@ -342,5 +320,5 @@ def fit_g2(curve: G2Curve, model: TheoryModel, max_iter: int = 200, tol: float =
         rss=float(np.sum(r * r)),
         converged=converged,
         iterations=iterations,
-        model=type(model),
+        model=FitModel(model.name, tuple(theta[:n_phys].tolist())),
     )

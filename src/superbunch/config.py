@@ -167,9 +167,6 @@ INIT = {
     "init_cutoff_hz": ("cutoff_hz", 1.0),
 }
 
-# fit parameter -> its bounds, which are the same in every model that has it
-_BOUNDS = {name: b for cls in analytic.MODELS.values() for name, b in zip(cls.names, cls.bounds)}
-
 # section -> {key: (parser, default)}
 _SCHEMA = {
     "run": {"seed": (_integer, 0), "duration_s": (_positive, 100.0), "dt_s": (_positive, 1e-5)},
@@ -220,7 +217,7 @@ class RunConfig:
     detection: DetectorConfig
     bin_s: float
     window_s: float
-    fit_start: Optional[analytic.TheoryModel]
+    fit_start: Optional[analytic.FitModel]
     analysis_init: dict = field(default_factory=dict)
     output_format: str = "text"
     write_trace: bool = False
@@ -292,26 +289,26 @@ def _fit_start(model: str, init: dict, modulation, bandwidth: float, half_bins: 
     for key, value in init.items():
         name, scale = INIT[key]
         start[name] = (scale * value, key_of[name])
-    cls = analytic.MODELS.get(model)
-    names = cls.names if cls else ()
+    names = analytic.MODELS[model][1] if model != "none" else ()
     for name in (*names, *(INIT[key][0] for key in init)):
         if name not in start:
             raise ConfigError(
-                f"{key_of[name]} is required for model {cls.name} "
+                f"{key_of[name]} is required for model {model} "
                 "when the modulation does not define one"
             )
-        (value, key), (lo, hi) = start[name], _BOUNDS[name]
+        (value, key), (lo, hi) = start[name], analytic.BOUNDS[name]
         if not lo <= value <= hi or value == np.inf:
             raise ConfigError(
                 f"{key}: the fit start {name} = {value:g} is outside its bounds [{lo:g}, {hi:g}]"
                 + (" or infinite" if value == np.inf else "")
             )
-    if cls is None:
+    if model == "none":
         return None
-    bins, needed = 2 * half_bins, cls.min_points()
+    fit = analytic.FitModel(model, tuple(start[name][0] for name in names))
+    bins, needed = 2 * half_bins, fit.min_points()
     if bins < needed:
-        raise ConfigError(f"[correlator] window_s gives {bins} bins; {cls.name} needs {needed}")
-    return cls(**{name: start[name][0] for name in names})
+        raise ConfigError(f"[correlator] window_s gives {bins} bins; {model} needs {needed}")
+    return fit
 
 
 def read_raw(path) -> dict:

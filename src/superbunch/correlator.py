@@ -229,7 +229,8 @@ class PeakBackground:
     `background_unresolved` is set when the apparent correlation time is
     an appreciable fraction of the window, meaning the outer bins do not
     reach the uncorrelated plateau and the ratio underestimates the true
-    contrast.
+    contrast, and when the outer bins hold no coincidences at all, so
+    `background` is 0 and the ratio inf: no background was measured.
     """
 
     ratio: float
@@ -252,8 +253,8 @@ def peak_background_ratio(hist: CoincidenceHistogram) -> PeakBackground:
     # crude correlation width: bins whose excess is above half the peak excess
     excess = hist.counts - background
     top = peak - background
-    if top <= 0:
-        return PeakBackground(peak / background, peak, background, True)
+    if top <= 0:  # a flat histogram: no correlation time to resolve
+        return PeakBackground(peak / background, peak, background, False)
     wide = int((excess > 0.5 * top).sum())
     corr_time = wide * hist.bin_s / 2.0
     return PeakBackground(

@@ -74,6 +74,9 @@ WARNINGS = {
     "background-unresolved": "background unresolved: the correlation peak fills much "
     "of the window, so peak/background underestimates the contrast (widen "
     "[correlator] window_s)",
+    "background-empty": "no background: the outer bins of the window hold no "
+    "coincidences, so peak/background is not measured (raise [detection] rate_hz "
+    "or [run] duration_s)",
 }
 
 
@@ -200,6 +203,7 @@ def analyze_stream(
             paths["fit"] = os.path.join(out_dir, "fit.txt")
             _write_fit_report(paths["fit"], fit)
 
+    diagnostic = "background-empty" if peak.background <= 0 else "background-unresolved"
     return RunResult(
         config=cfg,
         stream=stream,
@@ -210,7 +214,7 @@ def analyze_stream(
         peak=peak,
         fit=fit,
         paths=paths,
-        warnings=(WARNINGS["background-unresolved"],) if peak.background_unresolved else (),
+        warnings=(WARNINGS[diagnostic],) if peak.background_unresolved else (),
     )
 
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from superbunch import (
+    FitModel,
     G2Curve,
-    NoiseSpeckle,
-    SinusoidSpeckle,
-    SpeckleOnly,
     fit_g2,
     g2_noise,
     g2_sinusoid,
@@ -62,45 +60,45 @@ def test_noise_curve_reference_values():
     assert g2_noise(1e-3, 200.0, BW) == pytest.approx(gamma_noise(1e-3, 200.0), abs=1e-3)
 
 
-def _fd_jacobian(model_cls, tau, theta, h=1e-5):
+def _fd_jacobian(model, tau, h=1e-5):
     # central differences; h balances truncation against roundoff
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(model.values, dtype=float)
     cols = []
     for i in range(theta.size):
         step = h * max(abs(theta[i]), 1.0)
         up, dn = theta.copy(), theta.copy()
         up[i] += step
         dn[i] -= step
-        cols.append((model_cls.curve(tau, up) - model_cls.curve(tau, dn)) / (2 * step))
+        high, low = FitModel(model.name, up).curve(tau), FitModel(model.name, dn).curve(tau)
+        cols.append((high - low) / (2 * step))
     return np.column_stack(cols)
 
 
 @pytest.mark.parametrize(
     "model",
     [
-        SpeckleOnly(bandwidth=BW),
-        SinusoidSpeckle(contrast=0.7, mod_omega=W0, bandwidth=BW),
-        SinusoidSpeckle(contrast=0.05, mod_omega=2 * np.pi * 10e3, bandwidth=2 * np.pi * 3e3),
-        NoiseSpeckle(cutoff_hz=200.0, bandwidth=BW),
+        FitModel("speckle", (BW,)),
+        FitModel("sinusoid_speckle", (0.7, W0, BW)),
+        FitModel("sinusoid_speckle", (0.05, 2 * np.pi * 10e3, 2 * np.pi * 3e3)),
+        FitModel("noise_speckle", (200.0, BW)),
     ],
     ids=["speckle", "sinusoid", "sinusoid-low", "noise"],
 )
 def test_jacobians_match_finite_differences(model):
     tau = np.linspace(-3e-4, 3e-4, 301)
     tau = tau[np.abs(tau) > 1e-9]
-    theta = np.array(model.start(), dtype=float)
-    analytic = model.jacobian(tau, theta)
-    numeric = _fd_jacobian(type(model), tau, theta)
+    analytic = model.jacobian(tau)
+    numeric = _fd_jacobian(model, tau)
     # column-norm relative error: elementwise comparison is ill-posed where
     # a derivative passes through zero and FD roundoff dominates
-    for j in range(theta.size):
+    for j in range(len(model.values)):
         err = np.linalg.norm(analytic[:, j] - numeric[:, j])
         assert err < 1e-6 * np.linalg.norm(numeric[:, j]), f"column {j}"
 
 
-def _noisy_curve(model_cls, theta, tau, seed, noise=0.01):
+def _noisy_curve(name, theta, tau, seed, noise=0.01):
     rng = np.random.default_rng(seed)
-    clean = model_cls.curve(tau, np.asarray(theta, dtype=float))
+    clean = FitModel(name, np.asarray(theta, dtype=float)).curve(tau)
     stderr = noise * np.abs(clean)
     return G2Curve(tau=tau, value=clean + rng.normal(0.0, stderr), stderr=stderr)
 
@@ -109,8 +107,8 @@ def test_fit_recovers_sinusoid_parameters():
     tau = (np.arange(500) + 0.5) * 1e-6
     tau = np.concatenate([-tau[::-1], tau])
     true = (0.8, W0, BW)
-    curve = _noisy_curve(SinusoidSpeckle, true, tau, seed=42)
-    start = SinusoidSpeckle(contrast=0.5, mod_omega=W0 * 1.02, bandwidth=BW * 1.2)
+    curve = _noisy_curve("sinusoid_speckle", true, tau, seed=42)
+    start = FitModel("sinusoid_speckle", (0.5, W0 * 1.02, BW * 1.2))
     fit = fit_g2(curve, start)
     assert fit.converged
     assert fit.params["contrast"] == pytest.approx(0.8, rel=0.02)
@@ -124,8 +122,8 @@ def test_fit_recovers_noise_parameters():
     tau = (np.arange(800) + 0.5) * 2e-5
     tau = np.concatenate([-tau[::-1], tau])
     true = (200.0, BW)
-    curve = _noisy_curve(NoiseSpeckle, true, tau, seed=11)
-    start = NoiseSpeckle(cutoff_hz=260.0, bandwidth=BW * 0.7)
+    curve = _noisy_curve("noise_speckle", true, tau, seed=11)
+    start = FitModel("noise_speckle", (260.0, BW * 0.7))
     fit = fit_g2(curve, start)
     assert fit.converged
     assert fit.params["cutoff_hz"] == pytest.approx(200.0, rel=0.02)
@@ -134,9 +132,9 @@ def test_fit_recovers_noise_parameters():
 
 def test_fit_recovers_amplitude_and_offset():
     tau = np.linspace(-4e-4, 4e-4, 600)
-    clean = 0.2 + 0.9 * SpeckleOnly.curve(tau, np.array([BW]))
+    clean = 0.2 + 0.9 * g2_speckle(tau, BW)
     curve = G2Curve(tau=tau, value=clean, stderr=np.full(tau.size, 0.005))
-    fit = fit_g2(curve, SpeckleOnly(bandwidth=BW * 1.3))
+    fit = fit_g2(curve, FitModel("speckle", (BW * 1.3,)))
     assert fit.converged
     assert fit.params["amplitude"] == pytest.approx(0.9, rel=1e-4)
     assert fit.params["offset"] == pytest.approx(0.2, abs=1e-4)
@@ -145,9 +143,9 @@ def test_fit_recovers_amplitude_and_offset():
 
 def test_fit_with_zero_stderr_uses_unit_weights():
     tau = np.linspace(-4e-4, 4e-4, 200)
-    clean = SpeckleOnly.curve(tau, np.array([BW]))
+    clean = g2_speckle(tau, BW)
     curve = G2Curve(tau=tau, value=clean, stderr=np.zeros(tau.size))
-    fit = fit_g2(curve, SpeckleOnly(bandwidth=BW * 1.1))
+    fit = fit_g2(curve, FitModel("speckle", (BW * 1.1,)))
     assert fit.converged
     assert fit.params["bandwidth"] == pytest.approx(BW, rel=1e-6)
 
@@ -156,23 +154,30 @@ def test_fit_requires_enough_points():
     tau = np.linspace(-1e-4, 1e-4, 10)
     curve = G2Curve(tau=tau, value=np.ones(10), stderr=np.ones(10))
     with pytest.raises(ValueError):
-        fit_g2(curve, SinusoidSpeckle(contrast=0.5, mod_omega=W0, bandwidth=BW))
+        fit_g2(curve, FitModel("sinusoid_speckle", (0.5, W0, BW)))
+
+
+def test_a_model_takes_one_value_per_parameter():
+    names = ("contrast", "mod_omega", "bandwidth")
+    assert FitModel("sinusoid_speckle", (0.5, W0, BW)).names == names
+    with pytest.raises(ValueError, match="contrast, mod_omega, bandwidth"):
+        FitModel("sinusoid_speckle", (0.5, BW))
 
 
 def test_fit_rejects_start_outside_bounds():
     tau = np.linspace(-1e-4, 1e-4, 100)
     curve = G2Curve(tau=tau, value=np.ones(100), stderr=np.ones(100))
     with pytest.raises(ValueError):
-        fit_g2(curve, SinusoidSpeckle(contrast=1.5, mod_omega=W0, bandwidth=BW))
+        fit_g2(curve, FitModel("sinusoid_speckle", (1.5, W0, BW)))
 
 
 def test_contrast_stays_in_unit_interval():
     # data above g2(0)=3 cannot push the fitted contrast beyond 1
     tau = (np.arange(300) + 0.5) * 1e-6
     tau = np.concatenate([-tau[::-1], tau])
-    value = 1.15 * SinusoidSpeckle.curve(tau, np.array([1.0, W0, BW]))
+    value = 1.15 * g2_sinusoid(tau, 1.0, W0, BW)
     curve = G2Curve(tau=tau, value=value, stderr=np.full(tau.size, 0.01))
-    fit = fit_g2(curve, SinusoidSpeckle(contrast=0.9, mod_omega=W0, bandwidth=BW))
+    fit = fit_g2(curve, FitModel("sinusoid_speckle", (0.9, W0, BW)))
     assert fit.params["contrast"] <= 1.0
 
 
@@ -183,8 +188,8 @@ def test_fit_converges_with_contrast_on_its_bound(true_contrast, start_contrast)
     # parameters must still settle in a few steps
     tau = (np.arange(500) + 0.5) * 0.5e-6
     tau = np.concatenate([-tau[::-1], tau])
-    curve = _noisy_curve(SinusoidSpeckle, (true_contrast, W0, BW), tau, seed=3)
-    start = SinusoidSpeckle(contrast=start_contrast, mod_omega=W0, bandwidth=BW)
+    curve = _noisy_curve("sinusoid_speckle", (true_contrast, W0, BW), tau, seed=3)
+    start = FitModel("sinusoid_speckle", (start_contrast, W0, BW))
     fit = fit_g2(curve, start)
     assert fit.converged
     assert fit.params["contrast"] == 1.0
@@ -195,8 +200,8 @@ def test_fit_converges_with_contrast_on_its_bound(true_contrast, start_contrast)
 def test_iteration_cap_reports_non_convergence():
     tau = (np.arange(300) + 0.5) * 1e-6
     tau = np.concatenate([-tau[::-1], tau])
-    curve = _noisy_curve(SinusoidSpeckle, (0.8, W0, BW), tau, seed=1)
-    start = SinusoidSpeckle(contrast=0.05, mod_omega=W0 * 1.3, bandwidth=BW * 4)
+    curve = _noisy_curve("sinusoid_speckle", (0.8, W0, BW), tau, seed=1)
+    start = FitModel("sinusoid_speckle", (0.05, W0 * 1.3, BW * 4))
     fit = fit_g2(curve, start, max_iter=1)
     assert not fit.converged
     assert fit.iterations == 1
@@ -269,19 +274,19 @@ def test_closed_forms_are_bit_identical_to_their_first_form():
         "g2_sinusoid": g2_sinusoid(tau, 0.7, W0, BW),
         "gamma_noise": gamma_noise(tau, GOLDEN_F0),
         "g2_noise": g2_noise(tau, GOLDEN_F0, BW),
-        "speckle_jacobian": SpeckleOnly.jacobian(tau, np.array([BW])),
-        "noise_jacobian": NoiseSpeckle.jacobian(tau, np.array([GOLDEN_F0, BW])),
+        "speckle_jacobian": FitModel("speckle", (BW,)).jacobian(tau),
+        "noise_jacobian": FitModel("noise_speckle", (GOLDEN_F0, BW)).jacobian(tau),
     }
     for name, ref in _reference_values(tau).items():
         assert got[name].shape == ref.shape, name
         assert _digest(got[name]) == _digest(ref), name
 
 
-# (model, true parameters, starting point, noise seed) -> iterations,
+# (model name, true parameters, starting point, noise seed) -> iterations,
 # converged, {parameter: (value, sigma)} as first fitted
 _GOLDEN_FITS = {
     "speckle": (
-        (SpeckleOnly, (BW,), SpeckleOnly(bandwidth=1.3 * BW), 5),
+        ("speckle", (BW,), FitModel("speckle", (1.3 * BW,)), 5),
         5,
         True,
         {
@@ -292,9 +297,9 @@ _GOLDEN_FITS = {
     ),
     "sinusoid_speckle": (
         (
-            SinusoidSpeckle,
+            "sinusoid_speckle",
             (0.8, W0, BW),
-            SinusoidSpeckle(contrast=0.5, mod_omega=1.02 * W0, bandwidth=1.2 * BW),
+            FitModel("sinusoid_speckle", (0.5, 1.02 * W0, 1.2 * BW)),
             6,
         ),
         12,
@@ -308,7 +313,7 @@ _GOLDEN_FITS = {
         },
     ),
     "noise_speckle": (
-        (NoiseSpeckle, (GOLDEN_F0, BW), NoiseSpeckle(cutoff_hz=2.6e4, bandwidth=0.7 * BW), 7),
+        ("noise_speckle", (GOLDEN_F0, BW), FitModel("noise_speckle", (2.6e4, 0.7 * BW)), 7),
         6,
         True,
         {
@@ -323,10 +328,11 @@ _GOLDEN_FITS = {
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_FITS))
 def test_fits_are_pinned(name):
-    (model_cls, theta, start, seed), iterations, converged, expect = _GOLDEN_FITS[name]
+    (model, theta, start, seed), iterations, converged, expect = _GOLDEN_FITS[name]
     lag = (np.arange(400) + 0.5) * 1e-6
     lag = np.concatenate([-lag[::-1], lag])
-    fit = fit_g2(_noisy_curve(model_cls, theta, lag, seed=seed), start)
+    fit = fit_g2(_noisy_curve(model, theta, lag, seed=seed), start)
+    assert fit.model == FitModel(model, tuple(fit.params[key] for key in start.names))
     assert fit.iterations == iterations
     assert fit.converged is converged
     assert set(fit.params) == set(expect)
@@ -342,7 +348,7 @@ def test_unidentified_parameter_gets_its_own_infinite_sigma():
     tau = np.concatenate([-tau[::-1], tau])
     clean = (1.0 - 0.2 * np.cos(W0 * tau)) * g2_speckle(tau, BW)
     curve = G2Curve(tau=tau, value=clean, stderr=np.full(tau.size, 0.01))
-    fit = fit_g2(curve, SinusoidSpeckle(contrast=0.3, mod_omega=W0, bandwidth=BW))
+    fit = fit_g2(curve, FitModel("sinusoid_speckle", (0.3, W0, BW)))
     assert fit.params["contrast"] == 0.0
     assert fit.converged
     assert fit.sigmas["mod_omega"] == np.inf

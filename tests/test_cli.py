@@ -1,10 +1,11 @@
 import functools
 import json
+import os
 
 import numpy as np
 import pytest
 
-from superbunch import PhotonStream, analytic, detection, pipeline, write_photon_stream
+from superbunch import PhotonStream, analytic, cli, detection, pipeline, write_photon_stream
 from superbunch.cli import main
 
 CONFIG = """
@@ -675,6 +676,84 @@ def test_analyze_warns_when_background_unresolved(tmp_path, capsys, spread_ns, w
     err = capsys.readouterr().err
     assert ("warning: background unresolved" in err) == warned
     assert sorted(p.name for p in out.iterdir()) == ["g2.csv", "histogram.csv"]
+
+
+@pytest.fixture()
+def declared(monkeypatch):
+    """Output directory -> the artifacts its command first declared to make_out_dir."""
+    first = {}
+    make_out_dir = pipeline.make_out_dir
+
+    def record(path, files):
+        first.setdefault(os.path.abspath(path), set(files))
+        make_out_dir(path, files)
+
+    monkeypatch.setattr(pipeline, "make_out_dir", record)
+    monkeypatch.setattr(cli, "make_out_dir", record)
+    return first
+
+
+def _assert_only_declared_artifacts(declared):
+    # the declaration is what refuses an artifact path that a directory
+    # takes before any work: a file it misses fails only after the work
+    assert declared
+    for path, files in declared.items():
+        left = {entry.name for entry in os.scandir(path) if entry.path not in declared}
+        assert left == files, path
+
+
+@pytest.mark.parametrize("model", ["sinusoid_speckle", "none"])
+@pytest.mark.parametrize("trace", ["yes", "no"])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_simulate_leaves_only_the_artifacts_it_declared(tmp_path, declared, fmt, trace, model):
+    path = tmp_path / "run.ini"
+    path.write_text(
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.1")
+        .replace("model = sinusoid_speckle", f"model = {model}")
+        + f"\n[output]\nwrite_trace = {trace}\n"
+    )
+    argv = ["simulate", "--config", str(path), "--format", fmt, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    _assert_only_declared_artifacts(declared)
+
+
+@pytest.mark.parametrize("model", ["sinusoid_speckle", "none"])
+def test_analyze_leaves_only_the_artifacts_it_declared(tmp_path, declared, short_photons, model):
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG.replace("model = sinusoid_speckle", f"model = {model}"))
+    argv = ["analyze", str(short_photons), "--config", str(path), "--duration-s", "0.2"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    _assert_only_declared_artifacts(declared)
+
+
+def test_sweep_and_plot_leave_only_the_artifacts_they_declared(tmp_path, declared):
+    path = tmp_path / "sweep.ini"
+    path.write_text(
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.1")
+        + "\n[sweep]\nparameter = analysis.model\nvalues = sinusoid_speckle, none\n"
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    point = out / "point_000"
+    argv = ["plot", str(point / "g2.csv"), "--theory", str(point / "theory.csv")]
+    assert main([*argv, "--out", str(tmp_path / "plot")]) == 0
+    dirs = {os.path.basename(path) for path in declared}
+    assert dirs == {"sweep", "point_000", "point_001", "plot"}
+    _assert_only_declared_artifacts(declared)
+
+
+def test_analyze_names_a_background_it_never_measured(tmp_path, capsys):
+    # two close pairs, and outer bins of the 1 us window that stay empty
+    path = tmp_path / "photons.txt"
+    path.write_text("1,100\n2,150\n1,5000\n2,5200\n")
+    config = tmp_path / "run.ini"
+    config.write_text("[correlator]\nbin_s = 1e-8\nwindow_s = 1e-6\n")
+    argv = ["analyze", str(path), "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "peak/background = inf" in captured.out
+    assert captured.err == f"warning: {pipeline.WARNINGS['background-empty']}\n"
+    assert "no coincidences" in captured.err
 
 
 def test_simulate_reports_unidentified_parameter_and_exits_zero(tmp_path, capsys):

@@ -298,6 +298,15 @@ def test_peak_background_ratio():
     assert peak_background_ratio(hist2).background_unresolved
 
 
+def test_a_flat_histogram_has_no_unresolved_background():
+    hist = CoincidenceHistogram(
+        dtau_ns=1000, half_bins=50, counts=np.full(100, 7), n1=100, n2=100, duration_s=1.0
+    )
+    pb = peak_background_ratio(hist)
+    assert pb.ratio == 1.0
+    assert not pb.background_unresolved
+
+
 def test_validation_errors():
     stream = PhotonStream(np.array([100]), np.array([200]), 10, 1e-5)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The byte-identity audit, tools/identity.py: its matrix holds the benchmark's own
-workload configs, and it keeps working on one tiny config."""
+workload configs, runs every modulation kind and fit model, and it keeps working
+on one tiny config."""
 
 import importlib.util
 import json
@@ -38,6 +39,25 @@ def test_the_workload_configs_are_the_benchmarks_own(monkeypatch):
     assert names
     for name in names:
         assert identity.CONFIGS[name] == workloads.WORKLOADS[name].sections, name
+
+
+def _run_values(sections: dict, section: str, key: str) -> set:
+    """The values of `section.key` that a config's runs take, its sweep's included."""
+    values = {sections.get(section, {}).get(key)}
+    sweep = sections.get("sweep", {})
+    if sweep.get("parameter") == f"{section}.{key}":
+        values |= {value.strip() for value in sweep["values"].split(",")}
+    return values
+
+
+def test_the_matrix_runs_every_modulation_kind_and_fit_model():
+    from superbunch import analytic, config
+
+    configs = _identity().CONFIGS.values()
+    models = set().union(*(_run_values(c, "analysis", "model") for c in configs))
+    kinds = set().union(*(_run_values(c, "modulation", "kind") for c in configs))
+    assert {"none", *analytic.MODELS} <= models
+    assert set(config._MODULATION) <= kinds
 
 
 def test_tiny_config_gives_the_same_bytes_at_every_j_and_format(tmp_path):

@@ -84,10 +84,12 @@ def _workloads():
 
 
 # name -> {section: {key: value}}: the short round-trip (a sinusoid),
-# noise and four EOM configs, then the benchmark's workload configs, read
-# from perfbench/workloads.py (sim_sinusoid_text is the README config at
-# 2 s).  CI's round trip through the installed script writes its config
-# with `ini(CONFIGS["roundtrip"])`
+# noise, four EOM and thermal configs, then the benchmark's workload
+# configs, read from perfbench/workloads.py (sim_sinusoid_text is the
+# README config at 2 s).  Between them they run every modulation kind
+# and every [analysis] model, `none` included: thermal's sweep fits each
+# model to a constant laser.  CI's round trip through the installed
+# script writes its config with `ini(CONFIGS["roundtrip"])`
 CONFIGS = {
     "roundtrip": _short("sinusoid_speckle", kind="sinusoid", depth="0.9", frequency_hz="5e3"),
     "noise": _short(
@@ -107,6 +109,14 @@ CONFIGS = {
         )
         for waveform in ("sinusoid", "noise")
         for vpp in (8, 0)
+    },
+    "thermal": {
+        **_short("speckle", kind="constant"),
+        "analysis": {"model": "speckle", "init_frequency_hz": "5e3", "init_cutoff_hz": "2000"},
+        "sweep": {
+            "parameter": "analysis.model",
+            "values": "none, speckle, sinusoid_speckle, noise_speckle",
+        },
     },
     **{name: workload.sections for name, workload in _workloads().WORKLOADS.items()},
 }
