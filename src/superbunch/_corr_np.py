@@ -22,7 +22,9 @@ on a uint16 key is a radix sort; runs of 65536 or more partners fall
 back to the int64 key), so the runs longer than offset m are a suffix.
 For m = 0, 1, ... one gather of d2[first + m] over that suffix, one
 subtraction, one floor division and one `bincount` count the m-th
-partner of every run still open.  Once fewer than `_TAIL` runs are open
+partner of every run still open; the division is unsigned, as every
+numerator is non-negative, which gives the same floor and costs less
+than the signed one.  Once fewer than `_TAIL` runs are open
 their remaining pairs are enumerated flat, `_TAIL_PAIRS` at a time, so
 a few events with huge windows cost no Python loop per offset.  Working
 memory is a few int64 arrays of 2*_BLOCK runs plus about 40 bytes per
@@ -74,7 +76,7 @@ def _count_runs(counts, d2, first, lens, base, dtau_ns):
         # cost twice as much
         np.take(d2[m:], first[k:], out=v, mode="clip")
         np.subtract(base[k:], v, out=v)
-        v //= dtau_ns
+        _floor_in_place(v, dtau_ns)
         counts += np.bincount(v, minlength=counts.size)
     k = int(np.searchsorted(lens, m_stop, side="right"))
     _count_flat(counts, d2, first[k:] + m_stop, lens[k:] - m_stop, base[k:], dtau_ns)
@@ -96,5 +98,11 @@ def _count_flat(counts, d2, first, lens, base, dtau_ns):
         v = np.repeat(base[a:b], k)
         v -= d2[j]
         del j
-        v //= dtau_ns
+        _floor_in_place(v, dtau_ns)
         counts += np.bincount(v, minlength=counts.size)
+
+
+def _floor_in_place(v, dtau_ns):
+    """v //= dtau_ns for v >= 0, by the unsigned division: the same floor, and faster."""
+    u = v.view(np.uint64)
+    u //= np.uint64(dtau_ns)

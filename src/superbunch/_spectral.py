@@ -102,6 +102,21 @@ def _transform_length(n: int, m: int) -> int:
     return best
 
 
+def slow_synthesis(n: int, dt: float, half_band_hz: float) -> bool:
+    """Whether n samples of this band get transforms far longer than the band needs.
+
+    `_synthesize` runs n / n_c transforms of n_c points, n_c the smallest
+    divisor of n that is at least the band's m modes.  A sample count
+    with no divisor near m (a prime, or twice one) gets one or two
+    transforms of about n points, often of a large prime length: at the
+    README speckle (m = 20001, at -j 1) n = 2000003 took 0.64 s where
+    n = 2000000 took 0.045 s.  Flagged is an n_c above both 2 m and one
+    batch, as a transform shorter than a batch is cheap whatever its length.
+    """
+    p, q = _band_modes(n, dt, half_band_hz)
+    return _transform_length(n, p + q) > max(2 * (p + q), _BATCH)
+
+
 def _synthesize(n, dt, half_band_hz, rng, reduce, threads=1) -> np.ndarray:
     """reduce(field) for the flat-band circular Gaussian field of n samples.
 

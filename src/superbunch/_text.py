@@ -9,10 +9,11 @@ written, so a file of millions of rows never exists as one string in
 memory.  photons.txt is not written here: `detection` encodes its
 checked records in numpy, in chunks of the same size.
 
-`read_csv` reads photons.txt and the curve CSVs back with `np.loadtxt`,
-which skips empty lines and `#` comments.  Only when a table fails to
-load is the file read again, line by line, to name the line at fault;
-`line_of` does the same for a row the caller rejects.
+`read_csv` reads the curve CSVs back with `np.loadtxt`, which skips
+empty lines and `#` comments, and `read_blocks` photons.txt, the same
+way but a block of rows at a time.  Only when a table fails to load is
+the file read again, line by line, to name the line at fault; `line_of`
+does the same for a row the caller rejects.
 """
 
 import warnings
@@ -87,6 +88,52 @@ def _fault(path, skip, dtype) -> str:
     return ""
 
 
+def read_blocks(path, columns: int, rows, *, dtype=float, header=None, exact=False):
+    """Yield the table `read_csv` reads, a block of at most `rows` rows at a time.
+
+    The blocks come from one open handle, through `np.loadtxt(max_rows=
+    rows)`; `rows=None` reads the table as one block.  Each block is
+    checked as `read_csv` checks its table.  A block of the wrong width
+    names the line of its first row.  A block that fails to load names
+    the first line of the file that np.loadtxt rejects: the blocks before
+    it loaded, so that line is in this block.
+    """
+    skip = 0 if header is None else 1
+    done = skip  # the rows, a header line included, before the block
+    try:
+        # opened here and not by np.loadtxt, whose missing-file error has no reason
+        with open(path) as fh:
+            if header is not None and not fh.readline().lower().startswith(header):
+                raise DataError(f"{path}: expected a '{header},...' header")
+            while True:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        # an empty or comment line is not a row, as max_rows counts
+                        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+                        block = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2, max_rows=rows)
+                except ValueError as exc:  # also a line that does not decode
+                    raise DataError(f"{path}: {_fault(path, skip, dtype) or exc}") from None
+                if block.size == 0:
+                    break
+                width = block.shape[1]
+                if width < columns or (exact and width > columns):
+                    least = "" if exact else "at least "
+                    raise DataError(
+                        f"{path}: line {line_of(path, done)}: "
+                        f"expected {least}{columns} columns, found {width}"
+                    )
+                yield block
+                done += block.shape[0]
+                if rows is None or block.shape[0] < rows:
+                    break
+                del block  # before the next block is loaded
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    if done == skip:
+        raise DataError(f"{path}: no data rows")
+
+
 def read_csv(path, columns: int, *, dtype=float, header=None, exact=False) -> np.ndarray:
     """Read a comma-separated table of numbers as a 2-D array, one row per line.
 
@@ -97,26 +144,7 @@ def read_csv(path, columns: int, *, dtype=float, header=None, exact=False) -> np
     number of cells each raise DataError naming the path, and the line
     when one is at fault.
     """
-    skip = 0 if header is None else 1
-    try:
-        # opened here and not by np.loadtxt, whose missing-file error has no reason
-        with open(path) as fh:
-            if header is not None and not fh.readline().lower().startswith(header):
-                raise DataError(f"{path}: expected a '{header},...' header")
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # also a line that does not decode
-        raise DataError(f"{path}: {_fault(path, skip, dtype) or exc}") from None
-    if data.size == 0:
-        raise DataError(f"{path}: no data rows")
-    width = data.shape[1]
-    if width < columns or (exact and width > columns):
-        first = line_of(path, skip)
-        least = "" if exact else "at least "
-        raise DataError(f"{path}: line {first}: expected {least}{columns} columns, found {width}")
+    (data,) = read_blocks(path, columns, None, dtype=dtype, header=header, exact=exact)
     return data
 
 

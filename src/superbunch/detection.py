@@ -38,12 +38,13 @@ are a per-sample prefix, hence a subset, of those of a brighter one.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _text
-from ._text import line_of, read_csv
+from ._text import line_of
 from ._workers import SCRATCH_BYTES, map_runs
 from .correlator import WINDOW_LIMIT_NS
 from .errors import ConfigError, DataError, ResolutionError
@@ -256,11 +257,23 @@ def detect_photons(
 # window, below WINDOW_LIMIT_NS, to int64 timestamps.  `_check_records`
 # holds both the writer and the reader to that, so every file the package
 # writes reads back.
+#
+# The reader takes `_CHUNK_RECORDS` records at a time from one open handle
+# (`np.fromfile` for binary, `_text.read_blocks` for text), as many as fit
+# `_workers.SCRATCH_BYTES` at `_RECORD_SCRATCH` bytes a record.  Each
+# chunk passes `_check_records`, its first timestamp held to the last of
+# the chunk before, and its channels are split into parts joined once at
+# the end: beside the stream's own 8 bytes an event, the read holds one
+# chunk and, while a channel is joined, that channel's parts.
 # ---------------------------------------------------------------------------
 
 TIMESTAMP_END_NS = 2**63 - WINDOW_LIMIT_NS
 
 _BINARY_DTYPE = np.dtype([("timestamp_ns", "<u8"), ("channel", "u1")])
+# bytes a record of a chunk takes: its int64 text row's 16 (or its 9
+# binary bytes), its timestamp's contiguous 8 and the channel-1 mask's 1
+_RECORD_SCRATCH = 25
+_CHUNK_RECORDS = SCRATCH_BYTES // _RECORD_SCRATCH
 
 _TEXT_EXTENSIONS = (".txt", ".csv")
 _BINARY_EXTENSIONS = (".bin", ".phot")
@@ -291,11 +304,12 @@ def _record(i: int) -> str:
     return f"record {i + 1}"
 
 
-def _check_records(path, ts: np.ndarray, ch: np.ndarray, at) -> None:
+def _check_records(path, ts: np.ndarray, ch: np.ndarray, at, prev: int = 0) -> None:
     """Raise DataError unless every record is in the file formats' domain.
 
     Each channel must be 1 or 2 and each timestamp in [0,
-    TIMESTAMP_END_NS), in ascending order.  The error names `path` and
+    TIMESTAMP_END_NS), in ascending order and not below `prev`, the
+    timestamp before the first record.  The error names `path` and
     `at(i)`, the line or record of the first record i at fault.
     """
     bad = (ch != 1) & (ch != 2)
@@ -307,6 +321,8 @@ def _check_records(path, ts: np.ndarray, ch: np.ndarray, at) -> None:
     if bad.any():
         pos = int(np.argmax(bad))
         raise DataError(f"{path}: timestamp outside [0, 2**63 - 2**58) ns at {at(pos)}")
+    if ts.size and ts[0] < prev:
+        raise DataError(f"{path}: timestamps not sorted at {at(0)}")
     bad = ts[1:] < ts[:-1]
     if bad.any():
         raise DataError(f"{path}: timestamps not sorted at {at(int(np.argmax(bad)) + 1)}")
@@ -369,7 +385,7 @@ def read_photon_stream(
     resolution_ns: int = 1,
     duration_s: float | None = None,
 ) -> PhotonStream:
-    """Load a timestamp file.
+    """Load a timestamp file, a chunk of `_CHUNK_RECORDS` records at a time.
 
     The files carry no header, so the acquisition duration is not stored;
     pass `duration_s` for exact rate normalization (otherwise it is
@@ -378,36 +394,65 @@ def read_photon_stream(
     timestamps can reach raises ConfigError; one shorter than the span of
     the timestamps, DataError.  A missing or malformed file, or a record
     `_check_records` refuses (the writer's own check), raises DataError
-    naming the path and the line or record at fault.
+    naming the path and the line or record at fault, counted over the
+    whole file.  Each chunk is loaded, then checked for channels, range
+    and order, before the next is read, so of a file with several faults
+    the first of the earliest faulty chunk is named.
     """
     if duration_s is not None and not 0 < duration_s * 1e9 < 2**63:
         raise ConfigError(f"--duration-s must be positive and below 2**63 ns, got {duration_s!r}")
     if _format_for(path, fmt) == "text":
-        data = read_csv(path, 2, dtype=np.int64, exact=True)
-        ts, ch = data[:, 1], data[:, 0]
+        chunks = _text.read_blocks(path, 2, _CHUNK_RECORDS, dtype=np.int64, exact=True)
+        columns = lambda rows: (rows[:, 1], rows[:, 0])
         at = lambda i: f"line {line_of(path, i)}"
     else:
-        ts, ch = _read_binary(path)
+        chunks = _binary_chunks(path)
+        # a uint64 of 2**63 or more views as a negative int64
+        columns = lambda rec: (rec["timestamp_ns"].view(np.int64), rec["channel"])
         at = _record
-    _check_records(path, ts, ch, at)
-    d1, d2 = ts[ch == 1], ts[ch == 2]
+    parts1, parts2 = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    done = first = last = 0  # records read; the first and the last timestamp
+    for chunk in chunks:
+        ts, ch = columns(chunk)
+        # contiguous: `compress` would copy a strided column at each call
+        ts = np.ascontiguousarray(ts)
+        _check_records(path, ts, ch, lambda i: at(done + i), prev=last)
+        if not done:
+            first = int(ts[0])
+        last = int(ts[-1])
+        done += ts.size
+        is1 = ch == 1
+        parts1.append(ts.compress(is1))
+        parts2.append(ts.compress(np.logical_not(is1, out=is1)))
+        del chunk, ts, ch, is1  # before the next chunk is loaded
+    # one channel at a time, so only one channel's parts outlive its join
+    d1 = _join(parts1)
+    d2 = _join(parts2)
     if not (d1.size and d2.size):
         raise DataError(f"{path}: no events on channel {2 if d1.size else 1}")
     if duration_s is None:
-        duration_s = (int(ts[-1]) + resolution_ns) * 1e-9
-    elif round(duration_s * 1e9) < ts[-1] - ts[0]:
-        raise DataError(f"{path}: timestamps span {ts[-1] - ts[0]} ns, more than {duration_s:g} s")
+        duration_s = (last + resolution_ns) * 1e-9
+    elif round(duration_s * 1e9) < last - first:
+        raise DataError(f"{path}: timestamps span {last - first} ns, more than {duration_s:g} s")
     return PhotonStream(d1=d1, d2=d2, resolution_ns=resolution_ns, duration_s=duration_s)
 
 
-def _read_binary(path) -> tuple[np.ndarray, np.ndarray]:
+def _join(parts: list) -> np.ndarray:
+    """The concatenation of `parts`, which it empties."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _binary_chunks(path):
+    """The records of a binary file, `_CHUNK_RECORDS` at a time."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            records, rem = divmod(size, _BINARY_DTYPE.itemsize)
+            if rem:
+                raise DataError(f"{path}: truncated record {records + 1} at byte {size - rem}")
+            for start in range(0, records, _CHUNK_RECORDS):
+                yield np.fromfile(fh, _BINARY_DTYPE, count=min(_CHUNK_RECORDS, records - start))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    records, rem = divmod(len(raw), _BINARY_DTYPE.itemsize)
-    if rem:
-        raise DataError(f"{path}: truncated record {records + 1} at byte {len(raw) - rem}")
-    rec = np.frombuffer(raw, dtype=_BINARY_DTYPE)
-    return rec["timestamp_ns"].astype(np.int64), rec["channel"]

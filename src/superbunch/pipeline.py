@@ -17,10 +17,10 @@ that pair plus derived sizes; it deliberately excludes runtime knobs such
 as thread counts, paths and wall-clock times so that repeated runs
 produce identical files.
 
-Draw order: `run_pipeline` checks the modulation against the grid,
-which also gives the run's diagnostics (a `short-trace` warning), and
-then the speckle; it draws the speckle, then has the modulation
-multiply itself into the speckle's buffer (`signal.modulate_in_place`).
+Draw order: `run_pipeline` checks the modulation against the grid and
+then the speckle, which also gives the run's diagnostics (the
+`short-trace` and `slow-synthesis` warnings); it draws the speckle, then
+has the modulation multiply itself into the speckle's buffer (`signal.modulate_in_place`).
 No product trace is made, and a waveform kind, evaluated per block,
 makes no full-length trace either.  With `write_trace` the modulation is synthesized once,
 whole (`signal.sample_intensity`), both traces are written, and the
@@ -71,6 +71,9 @@ WARNINGS = {
     "short-trace": "short trace: the run spans fewer than ten correlation times "
     "of the noise modulation, so its statistics do not self-average "
     "(lengthen [run] duration_s)",
+    "slow-synthesis": "slow synthesis: the run's sample count has no divisor near the "
+    "thermal band's mode count, so synthesis runs a few long transforms, many times "
+    "slower than at a rounder count (change [run] duration_s by a few samples)",
     "background-unresolved": "background unresolved: the correlation peak fills much "
     "of the window, so peak/background underestimates the contrast (widen "
     "[correlator] window_s)",
@@ -236,9 +239,9 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     """
     _require_modulation(cfg)
     n = cfg.samples
-    # before the speckle's, so a grid too coarse for both names the modulation
-    warnings = tuple(WARNINGS[name] for name in cfg.modulation.check(cfg.dt_s, n))
-    cfg.speckle.check(cfg.dt_s, n)
+    # the modulation's before the speckle's, so a grid too coarse for both names the modulation
+    diagnostics = cfg.modulation.check(cfg.dt_s, n) + cfg.speckle.check(cfg.dt_s, n)
+    warnings = tuple(WARNINGS[name] for name in dict.fromkeys(diagnostics))
     ext = "txt" if cfg.output_format == "text" else "bin"
     traces = ("modulation.csv", "speckle.csv") if cfg.write_trace else ()
     if out_dir is not None:

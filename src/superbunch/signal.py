@@ -14,8 +14,10 @@ A modulation kind is one frozen dataclass, plus the entry in
 `config._MODULATION` that declares its [modulation] keys.  The class
 names its kind in the class attribute `kind` (not a dataclass field),
 refuses a sample grid that cannot carry it in `check(dt, n)`, which
-returns the run's diagnostics (`("short-trace",)` for a `BandNoise` run
-shorter than ten correlation times, else `()`), multiplies its
+returns the run's diagnostics (for a `BandNoise` run `"short-trace"`
+when it is shorter than ten correlation times and `"slow-synthesis"`
+when its sample count slows the synthesis down, see
+`_spectral.slow_synthesis`; `()` for the other kinds), multiplies its
 intensity into a buffer of samples in `multiply_into(samples, t0, dt,
 rng, threads=1)`, and names in `fit_start()` the fit parameters its
 physics implies a start for, each with the [modulation] key that sets
@@ -42,7 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._spectral import bandlimited_intensity, bandlimited_real_noise
+from ._spectral import bandlimited_intensity, bandlimited_real_noise, slow_synthesis
 from ._text import write_csv
 from ._workers import map_blocks
 from .errors import ConfigError
@@ -234,7 +236,8 @@ class BandNoise:
 
     def check(self, dt, n):
         require_oversampled(dt, 1 / self.cutoff_hz, f"[modulation] cutoff_hz = {self.cutoff_hz:g}")
-        return ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
+        short = ("short-trace",) if n * dt < 10.0 / self.cutoff_hz else ()
+        return short + (("slow-synthesis",) if slow_synthesis(n, dt, self.cutoff_hz / 2.0) else ())
 
     def multiply_into(self, samples, t0, dt, rng, threads=1):
         drawn = bandlimited_intensity(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import bandlimited_intensity
+from ._spectral import bandlimited_intensity, slow_synthesis
 from .signal import IntensityTrace, require_finite, require_oversampled
 
 
@@ -47,16 +47,23 @@ class SpeckleParams:
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 
+    @property
+    def _half_band_hz(self) -> float:
+        # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
+        return self.bandwidth / (4 * np.pi)
+
     def check(self, dt, n):
         """Raise ConfigError unless dt is at most 2 pi / (10 * bandwidth).
 
         The same check as the modulation kinds', which the pipeline makes
-        before any work; the speckle gives no diagnostics.
+        before any work.  The diagnostics: `("slow-synthesis",)` when n
+        samples make the synthesis slow (`_spectral.slow_synthesis`), else
+        `()`.
         """
         require_oversampled(
             dt, 2 * np.pi / self.bandwidth, f"[speckle] bandwidth_rad_s = {self.bandwidth:g}"
         )
-        return ()
+        return ("slow-synthesis",) if slow_synthesis(n, dt, self._half_band_hz) else ()
 
 
 def generate_speckle_field(
@@ -70,10 +77,7 @@ def generate_speckle_field(
     """
     params.check(dt, n)
     rng = np.random.default_rng(params.seed)
-    # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
-    samples = bandlimited_intensity(
-        n, dt, params.bandwidth / (4 * np.pi), 1.0, rng, threads=threads
-    )
+    samples = bandlimited_intensity(n, dt, params._half_band_hz, 1.0, rng, threads=threads)
     return IntensityTrace(t0=t0, dt=dt, samples=samples, mean=1.0)
 
 

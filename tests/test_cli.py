@@ -808,6 +808,23 @@ def test_simulate_warns_on_short_noise_trace(tmp_path, capsys, duration, warned)
     ]
 
 
+@pytest.mark.parametrize("duration,warned", [(0.262147, True), (0.262144, False)])
+def test_simulate_warns_on_a_slow_synthesis_sample_count(tmp_path, capsys, duration, warned):
+    # 262147 samples, a prime above one synthesis batch, slow both the
+    # speckle's and the noise's synthesis: the warning is given once
+    path = tmp_path / "noise.ini"
+    path.write_text(
+        NOISE_CONFIG.format(duration=duration)
+        .replace("dt_s = 1e-5", "dt_s = 1e-6")
+        .replace("rate_hz = 5e4", "rate_hz = 1e3")
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: slow synthesis") == warned
+    assert not warned or "[run] duration_s" in err
+
+
 def test_sweep_cli_analysis_model(tmp_path, capsys):
     # each point fits its own model: the fit columns are the union of the
     # points' parameters, blank where a point's model has no such parameter

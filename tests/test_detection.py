@@ -19,7 +19,7 @@ from superbunch import (
     sample_intensity,
     write_photon_stream,
 )
-from superbunch import detection
+from superbunch import _workers, detection
 
 
 def _constant_trace(duration=10.0, dt=1e-5, level=1.0):
@@ -353,6 +353,62 @@ def test_write_read_round_trip(tmp_path, ext, fmt):
     assert np.array_equal(back2.d1, stream.d1)
 
 
+@pytest.mark.parametrize("ext", ["txt", "bin"])
+def test_chunk_size_does_not_change_the_stream(tmp_path, monkeypatch, ext):
+    # chunks of one record, of a few, and one chunk for the whole file
+    stream = detect_photons(_constant_trace(1.0), DetectorConfig(rate_hz=300.0), seed=6)
+    assert 400 < stream.n1 + stream.n2 < 1000
+    path = tmp_path / f"photons.{ext}"
+    write_photon_stream(stream, path)
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(detection, "_CHUNK_RECORDS", chunk)
+        back = read_photon_stream(path)
+        assert back.d1.tobytes() == stream.d1.tobytes(), chunk
+        assert back.d2.tobytes() == stream.d2.tobytes(), chunk
+        last = max(stream.d1[-1], stream.d2[-1])
+        assert back.duration_s == (int(last) + 1) * 1e-9
+
+
+def _traced_read(path) -> tuple[int, int]:
+    """The events of a photon file and the tracemalloc peak of reading it."""
+    tracemalloc.start()
+    try:
+        stream = read_photon_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return stream.n1 + stream.n2, peak
+
+
+def test_a_chunk_fits_the_scratch_budget():
+    assert detection._CHUNK_RECORDS * detection._RECORD_SCRATCH <= _workers.SCRATCH_BYTES
+
+
+# the default chunk, and a small one for text, whose traced read is slow per line
+@pytest.mark.parametrize("ext,chunk", [("bin", None), ("txt", 1 << 12)])
+def test_read_memory_is_the_stream_plus_one_chunk(tmp_path, monkeypatch, ext, chunk):
+    # the stream's own 8 bytes an event, its parts while a channel is
+    # joined, and one chunk's buffers; a whole-file read takes 26 bytes an event
+    if chunk is not None:
+        monkeypatch.setattr(detection, "_CHUNK_RECORDS", chunk)
+    records = detection._CHUNK_RECORDS
+    budget = records * detection._RECORD_SCRATCH
+    rng = np.random.default_rng(3)
+    peaks = []
+    for events in (4 * records, 16 * records):
+        ts = np.sort(rng.integers(0, 10**10, events))
+        to_d1 = rng.random(events) < 0.5
+        path = tmp_path / f"photons{events}.{ext}"
+        write_photon_stream(PhotonStream(ts[to_d1], ts[~to_d1], 1, 10.0), path)
+        del ts, to_d1
+        read, peak = _traced_read(path)
+        assert read == events
+        assert peak <= 16 * events + budget, f"{peak / events:.1f} bytes an event"
+        peaks.append(peak)
+    # flat per event: the longer file costs at most 16 bytes more an event
+    assert peaks[1] - peaks[0] <= 16 * 12 * records, [p / 1e6 for p in peaks]
+
+
 def test_text_format_layout(tmp_path):
     stream = PhotonStream(np.array([100, 300]), np.array([200]), 1, 1e-6)
     path = tmp_path / "p.txt"
@@ -510,9 +566,18 @@ def test_empty_text_file_fails_without_a_warning(tmp_path):
 def test_files_that_loaded_before_still_load(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("# channel,timestamp_ns\n1,10\n\n2, 20 # late\r\n\n1,+30\n2,40")
-    stream = read_photon_stream(path)
+    # np.loadtxt warns of the blank and comment lines max_rows does not count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = read_photon_stream(path)
     assert stream.d1.tolist() == [10, 30]
     assert stream.d2.tolist() == [20, 40]
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_blank_and_comment_lines_between_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(detection, "_CHUNK_RECORDS", chunk)
+    test_files_that_loaded_before_still_load(tmp_path)
 
 
 def test_truncated_binary_reports_offset(tmp_path):

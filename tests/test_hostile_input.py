@@ -3,13 +3,16 @@
 Every case runs `cli.main` in-process on a 0.01 s run.  It must exit 0,
 or refuse with exit 2 (config) or 3 (data) and a message that names the
 key, line or record at fault.  An exception escaping `main` is a bug and
-fails the test.
+fails the test.  The damaged photon files are also read a few records
+at a time, and faults at a chunk's edge through `read_photon_stream`:
+each must name the line or record that reading the file whole names.
 """
 
 import re
 
 import pytest
 
+from superbunch import DataError, read_photon_stream
 from superbunch.cli import main
 from superbunch.config import _MODULATION, _SCHEMA, INIT
 
@@ -213,18 +216,98 @@ _DAMAGED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_DAMAGED))
-def test_damaged_photon_file_is_refused_by_line_or_record(tmp_path, capsys, photons, case):
-    ext, damage, flags, message = _DAMAGED[case]
-    content = damage(*photons)
-    path = tmp_path / f"photons.{ext}"
+def _write(path, content) -> int:
+    """Write damaged content; the number of its last line or record, maybe a partial one."""
     if isinstance(content, bytes):
         path.write_bytes(content)
-        n = -(-len(content) // 9)  # the last record, maybe a partial one
-    else:
-        path.write_text("".join(line + "\n" for line in content))
-        n = len(content)
+        return -(-len(content) // 9)
+    path.write_text("".join(line + "\n" for line in content))
+    return len(content)
+
+
+def _refuse(tmp_path, capsys, photons, case):
+    ext, damage, flags, message = _DAMAGED[case]
+    path = tmp_path / f"photons.{ext}"
+    n = _write(path, damage(*photons))
     out = tmp_path / "out"
     assert main(["analyze", str(path), *flags, "--out", str(out)]) == 3
     assert f"data error: {path}: {message.format(n=n)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_DAMAGED))
+def test_damaged_photon_file_is_refused_by_line_or_record(tmp_path, capsys, photons, case):
+    _refuse(tmp_path, capsys, photons, case)
+
+
+@pytest.mark.parametrize("case", sorted(_DAMAGED))
+def test_damaged_photon_file_names_the_same_fault_in_small_chunks(
+    tmp_path, capsys, monkeypatch, photons, case
+):
+    # line or record 100 opens a chunk of 3 and sits inside one of 7
+    for chunk in (3, 7):
+        monkeypatch.setattr("superbunch.detection._CHUNK_RECORDS", chunk)
+        (tmp_path / str(chunk)).mkdir()
+        _refuse(tmp_path / str(chunk), capsys, photons, case)
+
+
+_EDGE = 7  # the chunk size of the edge cases: record 8 opens the second chunk
+
+
+def _swap_at_edge(items: list) -> list:
+    return [*items[: _EDGE - 1], items[_EDGE], items[_EDGE - 1], *items[_EDGE + 1 :]]
+
+
+def _records(blob: bytes) -> list:
+    return [blob[i : i + 9] for i in range(0, len(blob), 9)]
+
+
+def _line_8(lines, row):
+    return [*lines[:_EDGE], row, *lines[_EDGE + 1 :]]
+
+
+# name -> (file extension, damaged content from (lines, blob), message)
+_AT_EDGE = {
+    "unsorted": (
+        "txt",
+        lambda lines, blob: _swap_at_edge(lines),
+        "timestamps not sorted at line 8",
+    ),
+    "unsorted-bin": (
+        "bin",
+        lambda lines, blob: b"".join(_swap_at_edge(_records(blob))),
+        "timestamps not sorted at record 8",
+    ),
+    "unknown-channel": (
+        "txt",
+        lambda lines, blob: _line_8(lines, "3," + lines[_EDGE].split(",")[1]),
+        "invalid channel 3 at line 8",
+    ),
+    "unknown-channel-bin": (
+        "bin",
+        lambda lines, blob: blob[: 9 * _EDGE + 8] + b"\x03" + blob[9 * _EDGE + 9 :],
+        "invalid channel 3 at record 8",
+    ),
+    "float": ("txt", lambda lines, blob: _line_8(lines, "1,1.5"), "line 8: malformed record"),
+    # each chunk of 3 columns loads: the reader must check a chunk's width
+    "three-columns-on": (
+        "txt",
+        lambda lines, blob: [*lines[:_EDGE], *(line + ",7" for line in lines[_EDGE:])],
+        "line 8: expected 2 columns, found 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, _EDGE])
+@pytest.mark.parametrize("case", sorted(_AT_EDGE))
+def test_fault_at_a_chunk_edge_is_named_as_in_one_chunk(
+    tmp_path, monkeypatch, photons, case, chunk
+):
+    if chunk is not None:
+        monkeypatch.setattr("superbunch.detection._CHUNK_RECORDS", chunk)
+    ext, damage, message = _AT_EDGE[case]
+    path = tmp_path / f"photons.{ext}"
+    _write(path, damage(*photons))
+    with pytest.raises(DataError) as err:
+        read_photon_stream(path)
+    assert str(err.value) == f"{path}: {message}"

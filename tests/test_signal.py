@@ -289,6 +289,11 @@ def test_band_noise_dt_guard_and_flag():
     assert model.check(1e-4, 501) == ()
     for other in (Constant(), Sinusoid(), EomDrive(), EomDrive(waveform="noise")):
         assert other.check(1e-6, 100) == ()
+    # a prime sample count above one synthesis batch, for the noise and the speckle
+    assert model.check(1e-4, 262_147) == ("slow-synthesis",)
+    assert model.check(1e-4, 400) == ("short-trace",)
+    assert SpeckleParams().check(1e-6, 262_147) == ("slow-synthesis",)
+    assert SpeckleParams().check(1e-6, 262_144) == ()
 
 
 def test_eom_drive_sinusoid_range():

@@ -182,6 +182,17 @@ def test_transform_length_is_smallest_divisor_at_least_m():
             assert _spectral._transform_length(n, m) == want
 
 
+def test_slow_synthesis_flags_a_sample_count_without_a_divisor_near_the_band():
+    # the README speckle's 5 kHz half band: m = 20001 modes over 2 s at 1 us
+    slow = lambda n: _spectral.slow_synthesis(n, 1e-6, 5e3)
+    assert not slow(2_000_000)  # 80 transforms of 25000 points
+    assert slow(2_000_003)  # prime: one transform of n points
+    assert slow(2_000_006)  # twice a prime: two of n / 2
+    # a prime below one batch transforms fast enough
+    assert not slow(200_003)
+    assert slow(262_147)
+
+
 def test_synthesis_memory_stays_near_its_output():
     # README speckle at 2M samples: 20001 modes, n_c 25000, L 80; a one-shot
     # n-point complex transform traces several 32 MB arrays
