@@ -16,6 +16,7 @@ the file read again, line by line, to name the line at fault; `line_of`
 does the same for a row the caller rejects.
 """
 
+import os
 import warnings
 from itertools import chain, islice
 
@@ -105,6 +106,11 @@ def read_blocks(path, columns: int, rows, *, dtype=float, header=None, exact=Fal
         with open(path) as fh:
             if header is not None and not fh.readline().lower().startswith(header):
                 raise DataError(f"{path}: expected a '{header},...' header")
+            if rows is not None:
+                # np.loadtxt allocates all max_rows rows before it reads; a row
+                # of `columns` cells takes at least 2 * columns bytes, its last
+                # line's newline aside, so the file holds no more rows than this
+                rows = min(rows, os.fstat(fh.fileno()).st_size // (2 * columns) + 1)
             while True:
                 try:
                     with warnings.catch_warnings():

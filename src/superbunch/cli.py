@@ -119,8 +119,8 @@ def _cmd_plot(args) -> int:
     data = read_csv(args.data, 2, header="tau_s")
     have_err = data.shape[1] >= 3 and bool(np.any(data[:, 2] > 0))
     out_dir = args.out or "."
-    make_out_dir(out_dir, ("plot.gp",))
     script = os.path.join(out_dir, "plot.gp")
+    make_out_dir(out_dir, (script,))
 
     lines = [
         "# run with: gnuplot -p " + os.path.basename(script),

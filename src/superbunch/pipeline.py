@@ -6,9 +6,12 @@ start (`RunConfig.fit_start`) included, so a run adds only the checks
 that its kind of work needs: simulation needs a [modulation] and a
 [speckle] whose timescales the sample grid resolves (checked before any
 synthesis; analysis samples nothing), and a stream needs events in both
-channels.  A run makes its output directory (`make_out_dir`), and
-refuses an artifact path that a directory takes, once its input has
-passed these checks and before its expensive work.
+channels.  Each command declares the files it writes once, before any
+work, in one table of artifact key -> path (`_artifacts`), which every
+writer reads and `RunResult.paths` keeps.  It makes its output
+directory for that table (`make_out_dir`), refusing an artifact path
+that a directory takes, once its input has passed these checks and
+before its expensive work.
 
 Every stochastic stage draws from its own derived substream (see
 seeding.py), so results are reproducible bit-for-bit from (config, seed)
@@ -20,15 +23,19 @@ produce identical files.
 Draw order: `run_pipeline` checks the modulation against the grid and
 then the speckle, which also gives the run's diagnostics (the
 `short-trace` and `slow-synthesis` warnings); it draws the speckle, then
-has the modulation multiply itself into the speckle's buffer (`signal.modulate_in_place`).
+has the modulation multiply itself into the speckle's buffer
+(`signal.modulate_in_place`), the one way a run forms the joint trace.
 No product trace is made, and a waveform kind, evaluated per block,
-makes no full-length trace either.  With `write_trace` the modulation is synthesized once,
-whole (`signal.sample_intensity`), both traces are written, and the
-joint trace is their out-of-place product (`speckle.apply_speckle`):
-three traces at once, for the short runs `write_trace` is meant for.
-As 1.0 * x is x and IEEE products commute, both paths give the same
-bits.  The order is free because each source has its own substream
-("speckle", "modulation"): neither draw depends on the other.
+makes no full-length trace either.  With `write_trace` the run first
+writes modulation.csv from the modulation multiplied into a buffer of
+ones (`signal.sample_intensity`) and frees it, then draws the speckle
+and writes speckle.csv from its buffer before the modulation multiplies
+itself in: at most two full-length traces at once, and a stochastic
+modulation drawn twice from its one substream.  As 1.0 * x is x, both
+draws give the same bits, and the run's photons are those of a run
+without `write_trace`.  The order is free because each source has its
+own substream ("speckle", "modulation"): neither draw depends on the
+other.
 """
 
 from __future__ import annotations
@@ -63,7 +70,10 @@ from .detection import (
 from .errors import ConfigError, DataError
 from .seeding import substream_seed
 from .signal import modulate_in_place, sample_intensity, write_intensity_csv
-from .speckle import apply_speckle, generate_speckle_field
+# apply_speckle is bound here, though no run calls it, because perfbench/
+# reaches it by this module's name, as it does sample_intensity and
+# generate_speckle_field: workloads.py `prepare` and tracer.py `TARGETS`
+from .speckle import apply_speckle, generate_speckle_field  # noqa: F401
 
 
 # diagnostic -> the warning it gives; artifacts do not record these
@@ -151,15 +161,15 @@ def _write_fit_report(path, fit: analytic.FitResult) -> None:
 
 
 def make_out_dir(path, files) -> None:
-    """Make the output directory `path` for the artifacts `files`, or raise ConfigError.
+    """Make the output directory `path` for the artifact paths `files`, or raise ConfigError.
 
-    Each command calls this once its input has passed its checks and
-    before its expensive work, so a directory that cannot be made (the
-    message gives the reason), or an artifact path that a directory
-    already takes, fails at once, by name, and writes nothing.
+    Each command calls this once per directory, once its input has
+    passed its checks and before its expensive work, so a directory that
+    cannot be made (the message gives the reason), or an artifact path
+    that a directory already takes, fails at once, by name, and writes
+    nothing.
     """
-    for name in files:
-        artifact = os.path.join(path, name)
+    for artifact in files:
         if os.path.isdir(artifact):
             raise ConfigError(f"cannot write {artifact}: it is a directory")
     try:
@@ -168,42 +178,51 @@ def make_out_dir(path, files) -> None:
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
 
 
-def _analysis_files(cfg: RunConfig) -> tuple:
-    """The artifacts analyze_stream writes for `cfg`."""
-    fit = ("theory.csv", "fit.txt") if cfg.fit_start is not None else ()
-    return ("histogram.csv", "g2.csv", *fit)
+def _artifacts(cfg: RunConfig, out_dir, *, simulated: bool) -> dict:
+    """Artifact key -> its path in `out_dir`, for each file a run of `cfg` writes.
+
+    Each command builds this one table before any work, makes the
+    directory for it (`make_out_dir`), and each writer writes the path
+    it finds here; without `out_dir` the table is empty and nothing is
+    written.  A simulation writes its photons (by `[output] format`) and
+    manifest.json, with `write_trace` also modulation.csv and
+    speckle.csv; every run writes histogram.csv and g2.csv, with a fit
+    also theory.csv and fit.txt.
+    """
+    photons = {"text": "photons.txt", "binary": "photons.bin"}[cfg.output_format]
+    names = {"photons": photons, "manifest": "manifest.json"} if simulated else {}
+    if simulated and cfg.write_trace:
+        names.update(modulation="modulation.csv", speckle="speckle.csv")
+    names.update(histogram="histogram.csv", g2="g2.csv")
+    if cfg.fit_start is not None:
+        names.update(theory="theory.csv", fit="fit.txt")
+    return {} if out_dir is None else {k: os.path.join(out_dir, name) for k, name in names.items()}
 
 
 def analyze_stream(
-    cfg: RunConfig, stream: PhotonStream, *, threads: int = 1, out_dir=None
+    cfg: RunConfig, stream: PhotonStream, paths: dict, *, threads: int = 1
 ) -> RunResult:
-    """Correlate and fit a photon stream; write artifacts when `out_dir` is given.
+    """Correlate and fit a photon stream; write the artifacts the table `paths` names.
 
     The fit starts from `cfg.fit_start`, which `build_config` built and
-    checked; None skips the fit.  Artifacts: histogram.csv, g2.csv, and
-    with a fit also theory.csv and fit.txt.  Simulated and recorded
-    streams share this one path, so a stream gives the same files from
-    either source.
+    checked; None skips the fit.  `paths` is the command's artifact
+    table (`_artifacts`), whose directory the command has made, or {}
+    to write nothing; it becomes `RunResult.paths`.  Simulated and
+    recorded streams share this one path, so a stream gives the same
+    files from either source.
     """
-    if out_dir is not None:
-        make_out_dir(out_dir, _analysis_files(cfg))
     hist = coincidence_histogram(stream, cfg.bin_s, cfg.window_s, threads=threads)
     curve = normalize_g2(hist)
     zero, zero_err = g2_zero_estimate(hist)
     peak = peak_background_ratio(hist)
     fit = analytic.fit_g2(curve, cfg.fit_start) if cfg.fit_start is not None else None
 
-    paths: dict = {}
-    if out_dir is not None:
-        paths["histogram"] = os.path.join(out_dir, "histogram.csv")
+    if paths:
         write_histogram_csv(hist, paths["histogram"])
-        paths["g2"] = os.path.join(out_dir, "g2.csv")
         write_g2_csv(curve, paths["g2"])
         if fit is not None:
-            paths["theory"] = os.path.join(out_dir, "theory.csv")
             tau = hist.bin_centers_s()
             write_csv(paths["theory"], ("tau_s", "g2_theory"), tau, fit.g2_model(tau))
-            paths["fit"] = os.path.join(out_dir, "fit.txt")
             _write_fit_report(paths["fit"], fit)
 
     diagnostic = "background-empty" if peak.background <= 0 else "background-unresolved"
@@ -233,56 +252,47 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     Artifacts: photons.txt or photons.bin (by `[output] format`) and
     manifest.json, plus those of analyze_stream.  With output.write_trace
     the source intensity traces go to modulation.csv and speckle.csv
-    (only sensible for short runs: the modulation is then synthesized
-    whole, and the speckle, the modulation and their product are held at
-    once).
+    (only sensible for short runs: a stochastic modulation is then drawn
+    twice, and two full-length traces are held at once).
     """
     _require_modulation(cfg)
     n = cfg.samples
     # the modulation's before the speckle's, so a grid too coarse for both names the modulation
     diagnostics = cfg.modulation.check(cfg.dt_s, n) + cfg.speckle.check(cfg.dt_s, n)
     warnings = tuple(WARNINGS[name] for name in dict.fromkeys(diagnostics))
-    ext = "txt" if cfg.output_format == "text" else "bin"
-    traces = ("modulation.csv", "speckle.csv") if cfg.write_trace else ()
-    if out_dir is not None:
-        make_out_dir(out_dir, (f"photons.{ext}", "manifest.json", *traces, *_analysis_files(cfg)))
+    paths = _artifacts(cfg, out_dir, simulated=True)
+    if paths:
+        make_out_dir(out_dir, paths.values())
     modulation_seed = substream_seed(cfg.seed, "modulation")
+    if "modulation" in paths:
+        # freed once written; modulate_in_place draws the same bits again below
+        trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed, threads=threads)
+        write_intensity_csv(trace, paths["modulation"])
+        del trace
 
     params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
     speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n, threads=threads)
-
-    paths: dict = {}
-    if out_dir is not None and cfg.write_trace:
-        paths["modulation"] = os.path.join(out_dir, "modulation.csv")
-        trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed, threads=threads)
-        write_intensity_csv(trace, paths["modulation"])
-        paths["speckle"] = os.path.join(out_dir, "speckle.csv")
+    if "speckle" in paths:
         write_intensity_csv(speckle, paths["speckle"])
-        joint = apply_speckle(trace, speckle)
-        del trace
-    else:
-        joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
-    del speckle  # without write_trace, stale: its buffer now holds the joint trace
+    joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
+    del speckle  # stale: its buffer now holds the joint trace
 
     stream = detect_photons(
         joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads
     )
     del joint
 
-    if out_dir is not None:
-        paths["photons"] = os.path.join(out_dir, f"photons.{ext}")
+    if paths:
         write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
 
     if not (stream.n1 and stream.n2):
         raise DataError("a detector saw no photons: raise [detection] rate_hz or [run] duration_s")
-    result = analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
+    result = analyze_stream(cfg, stream, paths, threads=threads)
     result.warnings = warnings + result.warnings
-    if out_dir is not None:
-        paths["manifest"] = os.path.join(out_dir, "manifest.json")
+    if paths:
         with open(paths["manifest"], "w", newline="") as fh:
             json.dump(manifest_dict(cfg, result.histogram), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    result.paths.update(paths)
     return result
 
 
@@ -302,13 +312,16 @@ def run_analysis(
     it the duration is taken as the last timestamp plus one resolution
     step, which biases g2 slightly low for short streams.
     """
+    paths = _artifacts(cfg, out_dir, simulated=False)
     stream = read_photon_stream(
         stream_path,
         fmt=fmt,
         resolution_ns=cfg.detection.resolution_ns,
         duration_s=duration_s,
     )
-    return analyze_stream(cfg, stream, threads=threads, out_dir=out_dir)
+    if paths:
+        make_out_dir(out_dir, paths.values())
+    return analyze_stream(cfg, stream, paths, threads=threads)
 
 
 def _csv_cell(value) -> str:
@@ -340,7 +353,8 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
     if cfg.sweep is None:
         raise ConfigError("missing required section [sweep]")
     sweep = cfg.sweep
-    make_out_dir(out_dir, ("summary.csv",))
+    summary = os.path.join(out_dir, "summary.csv")
+    make_out_dir(out_dir, (summary,))
 
     header = ["parameter", "value", "status", "g2_zero", "g2_zero_err"]
     rows = []
@@ -379,7 +393,6 @@ def run_sweep(cfg: RunConfig, raw: dict, *, out_dir, threads: int = 1) -> list:
         for key in header:
             row.setdefault(key, None)
 
-    summary = os.path.join(out_dir, "summary.csv")
     with open(summary, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

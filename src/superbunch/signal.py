@@ -32,9 +32,11 @@ full-length array of its own.  A stochastic kind (`BandNoise`, the
 workers, and multiplies it in; the noise drive maps its voltage
 through the transfer per block, on the workers too.  Each block writes
 its own slice, so every kind gives the same samples for any `threads`.
-`modulate_in_place` multiplies a kind into the speckle's buffer, and
-`sample_intensity` into a buffer of ones, so both paths draw the same
-numbers.
+`modulate_in_place` multiplies a kind into the speckle's buffer, the
+one way `run_pipeline` forms the joint trace, and `sample_intensity`
+into a buffer of ones, for `write_trace`'s modulation.csv (and the
+benchmark's set-up, perfbench/workloads.py `prepare`): both draw the
+same numbers, so a stochastic kind drawn by both gives the same bits.
 """
 
 from __future__ import annotations

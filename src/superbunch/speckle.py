@@ -17,8 +17,9 @@ modulation multiply itself into the speckle's buffer
 one.  Each source draws from its own substream of the run seed (`seed`
 here, "modulation" there), so the order of the draws changes no number.
 `apply_speckle` is the out-of-place product of two separate traces,
-with the same bits; the pipeline calls it only under `write_trace`,
-whose two source traces are written before they are multiplied.
+with the same bits.  The pipeline no longer calls it, `write_trace`
+included; it stays public API, which perfbench/workloads.py `prepare`
+uses to build the benchmark's photon file.
 """
 
 from __future__ import annotations

@@ -680,26 +680,49 @@ def test_analyze_warns_when_background_unresolved(tmp_path, capsys, spread_ns, w
 
 @pytest.fixture()
 def declared(monkeypatch):
-    """Output directory -> the artifacts its command first declared to make_out_dir."""
-    first = {}
+    """Output directory -> the artifact names of each of its command's calls to make_out_dir."""
+    calls = {}
     make_out_dir = pipeline.make_out_dir
 
     def record(path, files):
-        first.setdefault(os.path.abspath(path), set(files))
+        calls.setdefault(os.path.abspath(path), []).append({os.path.basename(f) for f in files})
         make_out_dir(path, files)
 
     monkeypatch.setattr(pipeline, "make_out_dir", record)
     monkeypatch.setattr(cli, "make_out_dir", record)
-    return first
+    return calls
 
 
 def _assert_only_declared_artifacts(declared):
     # the declaration is what refuses an artifact path that a directory
     # takes before any work: a file it misses fails only after the work
     assert declared
-    for path, files in declared.items():
+    for path, (files, *_) in declared.items():
         left = {entry.name for entry in os.scandir(path) if entry.path not in declared}
         assert left == files, path
+
+
+def test_each_command_makes_each_output_directory_once(tmp_path, declared):
+    # one artifact table per command, made into a directory by one call:
+    # simulate with traces and a fit, analyze of its photons, a sweep of
+    # two points, and plot
+    path = tmp_path / "run.ini"
+    path.write_text(
+        CONFIG.replace("duration_s = 0.5", "duration_s = 0.1")
+        + "\n[output]\nwrite_trace = yes\n"
+        + "\n[sweep]\nparameter = detection.rate_hz\nvalues = 3e4, 4e4\n"
+    )
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
+    argv = ["analyze", str(sim / "photons.txt"), "--config", str(path), "--duration-s", "0.1"]
+    assert main([*argv, "--out", str(tmp_path / "ana")]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    argv = ["plot", str(sim / "g2.csv"), "--theory", str(sim / "theory.csv")]
+    assert main([*argv, "--out", str(tmp_path / "plot")]) == 0
+    dirs = {os.path.basename(path) for path in declared}
+    assert dirs == {"sim", "ana", "sweep", "point_000", "point_001", "plot"}
+    assert {path: len(calls) for path, calls in declared.items()} == dict.fromkeys(declared, 1)
+    _assert_only_declared_artifacts(declared)
 
 
 @pytest.mark.parametrize("model", ["sinusoid_speckle", "none"])

@@ -409,6 +409,19 @@ def test_read_memory_is_the_stream_plus_one_chunk(tmp_path, monkeypatch, ext, ch
     assert peaks[1] - peaks[0] <= 16 * 12 * records, [p / 1e6 for p in peaks]
 
 
+def test_a_short_text_file_costs_no_full_chunk(tmp_path):
+    # np.loadtxt allocates all max_rows rows before it reads: a block no
+    # larger than the file can hold keeps a short text read near the
+    # binary one's 0.04 MB, where a full chunk's rows would take 1.36 MB
+    stream = detect_photons(_constant_trace(1.0), DetectorConfig(rate_hz=500.0), seed=6)
+    assert 900 < stream.n1 + stream.n2 < 1100
+    path = tmp_path / "photons.txt"
+    write_photon_stream(stream, path)
+    read, peak = _traced_read(path)
+    assert read == stream.n1 + stream.n2
+    assert peak <= 0.25e6, f"{peak / 1e6:.2f} MB"
+
+
 def test_text_format_layout(tmp_path):
     stream = PhotonStream(np.array([100, 300]), np.array([200]), 1, 1e-6)
     path = tmp_path / "p.txt"

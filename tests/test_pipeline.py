@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from superbunch import (
     run_pipeline,
     run_sweep,
 )
-from superbunch import _corr_np, _spectral, detection, signal, speckle
+from superbunch import _corr_np, _spectral, detection
 from superbunch.analytic import FitModel
 from superbunch.config import _MODULATION, INIT
 from superbunch.detection import detect_photons
@@ -176,8 +177,9 @@ def test_in_place_chain_equals_the_out_of_place_product(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_write_trace_leaves_the_joint_trace_alone(tmp_path, monkeypatch, kind):
-    # with write_trace the modulation's written trace is multiplied into
-    # the speckle; without, the kind multiplies itself in
+    # with write_trace the modulation is drawn once for modulation.csv and
+    # again into the speckle's buffer, after speckle.csv is written: the
+    # joint trace is that of a run that writes no traces
     cfg = build_config(_raw(run={"duration_s": "0.1"}, modulation=_KINDS[kind]))
     joints = []
 
@@ -192,24 +194,21 @@ def test_write_trace_leaves_the_joint_trace_alone(tmp_path, monkeypatch, kind):
     assert joints[0] == joints[1]
 
 
-def test_write_trace_synthesizes_a_stochastic_modulation_once(tmp_path, monkeypatch):
-    calls = []
-    synthesize = _spectral.bandlimited_intensity
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return synthesize(*args, **kwargs)
-
-    # speckle.py and signal.py hold the function by their own names
-    for module in (_spectral, speckle, signal):
-        monkeypatch.setattr(module, "bandlimited_intensity", counted)
-    raw = _raw(
-        run={"duration_s": "0.05"},
-        modulation=_KINDS["band_noise_8bit"],
-        output={"write_trace": "yes"},
-    )
-    run_pipeline(build_config(raw), out_dir=tmp_path)
-    assert len(calls) == 2  # the speckle, then the modulation
+def test_write_trace_holds_at_most_two_traces(tmp_path):
+    # modulation.csv is written and freed before the speckle is drawn, and
+    # the modulation then multiplies itself into the speckle's buffer: no
+    # third full-length trace, which would put the peak above 5 traces.
+    # The speckle synthesis and the csv writer add their own scratch
+    raw = _raw(modulation=_KINDS["band_noise_8bit"], output={"write_trace": "yes"})
+    cfg = build_config(raw)
+    assert cfg.samples == 500_000
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * cfg.samples, peak / (8 * cfg.samples)
 
 
 def test_seed_changes_stream():
