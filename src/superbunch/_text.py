@@ -3,11 +3,14 @@
 The g2, histogram, theory and intensity CSVs, float or mixed tables, go
 through `write_csv`: a float cell is `repr(float)`, the shortest string
 that reads back to the same double; an integer cell is plain decimal,
-the bytes `%d` gives.  Each chunk of `_CHUNK_ROWS` rows is formatted
-with one %-format string, as `repr` has no vectorized equivalent, and
-written, so a file of millions of rows never exists as one string in
-memory.  photons.txt is not written here: `detection` encodes its
-checked records in numpy, in chunks of the same size.
+the bytes `%d` gives.  Each chunk of rows is formatted with one
+%-format string, as `repr` has no vectorized equivalent, and written, so
+a file of millions of rows never exists as one string in memory.  A
+chunk holds as many rows as fill `_workers.SCRATCH_BYTES` at
+`_CELL_BYTES` a cell: a cell's Python float, its slot in the argument
+tuple and its share of the format string, the formatted text and its
+bytes.  photons.txt is not written here: `detection` encodes its checked
+records in numpy.
 
 `read_csv` reads the curve CSVs back with `np.loadtxt`, which skips
 empty lines and `#` comments, and `read_blocks` photons.txt, the same
@@ -22,9 +25,10 @@ from itertools import chain, islice
 
 import numpy as np
 
+from ._workers import SCRATCH_BYTES
 from .errors import DataError
 
-_CHUNK_ROWS = 1 << 16
+_CELL_BYTES = 64  # traced bytes a cell of a chunk takes while it is formatted
 
 
 def _is_int(column: np.ndarray) -> bool:
@@ -46,11 +50,12 @@ def write_csv(path, header, *columns) -> None:
     n = columns[0].shape[0]
     if any(c.shape != (n,) for c in columns):
         raise ValueError("columns must be 1-D and of equal length")
+    rows = max(1, SCRATCH_BYTES // (_CELL_BYTES * len(columns)))
     with open(path, "wb") as fh:
         if header is not None:
             fh.write((",".join(header) + "\n").encode())
-        for a in range(0, n, _CHUNK_ROWS):
-            fh.write(_float_rows([c[a : a + _CHUNK_ROWS] for c in columns]))
+        for a in range(0, n, rows):
+            fh.write(_float_rows([c[a : a + rows] for c in columns]))
 
 
 def _rows(fh):

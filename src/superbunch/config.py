@@ -196,6 +196,8 @@ _SCHEMA = {
 _UNSWEPT = {
     "run.seed": "each point takes a seed derived from [run] seed and its index",
     "output.directory": "each point writes to its own point_NNN directory",
+    "sweep.parameter": "each point runs without [sweep]",
+    "sweep.values": "each point runs without [sweep]",
 }
 
 

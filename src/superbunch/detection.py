@@ -1,24 +1,26 @@
 """Photon detection: inhomogeneous Poisson sampling and timestamp files.
 
-The total rate into the beam splitter is lambda_i = 2 * rate * I_i / <I>,
-piecewise constant on the trace's dt grid, so the photon count of sample
-i is exactly Poisson(mu_i) with mu_i = lambda_i * dt, and its photons
-fall uniformly inside the sample (Lewis & Shedler 1979).  The 50:50
-beam splitter sends each photon to detector D1 or D2 with a fair coin.
+The light's total rate into the beam splitter is 2 * rate * I_i / <I>,
+piecewise constant on the trace's dt grid.  Each detector adds a flat,
+uncorrelated dark rate d; by Poisson superposition and splitting, the
+two are the same law as a constant 2 * d added to the light's rate
+before the beam splitter.  So the event count of sample i is exactly
+Poisson(mu_i) with mu_i = (2 * rate * I_i / <I> + 2 * d) * dt, photons
+and dark counts alike, and its events fall uniformly inside the sample
+(Lewis & Shedler 1979).  The 50:50 beam splitter sends each event to
+detector D1 or D2 with a fair coin.
 
 The trace is processed in blocks of `_BLOCK` samples; block b owns the
-generator `substream(seed, "detect", b)`, and the photons of global
+generator `substream(seed, "detect", b)`, and the events of global
 sample i hang off a hash of i alone, so the result does not depend on
-how many workers process the blocks.  Within a block the draws are:
+how many workers process the blocks.  A block's only draws are one
+uniform u_i per sample, in sample order, read a chunk of samples at a
+time (each uniform is one 64-bit output, so the chunking does not
+change the values); the count is the inverse-CDF Poisson k_i, the
+smallest k with u_i < F(k; mu_i).  The counts do depend on `_BLOCK`,
+which decides the generator a sample's uniform comes from.
 
-1. one uniform u_i per sample, in sample order, read a chunk of samples
-   at a time (each uniform is one 64-bit output, so the chunking does not
-   change the values); the count is the inverse-CDF Poisson k_i, the
-   smallest k with u_i < F(k; mu_i);
-2. when the dark rate is nonzero, for D1 and then D2: a Poisson dark
-   count for the block, then one uniform time per dark count.
-
-Photon j (0 <= j < k_i) of global sample i takes the 64-bit word
+Event j (0 <= j < k_i) of global sample i takes the 64-bit word
 w = mix(key ^ (mix(i) + j)), with `mix` the splitmix64 finalizer and
 key = substream_seed(seed, "detect-offsets") mod 2**64.  Its time is
 t0 + (i + (w >> 11) * 2**-53) * dt, and it goes to D1 iff w & 1 == 0.
@@ -27,12 +29,13 @@ A chunk's uniforms, mu, CDF and the comparison u >= F(0; mu) take
 `_SAMPLE_SCRATCH` bytes a sample, and a chunk is as many samples as fill
 `_workers.SCRATCH_BYTES`, not a fixed count: each worker holds one set,
 allocated on the calling thread (`_workers.map_runs`).  Apart from
-these, a block holds only its photons.
+these, a block holds only its events.
 
-For a fixed u_i the count is non-decreasing in mu_i, and the photons of
+For a fixed u_i the count is non-decreasing in mu_i, and the events of
 a sample are the first k_i of a fixed per-sample sequence.  So under a
-shared seed the events of a pointwise-dimmer trace (same declared mean)
-are a per-sample prefix, hence a subset, of those of a brighter one.
+shared seed the events of a pointwise-dimmer trace (same declared mean
+and dark rate) are a per-sample prefix, hence a subset, of those of a
+brighter one.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class DetectorConfig:
         # the correlator's window limit; a larger tick overflows a float below
         if self.resolution_ns >= WINDOW_LIMIT_NS:
             raise ValueError("resolution_ns must be below 2**58")
-        # detect_photons' pile-up bound, for the dark counts of both detectors alone
+        # detect_photons' pile-up bound holds light and dark counts together;
+        # its dark part alone is checked here, before any work
         if not 0 <= 2 * self.dark_rate_hz * (self.resolution_ns * 1e-9) <= 0.1:
             raise ValueError("dark_rate_hz must lie between 0 and 0.05 events per tick")
 
@@ -106,11 +110,6 @@ class PhotonStream:
     @property
     def n2(self) -> int:
         return self.d2.size
-
-
-def _quantize(t_s: np.ndarray, res_ns: int, t0_ns: int, end_ns: int) -> np.ndarray:
-    ticks = np.rint(t_s * 1e9 / res_ns).astype(np.int64) * res_ns
-    return np.clip(ticks, t0_ns, end_ns)
 
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -170,29 +169,31 @@ def detect_photons(
     *,
     threads: int = 1,
 ) -> PhotonStream:
-    """Sample photon timestamps from an intensity trace (see module docstring).
+    """Sample photon and dark-count timestamps from an intensity trace.
 
-    Raises ValueError when a sample is infinite, and ResolutionError when
-    the peak total (pre-split) rate and the timestamp resolution imply
-    more than 0.1 expected events per tick.
+    See the module docstring.  Raises ValueError when a sample is
+    infinite, and ResolutionError when the peak total (pre-split) rate,
+    dark counts included, and the timestamp resolution imply more than
+    0.1 expected events per tick.
     """
     top = float(trace.samples.max())
     # the trace refused nan and negative samples, so this refuses the infinite ones
     if not np.isfinite(top):
         raise ValueError(f"intensity must be finite, got a peak of {top!r}")
     scale = 2.0 * cfg.rate_hz / trace.mean
-    lam_top = scale * top
+    dark = 2.0 * cfg.dark_rate_hz
+    lam_top = scale * top + dark
     res_ns = cfg.resolution_ns
     if lam_top * (res_ns * 1e-9) > 0.1:
         raise ResolutionError(
-            f"peak rate {lam_top:g} Hz exceeds 0.1 events per {res_ns} ns tick "
-            "(lower [detection] rate_hz or resolution_ns)"
+            f"peak rate {lam_top:g} Hz, dark counts included, exceeds 0.1 events per "
+            f"{res_ns} ns tick (lower [detection] rate_hz, dark_rate_hz or resolution_ns)"
         )
     n = trace.n
     t0_ns = round(trace.t0 * 1e9)
     end_ns = t0_ns + round(trace.duration * 1e9)
     nblocks = (n + _BLOCK - 1) // _BLOCK
-    mu_scale = scale * trace.dt
+    mu_scale, mu_dark = scale * trace.dt, dark * trace.dt
     key = np.uint64(substream_seed(seed, "detect-offsets") % (1 << 64))
     # a worker's uniforms, mu, CDF and comparison of a chunk fill its scratch
     chunk = max(1, min(n, _BLOCK, SCRATCH_BYTES // _SAMPLE_SCRATCH))
@@ -210,24 +211,19 @@ def detect_photons(
             m = min(chunk, i1 - c0)
             rng.random(out=u[:m])
             np.multiply(trace.samples[c0 : c0 + m], mu_scale, out=mu[:m])
+            # without dark counts, mu + 0.0 is mu
+            np.add(mu[:m], mu_dark, out=mu[:m])
             levels = _poisson_levels(u[:m], mu[:m], cdf[:m], above[:m])
             if not levels:
                 continue
-            # photon j of sample i, for every i in level j
+            # event j of sample i, for every i in level j
             i = np.concatenate(levels) + c0
             j = np.repeat(np.arange(len(levels), dtype=np.uint64), [a.size for a in levels])
             w = _mix(key ^ (_mix(i) + j))
             t_s = trace.t0 + (i + (w >> np.uint64(11)) * 2.0**-53) * trace.dt
-            parts_ts.append(_quantize(t_s, res_ns, t0_ns, end_ns))
+            ticks = np.rint(t_s * 1e9 / res_ns).astype(np.int64) * res_ns
+            parts_ts.append(np.clip(ticks, t0_ns, end_ns))
             parts_ch1.append((w & np.uint64(1)) == 0)
-        if cfg.dark_rate_hz > 0:
-            dur = (i1 - i0) * trace.dt
-            t_start = trace.t0 + i0 * trace.dt
-            for is_d1 in (True, False):
-                n_dark = int(rng.poisson(cfg.dark_rate_hz * dur))
-                t_d = t_start + rng.random(n_dark) * dur
-                parts_ts.append(_quantize(t_d, res_ns, t0_ns, end_ns))
-                parts_ch1.append(np.full(n_dark, is_d1))
         ts = np.concatenate(parts_ts)
         ch1 = np.concatenate(parts_ch1)
         order = np.argsort(ts, kind="stable")
@@ -254,9 +250,9 @@ def detect_photons(
 # binary: little-endian records of (uint64 timestamp_ns, uint8 channel),
 #       no header
 # Both hold timestamps in [0, TIMESTAMP_END_NS): the correlator adds its
-# window, below WINDOW_LIMIT_NS, to int64 timestamps.  `_check_records`
-# holds both the writer and the reader to that, so every file the package
-# writes reads back.
+# window, below WINDOW_LIMIT_NS, to int64 timestamps; and events on both
+# channels.  `_check_records` and `_check_channels` hold both the writer
+# and the reader to that, so every file the package writes reads back.
 #
 # The reader takes `_CHUNK_RECORDS` records at a time from one open handle
 # (`np.fromfile` for binary, `_text.read_blocks` for text), as many as fit
@@ -274,6 +270,7 @@ _BINARY_DTYPE = np.dtype([("timestamp_ns", "<u8"), ("channel", "u1")])
 # binary bytes), its timestamp's contiguous 8 and the channel-1 mask's 1
 _RECORD_SCRATCH = 25
 _CHUNK_RECORDS = SCRATCH_BYTES // _RECORD_SCRATCH
+_TEXT_ROWS = 1 << 16  # the text rows `_text_rows` encodes at a time
 
 _TEXT_EXTENSIONS = (".txt", ".csv")
 _BINARY_EXTENSIONS = (".bin", ".phot")
@@ -328,6 +325,12 @@ def _check_records(path, ts: np.ndarray, ch: np.ndarray, at, prev: int = 0) -> N
         raise DataError(f"{path}: timestamps not sorted at {at(int(np.argmax(bad)) + 1)}")
 
 
+def _check_channels(path, n1: int, n2: int) -> None:
+    """Raise DataError, naming `path` and the channel, unless both channels have events."""
+    if not (n1 and n2):
+        raise DataError(f"{path}: no events on channel {2 if n1 else 1}")
+
+
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # t < _POW10[k] has at most k + 1 digits
 _QUADS = np.array([b"%04d" % q for q in range(10**4)], dtype="S4").view(np.uint32)
 
@@ -338,12 +341,12 @@ def _text_rows(ts: np.ndarray, ch: np.ndarray):
     Ascending timestamps in [0, 2**63) change digit count only at a power
     of ten, so the rows between two powers are one matrix of equal width:
     the channel digit, a comma, the timestamp's digits and a newline, the
-    bytes "%d,%d\\n" gives.  At most `_text._CHUNK_ROWS` rows at a time.
+    bytes "%d,%d\\n" gives.  At most `_TEXT_ROWS` rows at a time.
     """
     cuts = [0, *np.searchsorted(ts, _POW10), ts.size]
     for digits, (start, stop) in enumerate(zip(cuts, cuts[1:]), 1):
-        for a in range(start, stop, _text._CHUNK_ROWS):
-            b = min(stop, a + _text._CHUNK_ROWS)
+        for a in range(start, stop, _TEXT_ROWS):
+            b = min(stop, a + _TEXT_ROWS)
             t = ts[a:b]
             quads = np.empty((b - a, -(-digits // 4)), np.uint32)
             for g in range(quads.shape[1] - 1, -1, -1):
@@ -360,11 +363,13 @@ def _text_rows(ts: np.ndarray, ch: np.ndarray):
 def write_photon_stream(stream: PhotonStream, path, fmt: str | None = None) -> None:
     """Write both channels to one file, text or binary by extension.
 
-    The records pass the reader's check before the file is opened: a
+    The records pass the reader's checks before the file is opened: a
     timestamp outside [0, TIMESTAMP_END_NS) raises DataError naming the
-    path and the line or record, and writes nothing.
+    path and the line or record, an empty channel DataError naming the
+    path and the channel, and neither writes anything.
     """
     kind = _format_for(path, fmt)
+    _check_channels(path, stream.n1, stream.n2)
     ts, ch = _interleave(stream)
     # no header: record i is line i + 1 of a text file
     _check_records(path, ts, ch, (lambda i: f"line {i + 1}") if kind == "text" else _record)
@@ -428,8 +433,7 @@ def read_photon_stream(
     # one channel at a time, so only one channel's parts outlive its join
     d1 = _join(parts1)
     d2 = _join(parts2)
-    if not (d1.size and d2.size):
-        raise DataError(f"{path}: no events on channel {2 if d1.size else 1}")
+    _check_channels(path, d1.size, d2.size)
     if duration_s is None:
         duration_s = (last + resolution_ns) * 1e-9
     elif round(duration_s * 1e9) < last - first:

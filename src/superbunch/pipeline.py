@@ -282,11 +282,10 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     )
     del joint
 
-    if paths:
-        write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
-
     if not (stream.n1 and stream.n2):
         raise DataError("a detector saw no photons: raise [detection] rate_hz or [run] duration_s")
+    if paths:
+        write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
     result = analyze_stream(cfg, stream, paths, threads=threads)
     result.warnings = warnings + result.warnings
     if paths:

@@ -368,6 +368,38 @@ def test_sweep_cli_failed_point_exit_code(tmp_path, config_path, capsys):
     assert ",error:" in lines[2]
 
 
+# a millisecond of a constant laser at about one photon in all
+_DARK_RUN = """
+[run]
+seed = 3
+duration_s = 0.001
+dt_s = 1e-6
+
+[modulation]
+kind = constant
+
+[detection]
+rate_hz = 500
+
+[correlator]
+bin_s = 1e-6
+window_s = 1e-5
+"""
+
+
+def test_a_run_whose_detector_sees_no_photons_writes_no_photon_file(tmp_path, capsys):
+    # the reader refuses a photon file with an empty channel, so none is written
+    path = tmp_path / "dark.ini"
+    path.write_text(_DARK_RUN + "\n[sweep]\nparameter = detection.rate_hz\nvalues = 500\n")
+    out, sweep = tmp_path / "out", tmp_path / "sweep"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert "a detector saw no photons" in capsys.readouterr().err
+    assert not (out / "photons.txt").exists()
+    assert main(["sweep", "--config", str(path), "--out", str(sweep)]) == 5
+    assert "a detector saw no photons" in (sweep / "summary.csv").read_text()
+    assert not (sweep / "point_000" / "photons.txt").exists()
+
+
 @pytest.mark.parametrize("bin_s", ["1e-9", "1e-6"])
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 def test_a_window_of_too_many_bins_exits_2_and_writes_nothing(tmp_path, capsys, command, bin_s):
@@ -562,12 +594,18 @@ def test_sweep_undeclared_parameter_fails_before_any_point(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "parameter,values",
-    [("run.seed", "1, 2"), ("output.directory", "a, b")],
-    ids=["run.seed", "output.directory"],
+    [
+        ("run.seed", "1, 2"),
+        ("output.directory", "a, b"),
+        ("sweep.parameter", "run.duration_s, run.dt_s"),
+        ("sweep.values", "1, 2"),
+    ],
+    ids=["run.seed", "output.directory", "sweep.parameter", "sweep.values"],
 )
 def test_sweep_over_run_seed_fails_before_any_point(tmp_path, capsys, parameter, values):
-    # points take derived seeds and write to point_NNN, so a swept run.seed
-    # or output.directory would be ignored
+    # points take derived seeds, write to point_NNN and run without
+    # [sweep], so a swept run.seed, output.directory or [sweep] key would
+    # be ignored
     path = tmp_path / "sweep.ini"
     path.write_text(CONFIG + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
     out = tmp_path / "sweep"

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superbunch import ConfigError, load_config, run_pipeline
+from superbunch import ConfigError, DetectorConfig, SpeckleParams, load_config, run_pipeline
 from superbunch.config import _MODULATION, _SCHEMA, apply_override, build_config, read_raw
-from superbunch.signal import BandNoise, EomDrive, Sinusoid
+from superbunch.signal import BandNoise, Constant, EomDrive, Sinusoid
 
 FULL = """
 [run]
@@ -252,6 +252,32 @@ def test_sweep_validation(tmp_path):
         load_config(_write(tmp_path, FULL + "\n[sweep]\nparameter = run.seed\nvalues = ,\n"))
     with pytest.raises(ConfigError, match=re.escape("[sweep] missing required key 'values'")):
         load_config(_write(tmp_path, FULL + "\n[sweep]\nparameter = modulation.depth\n"))
+
+
+@pytest.mark.parametrize(
+    "parameter", ["run.seed", "output.directory", "sweep.parameter", "sweep.values"]
+)
+def test_a_key_no_point_runs_with_cannot_be_swept(tmp_path, parameter):
+    # points take derived seeds, write to point_NNN and run without [sweep]
+    text = FULL + f"\n[sweep]\nparameter = {parameter}\nvalues = 1, 2\n"
+    message = f"[sweep] parameter: {parameter} cannot be swept; "
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(_write(tmp_path, text))
+
+
+_MODELS = {cls.kind: cls for cls in (Constant, Sinusoid, BandNoise, EomDrive)}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODULATION))
+def test_each_modulation_default_is_its_models_default(kind):
+    # a default declared in one place only shows up here
+    assert build_config({"modulation": {"kind": kind}}).modulation == _MODELS[kind]()
+
+
+def test_the_speckle_and_detection_defaults_are_their_models_defaults():
+    cfg = build_config({})
+    assert cfg.speckle == SpeckleParams()
+    assert cfg.detection == DetectorConfig()
 
 
 def test_analysis_model_choices(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import threading
@@ -14,7 +15,9 @@ from superbunch import (
     IntensityTrace,
     PhotonStream,
     ResolutionError,
+    coincidence_histogram,
     detect_photons,
+    normalize_g2,
     read_photon_stream,
     sample_intensity,
     write_photon_stream,
@@ -136,7 +139,7 @@ _GOLDEN = {
     ),
     "dark_counts_two_threads": (
         dict(cfg=DetectorConfig(rate_hz=1e5, dark_rate_hz=5e3), kwargs={"threads": 2}),
-        "8c7a146cbb1f8750171d52960ef5e4ab1d068f2d404e7193c5fa6dc102c5b0a3",
+        "3d96da8394d8024ee18bbb4d6b2e3abce5a5747dfdc6c03f7115211e8bf79d65",
     ),
 }
 
@@ -324,12 +327,65 @@ def test_an_infinite_sample_is_refused_before_the_resolution_check():
     assert not isinstance(info.value, ResolutionError)
 
 
+# Gate of the dark counts, on a dark-only run (a constant trace at a
+# negligible light rate), from first principles: each bound holds on
+# correct physics but at the stated false-alarm rate.  Each detector's
+# count is Poisson((d + rate) * T): two-sided normal tail 1e-4 each, z =
+# 3.891.  The events over 20 equal time bins: the chi-square upper 0.999
+# point with 19 degrees of freedom.  The cross-correlation over 100 bins
+# of z values: as criterion 7 of tests/test_acceptance.py, the
+# chi-square upper 0.999 point with 100 degrees of freedom and the
+# two-sided Bonferroni bound on the largest |z| at family-wise 1e-3.
+_Z_DARK = 3.891
+_CHI2_999_19 = 43.82
+_CHI2_999_100, _ZMAX_BONFERRONI = 149.45, 4.417
+_DARK_HZ, _DARK_LIGHT_HZ, _DARK_T = 1e3, 1e-3, 20.0
+
+
+@functools.lru_cache(maxsize=None)
+def _dark_only():
+    cfg = DetectorConfig(rate_hz=_DARK_LIGHT_HZ, dark_rate_hz=_DARK_HZ)
+    return detect_photons(_constant_trace(_DARK_T, 1e-4), cfg, seed=4)
+
+
 def test_dark_counts():
-    trace = _constant_trace(20.0)
-    cfg = DetectorConfig(rate_hz=1e-3, resolution_ns=1, dark_rate_hz=1e3)
-    stream = detect_photons(trace, cfg, seed=4)
-    total = stream.d1.size + stream.d2.size
-    assert abs(total - 2 * 1e3 * 20.0) < 5 * np.sqrt(2 * 1e3 * 20.0)
+    stream = _dark_only()
+    expected = (_DARK_HZ + _DARK_LIGHT_HZ) * _DARK_T
+    for count in (stream.n1, stream.n2):
+        assert abs(count - expected) < _Z_DARK * math.sqrt(expected), count
+
+
+def test_dark_counts_are_uniform_in_time():
+    stream = _dark_only()
+    ts = np.concatenate([stream.d1, stream.d2])
+    observed, _ = np.histogram(ts, bins=20, range=(0, _DARK_T * 1e9))
+    expected = ts.size / 20
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < _CHI2_999_19
+
+
+def test_dark_counts_are_uncorrelated_across_detectors():
+    # two independent uniform streams over T expect 1 - |tau| / T, not 1
+    curve = normalize_g2(coincidence_histogram(_dark_only(), 1e-3, 5e-2))
+    assert curve.value.size == 100
+    z = (curve.value - (1 - np.abs(curve.tau) / _DARK_T)) / curve.stderr
+    chi2, zmax = float(np.sum(z * z)), float(np.max(np.abs(z)))
+    assert chi2 < _CHI2_999_100 and zmax < _ZMAX_BONFERRONI, (chi2, zmax)
+
+
+def test_pileup_bound_covers_light_and_dark_counts(monkeypatch):
+    # 1 us ticks: light at 0.08 events a tick and dark counts at 0.03 pass
+    # alone, and together exceed the bound of 0.1 before any draw
+    trace = _constant_trace(0.01)
+    light = DetectorConfig(rate_hz=4e4, resolution_ns=1000)
+    dark = DetectorConfig(rate_hz=1e-3, resolution_ns=1000, dark_rate_hz=1.5e4)
+    both = DetectorConfig(rate_hz=4e4, resolution_ns=1000, dark_rate_hz=1.5e4)
+    for cfg in (light, dark):
+        stream = detect_photons(trace, cfg, seed=0)
+        assert stream.n1 + stream.n2 > 0
+    monkeypatch.setattr(detection, "substream", None)  # a draw would fail at once
+    with pytest.raises(ResolutionError, match="dark_rate_hz"):
+        detect_photons(trace, both, seed=0)
 
 
 def test_stream_validation():
@@ -443,7 +499,7 @@ def test_text_photons_golden_bytes(tmp_path):
 
 def test_text_writer_chunk_boundaries(tmp_path, monkeypatch):
     # rows are formatted in chunks; a boundary must not drop or double a line
-    monkeypatch.setattr("superbunch._text._CHUNK_ROWS", 2)
+    monkeypatch.setattr("superbunch.detection._TEXT_ROWS", 2)
     stream = PhotonStream(np.array([100, 300, 500]), np.array([200, 400]), 1, 1e-6)
     path = tmp_path / "p.txt"
     write_photon_stream(stream, path)
@@ -482,7 +538,7 @@ def _edge_stream() -> PhotonStream:
 def test_text_edges_match_percent_d(tmp_path, monkeypatch, chunk_rows):
     # 7-row chunks end both inside a run of one digit count and between two
     if chunk_rows is not None:
-        monkeypatch.setattr("superbunch._text._CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr("superbunch.detection._TEXT_ROWS", chunk_rows)
     stream = _edge_stream()
     path = tmp_path / "p.txt"
     write_photon_stream(stream, path)
@@ -505,6 +561,18 @@ def test_timestamp_domain_edges_write_and_read_back(tmp_path, fmt, unit):
         with pytest.raises(DataError) as err:
             write_photon_stream(PhotonStream(np.array(d1), np.array([7]), 1, 1.0), path)
         assert str(err.value) == f"{path}: {outside} {unit} {at}"
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["txt", "bin"])
+def test_a_stream_with_an_empty_channel_is_not_written(tmp_path, fmt):
+    # the reader refuses such a file, so the writer does too
+    path = tmp_path / f"photons.{fmt}"
+    for d1, d2, empty in (([5], [], 2), ([], [5], 1)):
+        stream = PhotonStream(np.array(d1, np.int64), np.array(d2, np.int64), 1, 1.0)
+        with pytest.raises(DataError) as err:
+            write_photon_stream(stream, path)
+        assert str(err.value) == f"{path}: no events on channel {empty}"
         assert not path.exists()
 
 

@@ -1,6 +1,6 @@
 """The byte-identity audit, tools/identity.py: its matrix holds the benchmark's own
-workload configs, runs every modulation kind and fit model, and it keeps working
-on one tiny config."""
+workload configs, runs every modulation kind and fit model and dark counts, and it
+keeps working on one tiny config."""
 
 import importlib.util
 import json
@@ -58,6 +58,9 @@ def test_the_matrix_runs_every_modulation_kind_and_fit_model():
     kinds = set().union(*(_run_values(c, "modulation", "kind") for c in configs))
     assert {"none", *analytic.MODELS} <= models
     assert set(config._MODULATION) <= kinds
+    # and dark counts at a tick coarser than 1 ns, in one config
+    detection = [config.build_config(c).detection for c in configs]
+    assert any(d.dark_rate_hz > 0 and d.resolution_ns > 1 for d in detection)
 
 
 def test_tiny_config_gives_the_same_bytes_at_every_j_and_format(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,7 +65,8 @@ def test_a_chunk_whose_rows_change_width_every_row(tmp_path):
 
 
 def test_chunks_split_a_width_change(tmp_path, monkeypatch):
-    monkeypatch.setattr(_text, "_CHUNK_ROWS", 7)
+    # chunks of 7 two-column rows
+    monkeypatch.setattr(_text, "SCRATCH_BYTES", 7 * 2 * _text._CELL_BYTES)
     column = np.arange(-40, 1200, 9)
     assert _written(tmp_path, column, column % 3) == _percent_d(column, column % 3)
 
@@ -79,3 +83,23 @@ def test_a_float_column_keeps_repr(tmp_path):
     assert _written(tmp_path, ints, floats, header=("n", "x")) == (
         b"n,x\n3,0.30000000000000004\n-12,1e-07\n"
     )
+
+
+def test_a_float_table_is_written_within_the_scratch_budget(tmp_path, monkeypatch):
+    # 200,000 two-column float rows: chunks that fill SCRATCH_BYTES hold
+    # about 2.1 MB of traced scratch, where 65536-row chunks held 8.4 MB
+    t = np.arange(200_000) * 1e-6
+    x = np.sin(t * 7e3) + 1.1
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ("t_s", "intensity"), t, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, f"peak {peak / 1e6:.2f} MB"
+    # the chunking does not change the bytes
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    monkeypatch.setattr(_text, "SCRATCH_BYTES", 1 << 30)
+    write_csv(path, ("t_s", "intensity"), t, x)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -84,14 +84,20 @@ def _workloads():
 
 
 # name -> {section: {key: value}}: the short round-trip (a sinusoid),
-# noise, four EOM and thermal configs, then the benchmark's workload
-# configs, read from perfbench/workloads.py (sim_sinusoid_text is the
-# README config at 2 s).  Between them they run every modulation kind
-# and every [analysis] model, `none` included: thermal's sweep fits each
-# model to a constant laser.  CI's round trip through the installed
-# script writes its config with `ini(CONFIGS["roundtrip"])`
+# the round trip with dark counts at 4 ns ticks, noise, four EOM and
+# thermal configs, then the benchmark's workload configs, read from
+# perfbench/workloads.py (sim_sinusoid_text is the README config at 2 s).
+# Between them they run every modulation kind and every [analysis]
+# model, `none` included: thermal's sweep fits each model to a constant
+# laser.  CI's round trip through the installed script writes its config
+# with `ini(CONFIGS["roundtrip"])`
+_ROUNDTRIP = _short("sinusoid_speckle", kind="sinusoid", depth="0.9", frequency_hz="5e3")
 CONFIGS = {
-    "roundtrip": _short("sinusoid_speckle", kind="sinusoid", depth="0.9", frequency_hz="5e3"),
+    "roundtrip": _ROUNDTRIP,
+    "roundtrip_dark": {
+        **_ROUNDTRIP,
+        "detection": {"rate_hz": "3e4", "resolution_ns": "4", "dark_rate_hz": "5e3"},
+    },
     "noise": _short(
         "noise_speckle",
         kind="band_noise",
