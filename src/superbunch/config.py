@@ -1,12 +1,16 @@
 """Run configuration: a single INI-style file with named sections.
 
-Every key is declared once, with its parser and default: in `_SCHEMA`,
-for the kind-specific keys of [modulation] in `_MODULATION`, and for the
-`init_*` keys of [analysis] in `INIT`, which also names the fit
-parameter each one starts.  Every section is optional and a missing key
-takes its default; only [sweep] has required keys.  Without [modulation]
-the config builds with `modulation = None`, which analysis accepts and
-`run_pipeline` rejects.
+Every key is declared once: in `_SCHEMA` with its parser and default,
+and for the `init_*` keys of [analysis] in `INIT`, which also names the
+fit parameter each one starts.  The keys of a model section are its
+model's fields, each defaulting to its field (`_fields`): those of
+[speckle] and [detection], and those of each [modulation] kind, whose
+model `_MODULATION` names by kind and whose parsers are declared in
+`_MODULATION_PARSERS`.  Each model is built from its section's values
+by name, `_build(section, model, **values)`.  Every section is optional
+and a missing key takes its default; only [sweep] has required keys.
+Without [modulation] the config builds with `modulation = None`, which
+analysis accepts and `run_pipeline` rejects.
 
 `build_config` checks the whole run before any work.  An unknown section
 or key, or a value that does not parse, is not finite or, for a
@@ -23,6 +27,7 @@ Inline `;` and `#` comments are allowed.  See README for the schema.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,14 +71,6 @@ def _intensity(text: str) -> float:
     return value
 
 
-def _frequency(text: str) -> float:
-    """A positive frequency in Hz whose angular frequency is finite."""
-    value = _positive(text)
-    if not 2 * np.pi * value < np.inf:
-        raise ValueError(f"2 pi times it overflows: {text!r}")
-    return value
-
-
 def _integer(text: str) -> int:
     return _number(text, int)
 
@@ -110,53 +107,31 @@ def _clip_level(text: str):
         raise ValueError(f"{exc} (expected a number, 'none' or 'realistic')") from None
 
 
-def _band_noise(v: dict) -> BandNoise:
-    clip = v["clip_level"]
-    return BandNoise(
-        mean_intensity=v["intensity"],
-        cutoff_hz=v["cutoff_hz"],
-        clip_level=2.0 * v["intensity"] if clip == "realistic" else clip,
-        quantization_bits=v["quantization_bits"],
-    )
+# [modulation] key -> its parser, for each kind whose model has the key as a field
+_MODULATION_PARSERS = {
+    "intensity": _intensity,
+    "depth": _number,
+    "frequency_hz": _positive,
+    "phase_rad": _number,
+    "cutoff_hz": _positive,
+    "clip_level": _or_none(_clip_level),
+    "quantization_bits": _or_none(_integer),
+    "vpp": _number,
+    "waveform": _choice("sinusoid", "noise"),
+}
 
 
-# kind -> ({key: (parser, default)}, builder of the model from the parsed keys)
+def _fields(model, parsers: dict) -> dict:
+    """{key: (parser, default)} of a section whose keys are the fields of
+    `model` that `parsers` names, in field order, each defaulting to its field."""
+    keys = [f for f in dataclasses.fields(model) if f.name in parsers]
+    return {f.name: (parsers[f.name], f.default) for f in keys}
+
+
+# kind -> ({key: (parser, default)}, the model its keys build)
 _MODULATION = {
-    Constant.kind: (
-        {"intensity": (_intensity, 1.0)},
-        lambda v: Constant(base_intensity=v["intensity"]),
-    ),
-    Sinusoid.kind: (
-        {
-            "intensity": (_intensity, 1.0),
-            "depth": (_number, 1.0),
-            "frequency_hz": (_frequency, 50e3),
-            "phase_rad": (_number, 0.0),
-        },
-        lambda v: Sinusoid(
-            base_intensity=v["intensity"],
-            depth=v["depth"],
-            omega=2 * np.pi * v["frequency_hz"],
-            phase=v["phase_rad"],
-        ),
-    ),
-    BandNoise.kind: (
-        {
-            "intensity": (_intensity, 1.0),
-            "cutoff_hz": (_positive, 200.0),
-            "clip_level": (_or_none(_clip_level), None),
-            "quantization_bits": (_or_none(_integer), None),
-        },
-        _band_noise,
-    ),
-    EomDrive.kind: (
-        {
-            "vpp": (_number, 8.0),
-            "frequency_hz": (_positive, 50e3),
-            "waveform": (_choice("sinusoid", "noise"), "sinusoid"),
-        },
-        lambda v: EomDrive(**v),
-    ),
+    model.kind: (_fields(model, _MODULATION_PARSERS), model)
+    for model in (Constant, Sinusoid, BandNoise, EomDrive)
 }
 
 # [analysis] init_* key -> (the fit parameter it starts, factor from the key's unit)
@@ -170,14 +145,12 @@ INIT = {
 # section -> {key: (parser, default)}
 _SCHEMA = {
     "run": {"seed": (_integer, 0), "duration_s": (_positive, 100.0), "dt_s": (_positive, 1e-5)},
-    # the keys that depend on the kind are declared in _MODULATION
+    # the keys of each kind are its model's fields, declared in _MODULATION
     "modulation": {"kind": (_choice(*_MODULATION), None)},
-    "speckle": {"bandwidth_rad_s": (_positive, 2 * np.pi * 10e3)},
-    "detection": {
-        "rate_hz": (_positive, 50e3),
-        "resolution_ns": (_integer, 1),
-        "dark_rate_hz": (_number, 0.0),
-    },
+    "speckle": _fields(SpeckleParams, {"bandwidth_rad_s": _positive}),
+    "detection": _fields(
+        DetectorConfig, {"rate_hz": _positive, "resolution_ns": _integer, "dark_rate_hz": _number}
+    ),
     # bin_s None: window_s / 500
     "correlator": {"bin_s": (_positive, None), "window_s": (_positive, 5e-4)},
     "analysis": {
@@ -261,9 +234,12 @@ def _build(section: str, build, *args, **kwargs):
 def _build_modulation(entries: dict) -> ModulationModel:
     """The model of a [modulation] section; its kind decides the allowed keys."""
     kind = _parse("modulation", {"kind": entries.get("kind", "")}, _SCHEMA["modulation"])["kind"]
-    keys, build = _MODULATION[kind]
-    rest = {key: text for key, text in entries.items() if key != "kind"}
-    return _build("modulation", build, _parse("modulation", rest, keys))
+    keys, model = _MODULATION[kind]
+    values = _parse("modulation", {k: v for k, v in entries.items() if k != "kind"}, keys)
+    # a generator whose output range ends at twice the mean intensity
+    if values.get("clip_level") == "realistic":
+        values["clip_level"] = 2.0 * values["intensity"]
+    return _build("modulation", model, **values)
 
 
 def _fit_start(model: str, init: dict, modulation, bandwidth: float, half_bins: int):
@@ -350,15 +326,14 @@ def build_config(raw: dict) -> RunConfig:
 
     modulation = _build_modulation(raw["modulation"]) if "modulation" in raw else None
 
-    speckle = _build("speckle", SpeckleParams, bandwidth=section("speckle")["bandwidth_rad_s"])
-    # [detection]'s keys are DetectorConfig's fields
-    det = section("detection")
-    detection = _build("detection", DetectorConfig, **det)
+    speckle = _build("speckle", SpeckleParams, **section("speckle"))
+    detection = _build("detection", DetectorConfig, **section("detection"))
 
     corr = section("correlator")
     window_s = corr["window_s"]
     bin_s = window_s / 500.0 if corr["bin_s"] is None else corr["bin_s"]
-    half_bins = _build("correlator", histogram_geometry, bin_s, window_s, det["resolution_ns"])[1]
+    tick = detection.resolution_ns
+    half_bins = _build("correlator", histogram_geometry, bin_s, window_s, tick)[1]
 
     ana = section("analysis")
     model = ana.pop("model")
@@ -396,7 +371,7 @@ def build_config(raw: dict) -> RunConfig:
         detection=detection,
         bin_s=bin_s,
         window_s=window_s,
-        fit_start=_fit_start(model, init, modulation, speckle.bandwidth, half_bins),
+        fit_start=_fit_start(model, init, modulation, speckle.bandwidth_rad_s, half_bins),
         analysis_init=init,
         output_format=out["format"],
         write_trace=out["write_trace"],

@@ -137,7 +137,8 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
     when the window, requested or as rounded to half_bins * dtau_ns,
     reaches WINDOW_LIMIT_NS, spans fewer than ten or more than
     HALF_BINS_LIMIT bins per side, or the bin is narrower than the
-    timestamp resolution.
+    timestamp resolution or not a whole number of its ticks (a bin of
+    2.5 ticks would hold two lags and its neighbour three: a comb in g2).
     """
     too_wide = "window_s must be shorter than 2**58 ns"
     if not window_s * 1e9 < WINDOW_LIMIT_NS:
@@ -153,6 +154,10 @@ def histogram_geometry(bin_s: float, window_s: float, resolution_ns: int) -> tup
         raise ValueError(too_wide)
     if dtau_ns < max(1, resolution_ns):
         raise ValueError("bin_s must not be below resolution_ns, the timestamp resolution")
+    if dtau_ns % resolution_ns:
+        raise ValueError(
+            f"bin_s must be a whole number of {resolution_ns} ns timestamp ticks, got {dtau_ns} ns"
+        )
     return dtau_ns, half_bins
 
 

@@ -394,8 +394,9 @@ def read_photon_stream(
 
     The files carry no header, so the acquisition duration is not stored;
     pass `duration_s` for exact rate normalization (otherwise it is
-    inferred as the last timestamp plus one resolution tick).  A
-    `duration_s` that is not positive or not below the 2**63 ns int64
+    inferred as the span of the timestamps plus one resolution tick,
+    last - first + resolution_ns, as a recording's clock may start
+    anywhere).  A `duration_s` that is not positive or not below the 2**63 ns int64
     timestamps can reach raises ConfigError; one shorter than the span of
     the timestamps, DataError.  A missing or malformed file, or a record
     `_check_records` refuses (the writer's own check), raises DataError
@@ -435,7 +436,7 @@ def read_photon_stream(
     d2 = _join(parts2)
     _check_channels(path, d1.size, d2.size)
     if duration_s is None:
-        duration_s = (last + resolution_ns) * 1e-9
+        duration_s = (last - first + resolution_ns) * 1e-9
     elif round(duration_s * 1e9) < last - first:
         raise DataError(f"{path}: timestamps span {last - first} ns, more than {duration_s:g} s")
     return PhotonStream(d1=d1, d2=d2, resolution_ns=resolution_ns, duration_s=duration_s)

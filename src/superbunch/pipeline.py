@@ -11,7 +11,8 @@ work, in one table of artifact key -> path (`_artifacts`), which every
 writer reads and `RunResult.paths` keeps.  It makes its output
 directory for that table (`make_out_dir`), refusing an artifact path
 that a directory takes, once its input has passed these checks and
-before its expensive work.
+before its expensive work.  A run refused after that leaves nothing: it
+removes the files it wrote, and the directory if it made it (`_writing`).
 
 Every stochastic stage draws from its own derived substream (see
 seeding.py), so results are reproducible bit-for-bit from (config, seed)
@@ -40,6 +41,7 @@ other.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -116,6 +118,7 @@ class RunResult:
 
 
 def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram) -> dict:
+    """The manifest: each model section under its config keys, which are the model's fields."""
     mod = dataclasses.asdict(cfg.modulation)
     mod["kind"] = cfg.modulation.kind
     return {
@@ -128,12 +131,8 @@ def manifest_dict(cfg: RunConfig, hist: CoincidenceHistogram) -> dict:
             "samples": cfg.samples,
         },
         "modulation": mod,
-        "speckle": {"bandwidth_rad_s": cfg.speckle.bandwidth},
-        "detection": {
-            "rate_hz": cfg.detection.rate_hz,
-            "resolution_ns": cfg.detection.resolution_ns,
-            "dark_rate_hz": cfg.detection.dark_rate_hz,
-        },
+        "speckle": {"bandwidth_rad_s": cfg.speckle.bandwidth_rad_s},
+        "detection": dataclasses.asdict(cfg.detection),
         "correlator": {
             "bin_s": cfg.bin_s,
             "window_s": cfg.window_s,
@@ -176,6 +175,31 @@ def make_out_dir(path, files) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _writing(out_dir, paths: dict):
+    """Make `out_dir` for the artifact table `paths` (`make_out_dir`) around a run's work.
+
+    A run that raises within leaves nothing behind: the artifacts it
+    wrote are removed, and so is `out_dir` if the run made it.  A file
+    that was there before the run stays.  Without `paths` nothing is
+    made or removed.
+    """
+    new = [path for path in paths.values() if not os.path.lexists(path)]
+    made = bool(paths) and not os.path.isdir(out_dir)
+    if paths:
+        make_out_dir(out_dir, paths.values())
+    try:
+        yield
+    except BaseException:
+        for path in new:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
 
 
 def _artifacts(cfg: RunConfig, out_dir, *, simulated: bool) -> dict:
@@ -261,37 +285,40 @@ def run_pipeline(cfg: RunConfig, *, threads: int = 1, out_dir=None) -> RunResult
     diagnostics = cfg.modulation.check(cfg.dt_s, n) + cfg.speckle.check(cfg.dt_s, n)
     warnings = tuple(WARNINGS[name] for name in dict.fromkeys(diagnostics))
     paths = _artifacts(cfg, out_dir, simulated=True)
-    if paths:
-        make_out_dir(out_dir, paths.values())
-    modulation_seed = substream_seed(cfg.seed, "modulation")
-    if "modulation" in paths:
-        # freed once written; modulate_in_place draws the same bits again below
-        trace = sample_intensity(cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed, threads=threads)
-        write_intensity_csv(trace, paths["modulation"])
-        del trace
+    with _writing(out_dir, paths):
+        modulation_seed = substream_seed(cfg.seed, "modulation")
+        if "modulation" in paths:
+            # freed once written; modulate_in_place draws the same bits again below
+            trace = sample_intensity(
+                cfg.modulation, 0.0, cfg.dt_s, n, modulation_seed, threads=threads
+            )
+            write_intensity_csv(trace, paths["modulation"])
+            del trace
 
-    params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
-    speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n, threads=threads)
-    if "speckle" in paths:
-        write_intensity_csv(speckle, paths["speckle"])
-    joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
-    del speckle  # stale: its buffer now holds the joint trace
+        params = dataclasses.replace(cfg.speckle, seed=substream_seed(cfg.seed, "speckle"))
+        speckle = generate_speckle_field(params, 0.0, cfg.dt_s, n, threads=threads)
+        if "speckle" in paths:
+            write_intensity_csv(speckle, paths["speckle"])
+        joint = modulate_in_place(cfg.modulation, speckle, modulation_seed, threads=threads)
+        del speckle  # stale: its buffer now holds the joint trace
 
-    stream = detect_photons(
-        joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads
-    )
-    del joint
+        stream = detect_photons(
+            joint, cfg.detection, substream_seed(cfg.seed, "detection"), threads=threads
+        )
+        del joint
 
-    if not (stream.n1 and stream.n2):
-        raise DataError("a detector saw no photons: raise [detection] rate_hz or [run] duration_s")
-    if paths:
-        write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
-    result = analyze_stream(cfg, stream, paths, threads=threads)
-    result.warnings = warnings + result.warnings
-    if paths:
-        with open(paths["manifest"], "w", newline="") as fh:
-            json.dump(manifest_dict(cfg, result.histogram), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if not (stream.n1 and stream.n2):
+            raise DataError(
+                "a detector saw no photons: raise [detection] rate_hz or [run] duration_s"
+            )
+        if paths:
+            write_photon_stream(stream, paths["photons"], fmt=cfg.output_format)
+        result = analyze_stream(cfg, stream, paths, threads=threads)
+        result.warnings = warnings + result.warnings
+        if paths:
+            with open(paths["manifest"], "w", newline="") as fh:
+                json.dump(manifest_dict(cfg, result.histogram), fh, indent=2, sort_keys=True)
+                fh.write("\n")
     return result
 
 
@@ -308,8 +335,9 @@ def run_analysis(
 
     The photon files carry no header, so pass the acquisition duration
     explicitly to reproduce a simulation's normalization exactly; without
-    it the duration is taken as the last timestamp plus one resolution
-    step, which biases g2 slightly low for short streams.
+    it the duration is taken as the span of the timestamps, last minus
+    first, plus one resolution step (a recording's clock may start
+    anywhere), which biases g2 slightly low for short streams.
     """
     paths = _artifacts(cfg, out_dir, simulated=False)
     stream = read_photon_stream(
@@ -318,9 +346,8 @@ def run_analysis(
         resolution_ns=cfg.detection.resolution_ns,
         duration_s=duration_s,
     )
-    if paths:
-        make_out_dir(out_dir, paths.values())
-    return analyze_stream(cfg, stream, paths, threads=threads)
+    with _writing(out_dir, paths):
+        return analyze_stream(cfg, stream, paths, threads=threads)
 
 
 def _csv_cell(value) -> str:

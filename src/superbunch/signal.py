@@ -10,18 +10,20 @@ has thermal counting statistics).
 All traces are uniformly sampled.  Stochastic models are reproducible:
 the same seed always yields the same samples.
 
-A modulation kind is one frozen dataclass, plus the entry in
-`config._MODULATION` that declares its [modulation] keys.  The class
-names its kind in the class attribute `kind` (not a dataclass field),
-refuses a sample grid that cannot carry it in `check(dt, n)`, which
-returns the run's diagnostics (for a `BandNoise` run `"short-trace"`
-when it is shorter than ten correlation times and `"slow-synthesis"`
-when its sample count slows the synthesis down, see
-`_spectral.slow_synthesis`; `()` for the other kinds), multiplies its
-intensity into a buffer of samples in `multiply_into(samples, t0, dt,
-rng, threads=1)`, and names in `fit_start()` the fit parameters its
-physics implies a start for, each with the [modulation] key that sets
-it (see `analytic.MODELS`).
+A modulation kind is one frozen dataclass, listed in
+`config._MODULATION`.  Its fields are its [modulation] keys, each with
+its default (`EomDrive`'s `transfer` aside, which no key sets), and the
+config builds the kind from them by name; each key's parser is in
+`config._MODULATION_PARSERS`.  The class names its kind in the class
+attribute `kind` (not a dataclass field), refuses a sample grid
+that cannot carry it in `check(dt, n)`, which returns the run's
+diagnostics (for a `BandNoise` run `"short-trace"` when it is shorter
+than ten correlation times and `"slow-synthesis"` when its sample count
+slows the synthesis down, see `_spectral.slow_synthesis`; `()` for the
+other kinds), multiplies its intensity into a buffer of samples in
+`multiply_into(samples, t0, dt, rng, threads=1)`, and names in
+`fit_start()` the fit parameters its physics implies a start for, each
+with the [modulation] key that sets it (see `analytic.MODELS`).
 
 A kind whose intensity is a function of time alone states it once in
 `at(t)`: `Constant`, `Sinusoid`, and `EomDrive` with a sine drive or
@@ -142,20 +144,20 @@ class _Waveform:
 class Constant(_Waveform):
     """Unmodulated beam of fixed intensity."""
 
-    base_intensity: float = 1.0
+    intensity: float = 1.0
 
     kind = "constant"
 
     def __post_init__(self):
         require_finite(self)
-        if not self.base_intensity > 0:
-            raise ValueError("base intensity must be positive")
+        if not self.intensity > 0:
+            raise ValueError("intensity must be positive")
 
     def check(self, dt, n):
         return ()
 
     def at(self, t):
-        return np.full(t.shape, float(self.base_intensity))
+        return np.full(t.shape, float(self.intensity))
 
     def fit_start(self) -> dict:
         return {}
@@ -163,36 +165,40 @@ class Constant(_Waveform):
 
 @dataclass(frozen=True)
 class Sinusoid(_Waveform):
-    """I(t) = base * (1 + depth * cos(omega * t + phase)).
+    """I(t) = intensity * (1 + depth * cos(omega * t + phase_rad)).
 
-    `depth` is the literal intensity modulation depth in [0, 1]; `omega`
-    is the angular drive frequency in rad/s.
+    `depth` is the literal intensity modulation depth in [0, 1];
+    `frequency_hz` is the drive frequency, `omega` its angular frequency.
     """
 
-    base_intensity: float = 1.0
+    intensity: float = 1.0
     depth: float = 1.0
-    omega: float = 2 * np.pi * 50e3
-    phase: float = 0.0
+    frequency_hz: float = 50e3
+    phase_rad: float = 0.0
 
     kind = "sinusoid"
 
     def __post_init__(self):
         require_finite(self)
-        if not self.base_intensity > 0:
-            raise ValueError("base intensity must be positive")
+        if not self.intensity > 0:
+            raise ValueError("intensity must be positive")
         if not 0.0 <= self.depth <= 1.0:
             raise ValueError("depth must lie in [0, 1]")
-        if not self.omega > 0:
-            raise ValueError("drive frequency must be positive")
+        if not 0 < self.omega < np.inf:
+            raise ValueError("frequency_hz must be positive, and 2 pi times it finite")
+
+    @property
+    def omega(self) -> float:
+        """The angular drive frequency, rad/s."""
+        return 2 * np.pi * self.frequency_hz
 
     def check(self, dt, n):
-        require_oversampled(
-            dt, 2 * np.pi / self.omega, f"[modulation] frequency_hz = {self.omega / 2 / np.pi:g}"
-        )
+        f = self.frequency_hz
+        require_oversampled(dt, 1.0 / f, f"[modulation] frequency_hz = {f:g}")
         return ()
 
     def at(self, t):
-        return self.base_intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase))
+        return self.intensity * (1.0 + self.depth * np.cos(self.omega * t + self.phase_rad))
 
     def fit_start(self) -> dict:
         # a depth-d sinusoid gives g2(0) = 2 + d^2, i.e. an effective
@@ -217,7 +223,7 @@ class BandNoise:
     is applied before quantization.
     """
 
-    mean_intensity: float = 1.0
+    intensity: float = 1.0
     cutoff_hz: float = 200.0
     clip_level: Optional[float] = None
     quantization_bits: Optional[int] = None
@@ -226,8 +232,8 @@ class BandNoise:
 
     def __post_init__(self):
         require_finite(self)
-        if not self.mean_intensity > 0:
-            raise ValueError("mean intensity must be positive")
+        if not self.intensity > 0:
+            raise ValueError("intensity must be positive")
         if not self.cutoff_hz > 0:
             raise ValueError("noise cutoff must be positive")
         if self.clip_level is not None and not self.clip_level > 0:
@@ -243,7 +249,7 @@ class BandNoise:
 
     def multiply_into(self, samples, t0, dt, rng, threads=1):
         drawn = bandlimited_intensity(
-            samples.size, dt, self.cutoff_hz / 2.0, self.mean_intensity, rng, threads=threads
+            samples.size, dt, self.cutoff_hz / 2.0, self.intensity, rng, threads=threads
         )
         if self.clip_level is not None:
             np.minimum(drawn, self.clip_level, out=drawn)

@@ -2,13 +2,13 @@
 
 A detector behind the ground glass sees one speckle whose complex field is
 a stationary circular Gaussian process.  A flat angular spectrum of total
-width `bandwidth` (rad/s) gives the field autocorrelation
-gamma(tau) = sinc(bandwidth * tau / 2), hence intensity correlation
-1 + sinc^2(bandwidth * tau / 2) and the thermal value g2(0) = 2.
+width `bandwidth_rad_s` gives the field autocorrelation
+gamma(tau) = sinc(bandwidth_rad_s * tau / 2), hence intensity correlation
+1 + sinc^2(bandwidth_rad_s * tau / 2) and the thermal value g2(0) = 2.
 
 Only the intensity reaches the detectors, so the speckle is synthesized
 and carried as an intensity trace.  It is the same thermal process as the
-`BandNoise` modulation with `cutoff_hz = bandwidth / (2 pi)`, and both
+`BandNoise` modulation with `cutoff_hz = bandwidth_rad_s / (2 pi)`, and both
 draw it from `_spectral.bandlimited_intensity`.
 
 `run_pipeline` draws the speckle before the modulation and has the
@@ -36,34 +36,35 @@ from .signal import IntensityTrace, require_finite, require_oversampled
 class SpeckleParams:
     """Ground-glass speckle parameters.
 
-    bandwidth: total angular width of the scattered spectrum, rad/s.  The
-    coherence time is 2 pi / bandwidth.
+    bandwidth_rad_s: total angular width of the scattered spectrum, the
+    [speckle] key of the same name.  The coherence time is
+    2 pi / bandwidth_rad_s.  `seed` is the speckle's substream seed, which
+    no key sets: a run derives it from [run] seed.
     """
 
-    bandwidth: float = 2 * np.pi * 10e3
+    bandwidth_rad_s: float = 2 * np.pi * 10e3
     seed: int = 0
 
     def __post_init__(self):
         require_finite(self)
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not self.bandwidth_rad_s > 0:
+            raise ValueError("bandwidth_rad_s must be positive")
 
     @property
     def _half_band_hz(self) -> float:
-        # angular half-width bandwidth/2 -> ordinary frequency bandwidth/(4 pi)
-        return self.bandwidth / (4 * np.pi)
+        # angular half-width bandwidth_rad_s/2 -> ordinary frequency bandwidth_rad_s/(4 pi)
+        return self.bandwidth_rad_s / (4 * np.pi)
 
     def check(self, dt, n):
-        """Raise ConfigError unless dt is at most 2 pi / (10 * bandwidth).
+        """Raise ConfigError unless dt is at most 2 pi / (10 * bandwidth_rad_s).
 
         The same check as the modulation kinds', which the pipeline makes
         before any work.  The diagnostics: `("slow-synthesis",)` when n
         samples make the synthesis slow (`_spectral.slow_synthesis`), else
         `()`.
         """
-        require_oversampled(
-            dt, 2 * np.pi / self.bandwidth, f"[speckle] bandwidth_rad_s = {self.bandwidth:g}"
-        )
+        bandwidth = self.bandwidth_rad_s
+        require_oversampled(dt, 2 * np.pi / bandwidth, f"[speckle] bandwidth_rad_s = {bandwidth:g}")
         return ("slow-synthesis",) if slow_synthesis(n, dt, self._half_band_hz) else ()
 
 

@@ -215,10 +215,10 @@ _DT7, _N7, _BIN7, _WINDOW7 = 1e-6, 1_000_000, 4e-6, 2e-4
 def _factorization_run(seed):
     dt, n, bin_s, window_s = _DT7, _N7, _BIN7, _WINDOW7
     det = DetectorConfig(rate_hz=1e4)
-    mod = Sinusoid(base_intensity=1.0, depth=0.8, omega=2 * np.pi * 25e3)
+    mod = Sinusoid(intensity=1.0, depth=0.8, frequency_hz=25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
     speckle = generate_speckle_field(
-        SpeckleParams(bandwidth=BW, seed=substream_seed(seed, "speckle")),
+        SpeckleParams(bandwidth_rad_s=BW, seed=substream_seed(seed, "speckle")),
         0.0, dt, n,
     )
     # same speckle realization with and without modulation; independent
@@ -240,7 +240,7 @@ def _factorization_z(depth, seed=1700):
     """
     dt, n, bin_s, window_s = _DT7, _N7, _BIN7, _WINDOW7
     curve_j, curve_s = _factorization_run(seed)
-    mod = Sinusoid(base_intensity=1.0, depth=depth, omega=2 * np.pi * 25e3)
+    mod = Sinusoid(intensity=1.0, depth=depth, frequency_hz=25e3)
     trace = sample_intensity(mod, 0.0, dt, n, substream_seed(seed, "modulation"))
     # modulation autocorrelation predicted per histogram bin: timestamps
     # are uniform within a sample, so a lattice lag spreads over

@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from test_bench_setup import _workloads
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +48,14 @@ def test_correlator_calls_the_numpy_kernel():
 
     assert _kernels.pair_histogram is _corr_np.pair_histogram
     assert _kernels.COMPILED is False and _kernels.FORCE_FALLBACK is False
+
+
+def test_each_sinusoid_workload_has_the_omega_its_fit_check_reads(monkeypatch):
+    # perfbench/workloads.py `_check_sinusoid` compares the fit with cfg.modulation.omega
+    workloads = _workloads(monkeypatch)
+    sections = [w.sections for w in workloads.WORKLOADS.values()]
+    sinusoids = [s for s in sections if s["modulation"]["kind"] == "sinusoid"]
+    assert sinusoids
+    for raw in sinusoids:
+        modulation = workloads.config.build_config(raw).modulation
+        assert modulation.omega == 2 * np.pi * modulation.frequency_hz

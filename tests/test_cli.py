@@ -161,6 +161,86 @@ def test_rate_too_high_for_the_resolution_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: peak rate") and "0.1 events per 100 ns tick" in err
+    assert not (tmp_path / "out").exists()
+
+
+# seed 3 draws no photon on one detector, after the traces are written
+_NO_PHOTONS = (
+    CONFIG.replace("duration_s = 0.5", "duration_s = 0.001")
+    .replace("rate_hz = 3e4", "rate_hz = 500")
+    + "\n[output]\nwrite_trace = yes\n"
+)
+
+
+def test_a_run_refused_after_making_its_directory_leaves_nothing(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(_NO_PHOTONS)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert "a detector saw no photons" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_refused_run_keeps_the_files_that_were_there_before(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(_NO_PHOTONS)
+    out = tmp_path / "out"
+    out.mkdir()
+    # an artifact of an earlier run that this one fails before rewriting
+    (out / "notes.txt").write_text("kept")
+    (out / "photons.txt").write_text("1,5\n2,7\n")
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "photons.txt"]
+    assert (out / "photons.txt").read_text() == "1,5\n2,7\n"
+
+
+def test_a_refused_sweep_point_leaves_no_point_directory(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(_NO_PHOTONS + "\n[sweep]\nparameter = detection.rate_hz\nvalues = 500, 3e4\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 5
+    assert sorted(p.name for p in out.iterdir()) == ["point_001", "summary.csv"]
+    assert "a detector saw no photons" in (out / "summary.csv").read_text()
+
+
+# thermal light at 100 ns ticks: 250 ns bins hold two lags and three in
+# turn, so g2 alternated about 1.7 and 2.4 and g2(0) read about 1.6, not 2
+_COMB = """
+[run]
+duration_s = 2
+dt_s = 1e-6
+
+[modulation]
+kind = constant
+
+[speckle]
+bandwidth_rad_s = 6283.1853
+
+[detection]
+rate_hz = 2e4
+resolution_ns = 100
+
+[correlator]
+bin_s = 2.5e-7
+window_s = 2.5e-5
+"""
+
+
+def test_a_bin_of_a_fraction_of_ticks_is_refused_before_any_work(tmp_path, capsys):
+    path = tmp_path / "comb.ini"
+    path.write_text(_COMB)
+    out = tmp_path / "comb"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[correlator] bin_s" in err and "100 ns timestamp ticks" in err
+    assert not out.exists()
+    # three ticks a bin: no comb, and the thermal value
+    path.write_text(_COMB.replace("bin_s = 2.5e-7", "bin_s = 3e-7"))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    g2 = np.loadtxt(out / "g2.csv", delimiter=",", skiprows=1)[:, 1]
+    assert abs(g2[0::2].mean() - g2[1::2].mean()) < 0.1
+    zero = float(capsys.readouterr().out.split()[2])
+    assert abs(zero - 2.0) < 0.35
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

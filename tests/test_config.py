@@ -58,7 +58,7 @@ def test_full_config_parses(tmp_path):
     assert isinstance(cfg.modulation, Sinusoid)
     assert cfg.modulation.depth == 0.8
     assert cfg.modulation.omega == pytest.approx(2 * np.pi * 50e3)
-    assert cfg.speckle.bandwidth == pytest.approx(62831.853)
+    assert cfg.speckle.bandwidth_rad_s == pytest.approx(62831.853)
     assert cfg.detection.rate_hz == 3e4
     assert cfg.detection.resolution_ns == 2
     assert cfg.detection.dark_rate_hz == 10

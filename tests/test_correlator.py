@@ -66,6 +66,12 @@ def test_histogram_geometry_bounds_the_bins_per_side():
             histogram_geometry(1e-9, window_s, 1)
 
 
+def test_histogram_geometry_refuses_a_bin_of_a_fraction_of_ticks():
+    with pytest.raises(ValueError, match="whole number of 100 ns timestamp ticks, got 250 ns"):
+        histogram_geometry(2.5e-7, 2.5e-5, 100)
+    assert histogram_geometry(3e-7, 2.5e-5, 100) == (300, 83)
+
+
 def test_histogram_geometry_refuses_a_window_rounded_past_the_limit():
     # 2.88e8 ns is below 2**58 ns (about 2.882e17), but rounds to 29 bins
     # of 1e16 ns: a 2.9e17 ns window the int64 timestamps cannot hold

@@ -421,8 +421,9 @@ def test_chunk_size_does_not_change_the_stream(tmp_path, monkeypatch, ext):
         back = read_photon_stream(path)
         assert back.d1.tobytes() == stream.d1.tobytes(), chunk
         assert back.d2.tobytes() == stream.d2.tobytes(), chunk
+        first = min(stream.d1[0], stream.d2[0])
         last = max(stream.d1[-1], stream.d2[-1])
-        assert back.duration_s == (int(last) + 1) * 1e-9
+        assert back.duration_s == (int(last) - int(first) + 1) * 1e-9
 
 
 def _traced_read(path) -> tuple[int, int]:
@@ -581,7 +582,7 @@ def test_duration_inferred_when_absent(tmp_path):
     path = tmp_path / "p.txt"
     write_photon_stream(stream, path)
     back = read_photon_stream(path)
-    assert back.duration_s == pytest.approx((250 + 1) * 1e-9)
+    assert back.duration_s == pytest.approx((250 - 100 + 1) * 1e-9)
 
 
 def test_bad_channel_rejected(tmp_path):

@@ -116,3 +116,16 @@ def test_check_and_diff_name_what_differs():
     assert [f.split(":")[0] for f in faults] == ["c/s1/j1/*/g2.csv", "c/s1/j2/*/g2.csv"]
     assert identity.diff(lines, moved) == ["c/s1/j2/simulate-text/<exit>"]
     assert identity.diff(extra, lines) == ["c/s1/j1/simulate-text/fit.txt"]
+
+
+def test_tally_counts_the_differing_lines_by_file_name():
+    identity = _identity()
+    keys = [
+        "noise/s1000/j1/simulate-text/manifest.json",
+        "noise/s1000/j2/simulate-binary/manifest.json",
+        "thermal/s1001/j1/sweep/point_002/manifest.json",
+        "thermal/s1001/j1/sweep/<stdout>",
+        "noise/s1000/j1/simulate-text/fit.txt",
+    ]
+    assert identity.tally(keys) == {"<stdout>": 1, "fit.txt": 1, "manifest.json": 3}
+    assert identity.tally([]) == {}

@@ -17,7 +17,7 @@ from superbunch import (
 from superbunch import _corr_np, _spectral, detection
 from superbunch.analytic import FitModel
 from superbunch.config import _MODULATION, INIT
-from superbunch.detection import detect_photons
+from superbunch.detection import PhotonStream, detect_photons, write_photon_stream
 from superbunch.pipeline import manifest_dict
 from superbunch.seeding import substream_seed
 from superbunch.signal import IntensityTrace, sample_intensity
@@ -295,6 +295,47 @@ def test_each_modulation_kind_builds_and_names_itself(kind):
     assert manifest_dict(cfg, hist)["modulation"]["kind"] == kind
 
 
+# a value other than its default for every key of each kind
+_MANIFEST_KINDS = {
+    "constant": {"intensity": "2.0"},
+    "sinusoid": {"intensity": "1.5", "depth": "0.8", "frequency_hz": "40e3", "phase_rad": "0.3"},
+    "band_noise": {
+        "intensity": "3.0",
+        "cutoff_hz": "300",
+        "clip_level": "realistic",
+        "quantization_bits": "8",
+    },
+    "eom": {"vpp": "6", "frequency_hz": "30e3", "waveform": "noise"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODULATION))
+def test_a_manifests_model_sections_build_the_runs_models_again(kind):
+    # each section is written under the config's own keys, so its values,
+    # given back as config strings, are the run's models
+    raw = _raw(
+        modulation={"kind": kind, **_MANIFEST_KINDS[kind]},
+        speckle={"bandwidth_rad_s": "5000.5"},
+        detection={"rate_hz": "2e4", "resolution_ns": "4", "dark_rate_hz": "100"},
+    )
+    cfg = build_config(raw)
+    hist = CoincidenceHistogram(
+        dtau_ns=1000, half_bins=10, counts=np.ones(20), n1=1, n2=1, duration_s=1.0
+    )
+    manifest = json.loads(json.dumps(manifest_dict(cfg, hist)))
+    manifest["modulation"].pop("transfer", None)  # the eom's curve, which no key sets
+    again = build_config(
+        {
+            name: {key: "none" if value is None else str(value) for key, value in entries.items()}
+            for name, entries in manifest.items()
+            if name in ("modulation", "speckle", "detection")
+        }
+    )
+    assert again.modulation == cfg.modulation
+    assert again.speckle == cfg.speckle
+    assert again.detection == cfg.detection
+
+
 @pytest.mark.parametrize("name", sorted(analytic.MODELS))
 def test_each_fit_model_name_is_accepted(name):
     cfg = build_config(_raw(modulation={"kind": "eom"}, analysis={"model": name}))
@@ -503,3 +544,17 @@ def test_every_init_key_is_range_checked_under_every_model(model, key):
     message = rf"^\[analysis\] {key}: the fit start .* is outside its bounds"
     with pytest.raises(ConfigError, match=message):
         build_config(_raw(analysis={**analysis, key: "-1"}))
+
+
+def test_analyze_infers_the_duration_from_the_span_of_the_timestamps(tmp_path):
+    # a recording's clock may start anywhere: taken as last + 1 ns, the
+    # duration of the file 10**12 ns later read g2(0) 5000 times too high
+    cfg = build_config(_raw(run={"duration_s": "0.2"}))
+    stream = run_pipeline(cfg).stream
+    late = PhotonStream(stream.d1 + 10**12, stream.d2 + 10**12, 1, stream.duration_s)
+    zeros = []
+    for name, photons in (("p.txt", stream), ("late.txt", late)):
+        write_photon_stream(photons, tmp_path / name)
+        zeros.append(pipeline.run_analysis(cfg, tmp_path / name).g2_zero)
+    assert 2.0 < zeros[0] < 4.0
+    assert abs(zeros[1] - zeros[0]) < 0.01

@@ -49,7 +49,7 @@ def test_eom_transfer_scalar_and_errors():
 
 
 def test_constant_trace():
-    tr = sample_intensity(Constant(base_intensity=2.5), 0.0, 1e-6, 100, 0)
+    tr = sample_intensity(Constant(intensity=2.5), 0.0, 1e-6, 100, 0)
     assert tr.mean == pytest.approx(2.5)
     assert np.all(tr.samples == 2.5)
     assert tr.n == 100
@@ -59,7 +59,7 @@ def test_constant_trace():
 def test_sinusoid_matches_closed_form_autocorrelation():
     depth, f0 = 0.6, 50e3
     omega = 2 * np.pi * f0
-    tr = sample_intensity(Sinusoid(1.0, depth, omega, 0.0), 0.0, 1e-6, 200_000, 0)
+    tr = sample_intensity(Sinusoid(1.0, depth, f0, 0.0), 0.0, 1e-6, 200_000, 0)
     curve = modulation_autocorrelation(tr, 60e-6)
     expected = 1.0 + 0.5 * depth**2 * np.cos(omega * curve.tau)
     assert np.max(np.abs(curve.value - expected)) < 1e-3
@@ -67,9 +67,9 @@ def test_sinusoid_matches_closed_form_autocorrelation():
 
 def test_sinusoid_alias_guard():
     with pytest.raises(ConfigError):
-        sample_intensity(Sinusoid(1.0, 0.8, 2 * np.pi * 50e3, 0.0), 0.0, 1e-5, 100, 0)
+        sample_intensity(Sinusoid(1.0, 0.8, 50e3, 0.0), 0.0, 1e-5, 100, 0)
     # ten samples per period is allowed
-    sample_intensity(Sinusoid(1.0, 0.8, 2 * np.pi * 50e3, 0.0), 0.0, 2e-6, 100, 0)
+    sample_intensity(Sinusoid(1.0, 0.8, 50e3, 0.0), 0.0, 2e-6, 100, 0)
 
 
 def test_sinusoid_depth_bounds():
@@ -80,7 +80,7 @@ def test_sinusoid_depth_bounds():
 
 
 def test_band_noise_statistics():
-    model = BandNoise(mean_intensity=1.0, cutoff_hz=200.0)
+    model = BandNoise(intensity=1.0, cutoff_hz=200.0)
     tr = sample_intensity(model, 0.0, 1e-4, 1_000_000, 7)
     assert tr.mean == pytest.approx(np.mean(tr.samples))
     assert tr.mean == pytest.approx(1.0, abs=1e-9)  # scaled to the requested mean
@@ -91,7 +91,7 @@ def test_band_noise_statistics():
 
 
 def test_band_noise_is_band_limited():
-    model = BandNoise(mean_intensity=1.0, cutoff_hz=100.0)
+    model = BandNoise(intensity=1.0, cutoff_hz=100.0)
     tr = sample_intensity(model, 0.0, 1e-3, 65_536, 3)
     spec = np.abs(np.fft.rfft(tr.samples - tr.mean)) ** 2
     freqs = np.fft.rfftfreq(tr.n, 1e-3)
@@ -140,7 +140,7 @@ def test_quantization_memory_stays_near_its_output():
 
 @pytest.mark.parametrize(
     "model",
-    [Constant(2.0), Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3), EomDrive(vpp=8.0)],
+    [Constant(2.0), Sinusoid(1.0, 0.9, 50e3, 0.3), EomDrive(vpp=8.0)],
     ids=["constant", "sinusoid", "eom_sine"],
 )
 def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
@@ -148,7 +148,7 @@ def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
     # speckle synthesis alone peaks near 1.8 traces, and separate modulation,
     # speckle and product traces peaked at 3.0 (4.0 for the eom drive)
     n = 2_000_000
-    speckle = SpeckleParams(bandwidth=62831.853, seed=1)
+    speckle = SpeckleParams(bandwidth_rad_s=62831.853, seed=1)
     tracemalloc.start()
     try:
         joint = modulate_in_place(model, generate_speckle_field(speckle, 0.0, 1e-6, n), 2)
@@ -161,7 +161,7 @@ def test_deterministic_modulation_adds_no_trace_to_the_speckle(model):
 
 @pytest.mark.parametrize(
     "model",
-    [Constant(2.0), Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3), EomDrive(vpp=8.0)],
+    [Constant(2.0), Sinusoid(1.0, 0.9, 50e3, 0.3), EomDrive(vpp=8.0)],
     ids=["constant", "sinusoid", "eom_sine"],
 )
 @pytest.mark.usefixtures("many_cpus")
@@ -190,7 +190,7 @@ def test_waveform_trace_holds_one_trace_and_its_blocks(model):
 
 _BLOCKED = {
     "constant": Constant(2.0),
-    "sinusoid": Sinusoid(1.0, 0.9, 2 * np.pi * 50e3, 0.3),
+    "sinusoid": Sinusoid(1.0, 0.9, 50e3, 0.3),
     "eom_sine": EomDrive(vpp=8.0),
     "eom_noise": EomDrive(vpp=8.0, frequency_hz=20e3, waveform="noise"),
 }
@@ -241,7 +241,7 @@ def test_wide_noise_drive_adds_no_more_than_its_std_to_the_speckle():
     # and the speckle (3.0 traces); its synthesis peaked above that, at 3.2
     # traces, with a full twiddle table and an exponential per mode and batch
     n = 2_000_000
-    speckle = SpeckleParams(bandwidth=62831.853, seed=1)
+    speckle = SpeckleParams(bandwidth_rad_s=62831.853, seed=1)
     model = EomDrive(vpp=8.0, frequency_hz=20e3, waveform="noise")
     tracemalloc.start()
     try:
@@ -259,13 +259,13 @@ def test_wide_noise_drive_adds_no_more_than_its_std_to_the_speckle():
 @pytest.mark.parametrize(
     "synthesize, quantity, limit",
     [
-        (lambda dt: sample_intensity(Sinusoid(1.0, 0.8, 2 * np.pi * 50e3, 0.0), 0.0, dt, 100, 0),
+        (lambda dt: sample_intensity(Sinusoid(1.0, 0.8, 50e3, 0.0), 0.0, dt, 100, 0),
          "[modulation] frequency_hz = 50000", 2e-6),
         (lambda dt: sample_intensity(BandNoise(1.0, 200.0), 0.0, dt, 1000, 0),
          "[modulation] cutoff_hz = 200", 5e-4),
         (lambda dt: sample_intensity(EomDrive(vpp=8.0, frequency_hz=50e3), 0.0, dt, 100, 0),
          "[modulation] frequency_hz = 50000", 2e-6),
-        (lambda dt: generate_speckle_field(SpeckleParams(bandwidth=62831.853, seed=0), 0.0, dt, 100),
+        (lambda dt: generate_speckle_field(SpeckleParams(bandwidth_rad_s=62831.853, seed=0), 0.0, dt, 100),
          "[speckle] bandwidth_rad_s = 62831.9", 1e-5),
     ],
     ids=["sinusoid", "band_noise", "eom", "speckle"],
@@ -365,11 +365,11 @@ def test_intensity_trace_refuses_nan_samples_and_a_non_finite_mean():
 _FLOAT_FIELDS = {
     EomTransfer: ("offset", "amplitude", "period_v", "center_v"),
     EomDrive: ("vpp", "frequency_hz"),
-    BandNoise: ("mean_intensity", "cutoff_hz", "clip_level"),
-    Sinusoid: ("base_intensity", "depth", "omega", "phase"),
-    Constant: ("base_intensity",),
+    BandNoise: ("intensity", "cutoff_hz", "clip_level"),
+    Sinusoid: ("intensity", "depth", "frequency_hz", "phase_rad"),
+    Constant: ("intensity",),
     DetectorConfig: ("rate_hz", "dark_rate_hz"),
-    SpeckleParams: ("bandwidth",),
+    SpeckleParams: ("bandwidth_rad_s",),
 }
 
 

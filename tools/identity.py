@@ -23,8 +23,9 @@ reads the same in any checkout and at any `-j`: nothing is normalized.
                                             and every command of a run to give the
                                             same analysis files
   python3 tools/identity.py --against REV   run the matrix on REV too (unpacked
-                                            with `git archive`) and list every
-                                            line that differs
+                                            with `git archive`), list every line
+                                            that differs and tally them by
+                                            artifact file name
 
 The exit code is 1 when a check fails or a line differs, else 0.  The
 benchmark's workload configs are read from perfbench/workloads.py, so
@@ -45,6 +46,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -226,6 +228,12 @@ def diff(ours: dict, theirs: dict) -> list:
     return sorted(key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key))
 
 
+def tally(keys) -> dict:
+    """File name (the last part of each KEY, `<exit>` and the like included) -> how
+    many of `keys` end in it, sorted by name."""
+    return dict(sorted(Counter(key.rsplit("/", 1)[-1] for key in keys).items()))
+
+
 def _unpack(rev: str, dest: Path) -> Path:
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev], stdout=subprocess.PIPE, check=True
@@ -261,6 +269,8 @@ def main(argv=None) -> int:
             changed = diff(lines, theirs)
             for key in changed:
                 print(f"differs: {key}  {theirs.get(key)} -> {lines.get(key)}", file=sys.stderr)
+            for name, count in tally(changed).items():
+                print(f"differs by file: {name} {count}", file=sys.stderr)
             print(
                 f"{len(lines)} lines here, {len(theirs)} at {args.against}, "
                 f"{len(changed)} differ",
